@@ -8,13 +8,14 @@ background light, plus a thermal floor.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import elementary_charge as Q_ELECTRON
 from scipy.signal import lfilter
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
+from .schema import section
 from .waveform import Waveform
 
 
@@ -22,11 +23,11 @@ from .waveform import Waveform
 class LedModel:
     """First-order low-pass pole plus a soft-saturation drive curve.
 
-    Set bandwidth_3db or saturation_power to numpy.inf to bypass the
-    corresponding stage.
+    Set bandwidth_3db or saturation_power to numpy.inf (the defaults) to
+    bypass the corresponding stage.
     """
 
-    bandwidth_3db: float
+    bandwidth_3db: float = np.inf
     saturation_power: float = np.inf
     knee_sharpness: float = 1.0
     linear_gain: float = 1.0
@@ -45,7 +46,7 @@ class LedModel:
 LED_PRESETS = {
     "phosphor": LedModel(bandwidth_3db=3e6),
     "trichromatic": LedModel(bandwidth_3db=30e6),
-    "ideal": LedModel(bandwidth_3db=np.inf),
+    "ideal": LedModel(),
 }
 
 
@@ -209,24 +210,27 @@ def noise_variance_dark(dm, sample_rate):
 # presets from JSON
 # ---------------------------------------------------------------------------
 
-def led_from_dict(doc):
+def led_from_dict(doc, path="led"):
+    """The LED block: a preset name, or fields over an optional preset."""
     if isinstance(doc, str):
-        return LED_PRESETS[doc]
+        doc = {"preset": doc}
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "expected a preset name or a JSON object")
     doc = dict(doc)
     preset = doc.pop("preset", None)
-    base = LED_PRESETS[preset] if preset else LedModel(bandwidth_3db=np.inf)
-    for key in ("bandwidth_3db", "saturation_power"):
-        if doc.get(key) in ("inf", None) and key in doc:
-            doc[key] = np.inf
-    return replace(base, **doc)
+    if preset not in (None, *LED_PRESETS):
+        raise ConfigError(f"{path}.preset",
+                          f"expected one of {', '.join(LED_PRESETS)}")
+    return section(LedModel, doc, path, base=LED_PRESETS.get(preset),
+                   unbounded=("bandwidth_3db", "saturation_power"))
 
 
-def channel_from_dict(doc):
-    return ChannelModel(**doc)
+def channel_from_dict(doc, path="channel"):
+    return section(ChannelModel, doc, path)
 
 
-def detector_from_dict(doc):
-    return DetectorModel(**doc)
+def detector_from_dict(doc, path="detector"):
+    return section(DetectorModel, doc, path)
 
 
 def load_presets_json(path):

@@ -23,13 +23,6 @@ from .errors import ConfigError, ParameterError
 CONFIG_SCHEMA_VERSION = 1
 
 
-def _fail_config(exc):
-    path = getattr(exc, "json_path", "$")
-    message = getattr(exc, "message", str(exc))
-    print(f"error: config: {path}: {message}", file=sys.stderr)
-    return 3
-
-
 def _load(args):
     if not os.path.isfile(args.config):
         raise ConfigError("$", f"config file not found: {args.config}")
@@ -39,10 +32,6 @@ def _load(args):
     if args.workers is not None:
         config = replace(config, run=replace(config.run, workers=args.workers))
     return config, doc
-
-
-def _build_from_scheme(scheme):
-    return scheme.build_constellation()
 
 
 def _stats_line(c):
@@ -57,7 +46,7 @@ def _stats_line(c):
 
 def cmd_construct(args):
     config, _ = _load(args)
-    c = _build_from_scheme(config.scheme)
+    c = config.scheme.build_constellation()
     print(_stats_line(c))
     os.makedirs(args.output_dir, exist_ok=True)
     con.save_constellation(c, os.path.join(args.output_dir, "constellation.json"))
@@ -72,12 +61,8 @@ def cmd_stats(args):
     return 0
 
 
-def _sweep_points(doc, key="points"):
-    sweep_doc = doc.get("sweep", {})
-    points = sweep_doc.get(key)
-    if not isinstance(points, list) or len(points) < 2:
-        raise ConfigError(f"sweep.{key}", "need a list of at least 2 values")
-    return [float(p) for p in points]
+def _sweep_points(doc):
+    return [float(p) for p in sk.cli_block(doc, "sweep").points]
 
 
 def cmd_ber_sweep(args):
@@ -93,6 +78,8 @@ def cmd_ber_sweep(args):
 def cmd_dimming_sweep(args):
     config, doc = _load(args)
     points = _sweep_points(doc)
+    if not all(0 < p <= 1 for p in points):
+        raise ConfigError("sweep.points", "dimming targets must lie in (0, 1]")
     reports = sk.sweep(config, "dimming", points, output_dir=args.output_dir)
     for p, r in zip(points, reports):
         achieved = r.params.get("achieved_dimming")
@@ -103,12 +90,12 @@ def cmd_dimming_sweep(args):
 def cmd_isi_sweep(args):
     config, doc = _load(args)
     points = _sweep_points(doc)
-    depths = doc.get("sweep", {}).get("depths", [1, 8])
-    if not isinstance(depths, list) or not depths:
+    depths = sk.cli_block(doc, "sweep").depths
+    if not depths:
         raise ConfigError("sweep.depths", "need a nonempty list of depths")
     for depth in depths:
-        derived = replace(config, interleaver_depth=int(depth))
-        label = f"{config.scheme.kind}_d{int(depth)}"
+        derived = replace(config, interleaver_depth=depth)
+        label = f"{config.scheme.kind}_d{depth}"
         reports = sk.sweep(derived, "delay_spread", points,
                            output_dir=args.output_dir, label=label)
         for p, r in zip(points, reports):
@@ -119,23 +106,11 @@ def cmd_isi_sweep(args):
 
 def cmd_nonlin_compare(args):
     config, doc = _load(args)
-    compare = doc.get("compare")
-    if not isinstance(compare, dict):
-        raise ConfigError("compare", "missing comparison block")
-    points = compare.get("saturation_points")
-    if not isinstance(points, list) or len(points) < 2:
-        raise ConfigError("compare.saturation_points",
-                          "need a list of at least 2 values")
-    mean_power = float(compare.get("mean_power", 1.0))
-    ofdm_doc = dict(doc)
-    ofdm_doc["scheme"] = compare.get("ofdm_scheme", {"kind": "dco_ofdm"})
-    ofdm_doc.pop("compare", None)
-    ofdm_config = sk.config_from_document(ofdm_doc)
-    if args.seed is not None:
-        ofdm_config = replace(ofdm_config, seed=args.seed)
+    compare = sk.cli_block(doc, "compare")
+    points = [float(p) for p in compare.saturation_points]
     results = sk.nonlin_compare(
-        config, ofdm_config, [float(p) for p in points],
-        mean_power=mean_power, output_dir=args.output_dir,
+        config, replace(config, scheme=compare.ofdm_scheme), points,
+        mean_power=float(compare.mean_power), output_dir=args.output_dir,
     )
     ordering_holds = True
     for p, rm, ro in zip(points, results["meppm"], results["dco_ofdm"]):
@@ -149,13 +124,10 @@ def cmd_nonlin_compare(args):
 
 def cmd_rate(args):
     config, doc = _load(args)
-    rate_doc = doc.get("rate", {})
-    n_colors = int(rate_doc.get("n_colors", 1))
-    bits_cap = rate_doc.get("bits_per_symbol")
-    c = _build_from_scheme(config.scheme)
+    rate = sk.cli_block(doc, "rate")
     acc = sk.rate_accounting(
-        c, config.geometry, config.device, n_colors,
-        bits_per_symbol=None if bits_cap is None else int(bits_cap),
+        config.scheme.build_constellation(), config.geometry, config.device,
+        rate.n_colors, bits_per_symbol=rate.bits_per_symbol,
     )
     print(f"bits_per_slot={acc.bits_per_slot:.6g}")
     print(f"slot_rate_hz={acc.slot_rate:.6g}")
@@ -177,18 +149,16 @@ def cmd_rate(args):
 
 def cmd_flicker(args):
     config, doc = _load(args)
-    flicker_doc = doc.get("flicker", {})
-    n_symbols = int(flicker_doc.get("n_symbols", 10_000))
-    windows = flicker_doc.get("window_symbols", [1, 2, 4])
-    c = _build_from_scheme(config.scheme)
+    flicker = sk.cli_block(doc, "flicker")
+    c = config.scheme.build_constellation()
     rng = np.random.default_rng(config.seed)
-    idx = rng.integers(0, c.used_size, size=n_symbols)
+    idx = rng.integers(0, c.used_size, size=flicker.n_symbols)
     w = wf.synthesize(c.encode_indices(idx), config.geometry,
                       config.peak_power_per_unit)
     symbol_t = c.q * config.geometry.slot_duration
     os.makedirs(args.output_dir, exist_ok=True)
     rows = ["window_symbols,metric"]
-    for k in windows:
+    for k in flicker.window_symbols:
         metric = sk.flicker_metric(w, float(k) * symbol_t)
         rows.append(f"{k},{sk.format_float(metric)}")
         print(f"window_symbols={k} flicker={metric:.6g}")
@@ -236,7 +206,8 @@ def main(argv=None):
     try:
         return _COMMANDS[args.verb](args)
     except ConfigError as exc:
-        return _fail_config(exc)
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 3
     except ParameterError as exc:
         print(f"error: parameter: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ decoder doubles as the oracle for small constellations.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 from . import constellations as con
 from . import waveform as wf
@@ -88,24 +88,20 @@ def expected_statistics(codewords, g, peak_power_per_unit=1.0):
     return full[: amps.size + g.overlap_factor - 1]
 
 
-def restoration_matrix(q, f):
-    """Lower-triangular map from a block's slot amplitudes to its own-block
-    statistics (unit diagonal, hence exactly invertible)."""
-    kernel = pulse_kernel(f)
-    mat = np.zeros((q, q))
-    for j in range(q):
-        for i in range(j + 1):
-            d = j - i
-            if d < kernel.size:
-                mat[j, i] = kernel[d]
-    return mat
+def restoration_matrix(kernel, q):
+    """Lower-triangular Toeplitz map from a block's q slot amplitudes to its
+    own-block statistics, given the slot response `kernel` of one unit
+    pulse (invertible whenever kernel[0] is nonzero)."""
+    col = np.zeros(q)
+    col[: min(q, kernel.size)] = kernel[:q]
+    return toeplitz(col, np.zeros(q))
 
 
 def restore_block_amplitudes(block_stats, q, f):
     """Invert the in-block pulse superposition (identity for F=1)."""
     if f == 1:
         return np.asarray(block_stats, dtype=np.float64)
-    mat = restoration_matrix(q, f)
+    mat = restoration_matrix(pulse_kernel(f), q)
     return solve_triangular(mat, np.asarray(block_stats, float), lower=True)
 
 
@@ -333,12 +329,6 @@ def decode_ml(s, c, noise_var=None, overlap_factor=1, gain=1.0):
     return MlDecoder(c, gain=gain, noise_var=noise_var).decode(vec)
 
 
-def decode_meppm_components(s, c, overlap_factor=1):
-    """One-symbol successive-cancellation MEPPM decision."""
-    vec = restore_block_amplitudes(_as_vector(s, c.q), c.q, overlap_factor)
-    return MeppmComponentDecoder(c).decode(vec)
-
-
 def deinterleave(s, spec):
     """Invert the transmit interleaver at the slot-statistic level."""
     if isinstance(s, SlotStatistics):
@@ -386,12 +376,7 @@ class StreamReceiver:
         else:
             self._kernel = pulse_kernel(g.overlap_factor) * gain
         if g.overlap_factor > 1:
-            mat = np.zeros((c.q, c.q))
-            for j in range(c.q):
-                for i in range(j + 1):
-                    if j - i < self._kernel.size:
-                        mat[j, i] = self._kernel[j - i]
-            self._restore = np.linalg.inv(mat)
+            self._restore = np.linalg.inv(restoration_matrix(self._kernel, c.q))
         else:
             self._restore = None
 

@@ -24,6 +24,7 @@ from . import ofdm as ofdm_mod
 from . import receiver as rx
 from . import waveform as wf
 from .errors import ConfigError, ParameterError
+from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 
@@ -119,7 +120,7 @@ def ser_union_bound(c, slot_snr):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    kind: str                       # ppm | mppm | eppm | meppm | dco_ofdm
+    kind: str = field(metadata={"choices": (*con.SCHEMES, "dco_ofdm")})
     q: int = 7
     k: int = 3
     n: int = 1
@@ -154,7 +155,8 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    mode: str = "awgn"              # identity | awgn | physical
+    mode: str = field(default="awgn",
+                      metadata={"choices": ("identity", "awgn", "physical")})
     slot_snr_db: float = 10.0       # awgn: SNR of a unit slot statistic
     sample_noise_sigma: float = 0.0  # awgn: explicit sample-level sigma
     model: ac.ChannelModel = field(default_factory=lambda: ac.IDENTITY_CHANNEL)
@@ -171,12 +173,19 @@ class RunSpec:
     batch_symbols: int = 2048
     workers: int = 1
 
+    def __post_init__(self):
+        if self.max_bits < 1:
+            raise ParameterError("max_bits must be >= 1")
+        if self.min_errors < 0:
+            raise ParameterError("min_errors must be >= 0")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
     scheme: SchemeSpec
     geometry: wf.SlotGeometry
-    device: ac.LedModel = field(default_factory=lambda: ac.LED_PRESETS["ideal"])
+    device: ac.LedModel = field(default_factory=lambda: ac.LED_PRESETS["ideal"],
+                                metadata={"load": ac.led_from_dict})
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     run: RunSpec = field(default_factory=RunSpec)
     peak_power_per_unit: float = 1.0
@@ -185,6 +194,10 @@ class TrialConfig:
     dimming_target: float = 0.0     # 0: off
     decoder: str = ""               # default: per scheme
     seed: int = 1
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
 
     def params_record(self):
         doc = asdict(self)
@@ -335,10 +348,26 @@ class _PulseChain:
         depth = self.config.interleaver_depth
         return n + (-n) % max(depth, 1)
 
+    def transmit(self, words):
+        """Optical waveform after the LED for a codeword stream, driven
+        whole or split over `array_split_leds` binary LEDs."""
+        cfg, g = self.config, self.geometry
+        n_leds = cfg.array_split_leds
+        parts = wf.array_split(words, n_leds) if n_leds else [words]
+        samples = sum(
+            ac.led_transfer(wf.synthesize(p, g, self.peak), cfg.device).samples
+            for p in parts
+        )
+        return wf.Waveform(samples, g.sample_rate, g)
+
+    def pilot(self, rng):
+        """Transmit input of a calibration pilot: 256 random symbols."""
+        c = self.constellation
+        return c.encode_indices(rng.integers(0, c.used_size, size=256))
+
     def run_batch(self, batch_index):
         cfg = self.config
         c = self.constellation
-        g = self.geometry
         rng = np.random.default_rng([cfg.seed, batch_index])
         n_sym = self.batch_symbols()
         bits = rng.integers(0, 2, size=n_sym * c.bits_per_symbol)
@@ -346,20 +375,7 @@ class _PulseChain:
         words = c.encode_indices(idx)
         if self.interleaver is not None:
             words = wf.interleave(words, self.interleaver)
-
-        if cfg.array_split_leds:
-            parts = wf.array_split(words, cfg.array_split_leds)
-            samples = sum(
-                ac.led_transfer(
-                    wf.synthesize(p, g, self.peak), cfg.device
-                ).samples
-                for p in parts
-            )
-            w = wf.Waveform(samples, g.sample_rate, g)
-        else:
-            w = ac.led_transfer(wf.synthesize(words, g, self.peak), cfg.device)
-
-        y = _apply_channel(w, cfg, rng)
+        y = _apply_channel(self.transmit(words), cfg, rng)
         decoded = self.receiver.decode_waveform(y)
         rx_bits = con.indices_to_bits(decoded, c.bits_per_symbol)
         bit_errors = int(np.sum(rx_bits != bits))
@@ -368,6 +384,8 @@ class _PulseChain:
 
 
 class _OfdmChain:
+    achieved_dimming = None
+
     def __init__(self, config):
         self.config = config
         self.ofdm = config.scheme.build_ofdm()
@@ -389,15 +407,22 @@ class _OfdmChain:
             gain *= config.channel.detector.responsivity
         self.equalizer_ir = ir * gain
 
+    def transmit(self, bits):
+        """Optical waveform after the LED for a whole number of frames."""
+        w = ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)
+        w = wf.Waveform(w.samples * self.config.peak_power_per_unit, self.fs)
+        return ac.led_transfer(w, self.config.device)
+
+    def pilot(self, rng):
+        """Transmit input of a calibration pilot: 64 random frames."""
+        return rng.integers(0, 2, size=64 * self.ofdm.bits_per_frame)
+
     def run_batch(self, batch_index):
         cfg = self.config
         rng = np.random.default_rng([cfg.seed, batch_index])
         n_frames = cfg.run.batch_symbols
         bits = rng.integers(0, 2, size=n_frames * self.ofdm.bits_per_frame)
-        w = ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)
-        w = wf.Waveform(w.samples * cfg.peak_power_per_unit, self.fs)
-        w = ac.led_transfer(w, cfg.device)
-        y = _apply_channel(w, cfg, rng)
+        y = _apply_channel(self.transmit(bits), cfg, rng)
         rx_bits = ofdm_mod.dco_demodulate(y, self.ofdm, self.equalizer_ir)
         bit_errors = int(np.sum(rx_bits != bits))
         frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
@@ -484,7 +509,7 @@ def run_trials(config):
         config, int(totals[0]), int(totals[1]), int(totals[2]),
         int(totals[3]), time.perf_counter() - start,
     )
-    if isinstance(chain, _PulseChain) and chain.achieved_dimming is not None:
+    if chain.achieved_dimming is not None:
         report.params["achieved_dimming"] = chain.achieved_dimming
     return report
 
@@ -581,35 +606,9 @@ def write_sweep_outputs(config, axis, points, reports, output_dir, label=None):
 
 def _pilot_mean_power(config):
     """Mean optical power of one noiseless pilot batch after the LED."""
-    pilot = replace(
-        config,
-        channel=ChannelSpec(mode="identity"),
-        run=replace(config.run, batch_symbols=min(config.run.batch_symbols, 256)),
-    )
-    chain = _build_chain(pilot)
-    if isinstance(chain, _OfdmChain):
-        cfg = chain.config
-        rng = np.random.default_rng([cfg.seed, 0])
-        bits = rng.integers(0, 2, size=64 * chain.ofdm.bits_per_frame)
-        w = ofdm_mod.dco_modulate(bits, chain.ofdm, chain.fs)
-        w = wf.Waveform(w.samples * cfg.peak_power_per_unit, chain.fs)
-        return float(ac.led_transfer(w, cfg.device).samples.mean())
-    cfg = chain.config
-    c = chain.constellation
-    rng = np.random.default_rng([cfg.seed, 0])
-    idx = rng.integers(0, c.used_size, size=256)
-    words = c.encode_indices(idx)
-    if cfg.array_split_leds:
-        parts = wf.array_split(words, cfg.array_split_leds)
-        samples = sum(
-            ac.led_transfer(
-                wf.synthesize(p, cfg.geometry, chain.peak), cfg.device
-            ).samples
-            for p in parts
-        )
-        return float(np.mean(samples))
-    w = wf.synthesize(words, cfg.geometry, chain.peak)
-    return float(ac.led_transfer(w, cfg.device).samples.mean())
+    chain = _build_chain(replace(config, channel=ChannelSpec(mode="identity")))
+    rng = np.random.default_rng([config.seed, 0])
+    return float(chain.transmit(chain.pilot(rng)).samples.mean())
 
 
 def calibrate_drive(config, target_mean_power, iterations=3):
@@ -713,98 +712,52 @@ def rate_accounting(c, g, led, n_colors, bits_per_symbol=None):
 # config documents (the JSON experiment format)
 # ---------------------------------------------------------------------------
 
-def _expect(doc, key, path, kind=None, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required entry")
-        return default
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(
-            f"{path}.{key}", f"expected {getattr(kind, '__name__', kind)}"
-        )
-    return value
+@dataclass(frozen=True)
+class SweepBlock:
+    points: list[float]
+    depths: list[int] = field(default_factory=lambda: [1, 8])  # isi-sweep
+
+
+@dataclass(frozen=True)
+class CompareBlock:
+    saturation_points: list[float]
+    mean_power: float = 1.0
+    ofdm_scheme: SchemeSpec = field(
+        default_factory=lambda: SchemeSpec(kind="dco_ofdm"))
+
+
+@dataclass(frozen=True)
+class RateBlock:
+    n_colors: int = 1
+    bits_per_symbol: int | None = None  # None: the constellation's own
+
+
+@dataclass(frozen=True)
+class FlickerBlock:
+    n_symbols: int = 10_000
+    window_symbols: list[float] = field(default_factory=lambda: [1, 2, 4])
+
+    def __post_init__(self):
+        if self.n_symbols < 1:
+            raise ParameterError("n_symbols must be >= 1")
+
+
+# top-level blocks read only by the CLI verbs, not by TrialConfig
+CLI_BLOCKS = {"sweep": SweepBlock, "compare": CompareBlock,
+              "rate": RateBlock, "flicker": FlickerBlock}
 
 
 def config_from_document(doc):
     """Validate a JSON experiment document into a TrialConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "document must be a JSON object")
-    scheme_doc = _expect(doc, "scheme", "$", dict, required=True)
-    kind = _expect(scheme_doc, "kind", "scheme", str, required=True)
-    if kind not in (*con.SCHEMES, "dco_ofdm"):
-        raise ConfigError("scheme.kind", f"unknown scheme {kind!r}")
-    scheme = SchemeSpec(
-        kind=kind,
-        q=_expect(scheme_doc, "q", "scheme", int, 7),
-        k=_expect(scheme_doc, "k", "scheme", int, 3),
-        n=_expect(scheme_doc, "n", "scheme", int, 1),
-        use_complements=_expect(scheme_doc, "use_complements", "scheme",
-                                bool, False),
-        n_subcarriers=_expect(scheme_doc, "n_subcarriers", "scheme", int, 64),
-        qam_order=_expect(scheme_doc, "qam_order", "scheme", int, 16),
-        dc_bias_sigma=_expect(scheme_doc, "dc_bias_sigma", "scheme",
-                              (int, float), 3.0),
-        cyclic_prefix=_expect(scheme_doc, "cyclic_prefix", "scheme", int, 0),
-        sample_rate=_expect(scheme_doc, "sample_rate", "scheme",
-                            (int, float), 1e8),
-    )
-    geo_doc = _expect(doc, "geometry", "$", dict, required=True)
-    try:
-        geometry = wf.SlotGeometry(
-            slot_duration=_expect(geo_doc, "slot_duration", "geometry",
-                                  (int, float), required=True),
-            samples_per_slot=_expect(geo_doc, "samples_per_slot", "geometry",
-                                     int, required=True),
-            overlap_factor=_expect(geo_doc, "overlap_factor", "geometry",
-                                   int, 1),
-        )
-    except ParameterError as exc:
-        raise ConfigError("geometry", str(exc)) from exc
-    device_doc = _expect(doc, "device", "$", (dict, str), default={})
-    try:
-        device = ac.led_from_dict(device_doc)
-    except (KeyError, TypeError, ParameterError) as exc:
-        raise ConfigError("device", str(exc)) from exc
-    channel_doc = _expect(doc, "channel", "$", dict, default={})
-    mode = _expect(channel_doc, "mode", "channel", str, "awgn")
-    if mode not in ("identity", "awgn", "physical"):
-        raise ConfigError("channel.mode", f"unknown mode {mode!r}")
-    try:
-        model = ac.channel_from_dict(channel_doc.get("model", {}))
-        detector = ac.detector_from_dict(channel_doc.get("detector", {}))
-    except (TypeError, ParameterError) as exc:
-        raise ConfigError("channel", str(exc)) from exc
-    channel = ChannelSpec(
-        mode=mode,
-        slot_snr_db=_expect(channel_doc, "slot_snr_db", "channel",
-                            (int, float), 10.0),
-        sample_noise_sigma=_expect(channel_doc, "sample_noise_sigma",
-                                   "channel", (int, float), 0.0),
-        model=model,
-        detector=detector,
-    )
-    run_doc = _expect(doc, "run", "$", dict, default={})
-    run = RunSpec(
-        max_bits=_expect(run_doc, "max_bits", "run", int, 10_000_000),
-        min_errors=_expect(run_doc, "min_errors", "run", int, 100),
-        batch_symbols=_expect(run_doc, "batch_symbols", "run", int, 2048),
-        workers=_expect(run_doc, "workers", "run", int, 1),
-    )
-    return TrialConfig(
-        scheme=scheme,
-        geometry=geometry,
-        device=device,
-        channel=channel,
-        run=run,
-        peak_power_per_unit=_expect(doc, "peak_power_per_unit", "$",
-                                    (int, float), 1.0),
-        array_split_leds=_expect(doc, "array_split_leds", "$", int, 0),
-        interleaver_depth=_expect(doc, "interleaver_depth", "$", int, 1),
-        dimming_target=_expect(doc, "dimming_target", "$", (int, float), 0.0),
-        decoder=_expect(doc, "decoder", "$", str, ""),
-        seed=_expect(doc, "seed", "$", int, 1),
-    )
+    trial = {k: v for k, v in doc.items() if k not in CLI_BLOCKS}
+    return section(TrialConfig, trial, "$")
+
+
+def cli_block(doc, name):
+    """The CLI verb block `name` of a document, e.g. "sweep"."""
+    return section(CLI_BLOCKS[name], doc.get(name, {}), name)
 
 
 def load_config(path):

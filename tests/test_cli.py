@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import vlclink
 
 BASE_EPPM = {
@@ -92,6 +94,19 @@ class TestErrors:
         res = run_cli("construct", "--config", cfg)
         assert res.returncode == 3
         assert "scheme.kind" in res.stderr
+
+    @pytest.mark.parametrize("verb, points", [
+        ("ber-sweep", [6.0, "high"]),
+        ("dimming-sweep", [0, 0.5]),
+    ], ids=["non-numeric-point", "dimming-point-zero"])
+    def test_bad_sweep_point_reports_json_path(self, tmp_path, verb, points):
+        cfg = write_config(tmp_path, dict(BASE_EPPM, sweep={"points": points}))
+        out_dir = tmp_path / "out"
+        res = run_cli(verb, "--config", cfg, "--output-dir", str(out_dir))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: config: sweep.points")
+        assert "Traceback" not in res.stderr
+        assert not out_dir.exists()
 
     def test_unknown_verb_exit_2(self):
         res = run_cli("frobnicate", "--config", "x.json")

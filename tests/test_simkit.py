@@ -253,15 +253,65 @@ class TestOracles:
             assert r.ser >= bound / 2
 
 
+MINIMAL_DOC = {
+    "scheme": {"kind": "eppm", "q": 7, "k": 3},
+    "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
+}
+
+
 class TestConfigDocuments:
     def test_minimal_document(self):
-        doc = {
-            "scheme": {"kind": "eppm", "q": 7, "k": 3},
-            "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
-        }
-        cfg = sk.config_from_document(doc)
+        cfg = sk.config_from_document(MINIMAL_DOC)
         assert cfg.scheme.kind == "eppm"
         assert cfg.geometry.samples_per_slot == 2
+        assert cfg == sk.TrialConfig(
+            scheme=sk.SchemeSpec(kind="eppm"), geometry=geo())
+
+    def test_cli_blocks_parse(self):
+        doc = dict(MINIMAL_DOC, sweep={"points": [6.0, 9]},
+                   compare={"saturation_points": [1.5, 4.0]},
+                   rate={"n_colors": 3}, flicker={"window_symbols": [1, 2]})
+        assert sk.config_from_document(doc) == sk.config_from_document(
+            MINIMAL_DOC)
+        assert sk.cli_block(doc, "sweep").depths == [1, 8]
+        assert sk.cli_block(doc, "compare").ofdm_scheme.kind == "dco_ofdm"
+        assert sk.cli_block(doc, "rate").bits_per_symbol is None
+        assert sk.cli_block(doc, "flicker").n_symbols == 10_000
+
+    @pytest.mark.parametrize("device, expected", [
+        ("trichromatic", ac.LED_PRESETS["trichromatic"]),
+        ({"preset": "phosphor", "saturation_power": 2.0},
+         ac.LedModel(bandwidth_3db=3e6, saturation_power=2.0)),
+        ({"bandwidth_3db": "inf", "saturation_power": 2.0},
+         ac.LedModel(saturation_power=2.0)),
+    ])
+    def test_device_block(self, device, expected):
+        doc = dict(MINIMAL_DOC, device=device)
+        assert sk.config_from_document(doc).device == expected
+
+    @pytest.mark.parametrize("patch, path, named", [
+        ({"channel": {"slot_snr": 10.0}}, "channel.slot_snr", "slot_snr"),
+        ({"sede": 3}, "$.sede", "sede"),
+        ({"scheme": {"kind": "eppm", "q": True}}, "scheme.q", "q"),
+        ({"run": {"workers": True}}, "run.workers", "workers"),
+        ({"channel": {"slot_snr_db": float("nan")}}, "channel.slot_snr_db",
+         "slot_snr_db"),
+        ({"channel": {"model": {"los_gian": 1.0}}}, "channel.model.los_gian",
+         "los_gian"),
+        ({"seed": -1}, "$", "seed"),
+        ({"run": {"max_bits": 0}}, "run", "max_bits"),
+        ({"device": "warm"}, "device.preset", "preset"),
+        ({"device": {"knee_sharpness": "inf"}}, "device.knee_sharpness",
+         "knee_sharpness"),
+    ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
+            "bool-workers", "nan-float", "nested-misspelling",
+            "negative-seed", "zero-max-bits", "unknown-preset",
+            "inf-outside-unbounded-fields"])
+    def test_rejected_documents(self, patch, path, named):
+        with pytest.raises(ConfigError) as err:
+            sk.config_from_document(dict(MINIMAL_DOC, **patch))
+        assert err.value.json_path == path
+        assert named in str(err.value)
 
     def test_error_paths(self):
         with pytest.raises(ConfigError) as err:
