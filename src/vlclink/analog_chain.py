@@ -70,6 +70,12 @@ class ChannelModel:
     def total_gain(self):
         return (0.0 if self.shadowed else self.los_gain) + self.nlos_gain
 
+    def response_length(self, sample_rate):
+        """Samples of impulse response that cover los_delay + 5 x nlos_decay."""
+        return int(round(self.los_delay * sample_rate)) + int(
+            np.ceil(5.0 * self.nlos_decay * sample_rate)
+        ) + 1
+
 
 IDENTITY_CHANNEL = ChannelModel(los_gain=1.0, nlos_gain=0.0)
 
@@ -139,11 +145,16 @@ def led_transfer(w, m):
 # channel
 # ---------------------------------------------------------------------------
 
-def channel_impulse_response(cm, sample_rate, length):
-    """Discretized LOS + NLOS response, normalized to sum to the total gain."""
+def channel_impulse_response(cm, sample_rate, length=None):
+    """Discretized LOS + NLOS response, normalized to sum to the total gain.
+
+    `length` defaults to the shortest one allowed, `cm.response_length`.
+    """
     delay_idx = int(round(cm.los_delay * sample_rate))
-    needed = delay_idx + int(np.ceil(5.0 * cm.nlos_decay * sample_rate)) + 1
-    if length < needed:
+    needed = cm.response_length(sample_rate)
+    if length is None:
+        length = needed
+    elif length < needed:
         raise ParameterError(
             f"length {length} does not cover los_delay + 5 x nlos_decay "
             f"({needed} samples)"
@@ -166,7 +177,7 @@ def export_impulse_csv(h, path):
 # detection
 # ---------------------------------------------------------------------------
 
-def propagate_and_detect(w, cm, dm, rng_seed, ir_length=None):
+def propagate_and_detect(w, cm, dm, rng_seed):
     """Optical waveform -> electrical samples with signal-dependent noise.
 
     y = responsivity * (h conv w) + n, where n is white Gaussian with
@@ -175,13 +186,10 @@ def propagate_and_detect(w, cm, dm, rng_seed, ir_length=None):
     Deterministic for a fixed rng_seed.
     """
     fs = w.sample_rate
-    if ir_length is None:
-        delay_idx = int(round(cm.los_delay * fs))
-        ir_length = delay_idx + int(np.ceil(5.0 * cm.nlos_decay * fs)) + 1
     if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
         received = cm.los_gain * w.samples
     else:
-        h = channel_impulse_response(cm, fs, ir_length)
+        h = channel_impulse_response(cm, fs)
         received = np.convolve(w.samples, h)[: w.samples.size]
     current = dm.responsivity * received
     # zero background and thermal densities select the noiseless mode; the

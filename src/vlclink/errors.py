@@ -9,8 +9,9 @@ class InputError(ValueError):
     """A data input (stream, waveform, block) has an inconsistent shape."""
 
 
-class CapacityError(RuntimeError):
-    """The requested object is too large for the chosen implementation path."""
+class CapacityError(ParameterError):
+    """The requested object is too large for the chosen implementation path
+    (a parameter choice, so the CLI reports it like any other)."""
 
 
 class ConfigError(ValueError):

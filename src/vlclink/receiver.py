@@ -14,44 +14,15 @@ no threshold and survive any DC offset; an exhaustive minimum-distance
 decoder doubles as the oracle for small constellations.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 
 from . import constellations as con
 from . import waveform as wf
 from .errors import CapacityError, InputError, ParameterError
 
 ML_SIZE_LIMIT = 1 << 20
-
-
-@dataclass
-class SlotStatistics:
-    """Per-slot matched-filter outputs for a slot-structured waveform."""
-
-    values: np.ndarray
-    geometry: wf.SlotGeometry
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("slot statistics must be finite")
-
-    @property
-    def n_slots(self):
-        return self.values.size
-
-    def signal_slots(self):
-        """Statistics excluding the F-1 trailing pad slots."""
-        pad = self.geometry.overlap_factor - 1
-        return self.values[: self.values.size - pad] if pad else self.values
-
-    def per_symbol(self, q):
-        sig = self.signal_slots()
-        if sig.size % q:
-            raise InputError("statistics length is not a multiple of Q")
-        return sig.reshape(-1, q)
+DECODERS = ("correlation", "ml", "components")
 
 
 def pulse_kernel(f):
@@ -66,6 +37,7 @@ def slot_statistics(y, g):
 
     For F=1 this integrates each slot; for F>1 each statistic is the sum of
     the F most recent slot integrals (rectangular template, end-aligned).
+    Returns one float64 value per slot, the F-1 trailing pad slots included.
     """
     samples = np.asarray(y.samples, dtype=np.float64)
     sps = g.samples_per_slot
@@ -77,7 +49,9 @@ def slot_statistics(y, g):
         cs = np.concatenate([[0.0], np.cumsum(u)])
         idx = np.arange(u.size)
         u = cs[idx + 1] - cs[np.maximum(0, idx - f + 1)]
-    return SlotStatistics(u, g)
+    if not np.all(np.isfinite(u)):
+        raise InputError("slot statistics must be finite")
+    return u
 
 
 def expected_statistics(codewords, g, peak_power_per_unit=1.0):
@@ -97,30 +71,13 @@ def restoration_matrix(kernel, q):
     return toeplitz(col, np.zeros(q))
 
 
-def restore_block_amplitudes(block_stats, q, f):
-    """Invert the in-block pulse superposition (identity for F=1)."""
-    if f == 1:
-        return np.asarray(block_stats, dtype=np.float64)
-    mat = restoration_matrix(pulse_kernel(f), q)
-    return solve_triangular(mat, np.asarray(block_stats, float), lower=True)
-
-
-def _as_vector(s, q):
-    vec = s.values if isinstance(s, SlotStatistics) else np.asarray(s, float)
-    vec = vec.reshape(-1)
-    if vec.size != q:
-        raise InputError(f"expected {q} slot statistics, got {vec.size}")
-    return vec
-
-
-def _candidate_codewords(c, count=None):
-    count = c.size if count is None else count
+def _candidate_codewords(c):
     if c.is_materialized:
-        return c.symbols[:count].astype(np.float64)
-    if count > ML_SIZE_LIMIT:
+        return c.symbols.astype(np.float64)
+    if c.size > ML_SIZE_LIMIT:
         raise CapacityError("constellation too large for template decoding")
     return np.stack(
-        [c.codeword_at(i) for i in range(count)]
+        [c.codeword_at(i) for i in range(c.size)]
     ).astype(np.float64)
 
 
@@ -140,42 +97,26 @@ class CorrelationDecoder:
         scores = np.asarray(stats_2d, dtype=np.float64) @ self.scoring.T
         return np.argmax(scores, axis=1)
 
-    def decode(self, stats_vec):
-        return int(self.decode_block(stats_vec.reshape(1, -1))[0])
-
 
 class MlDecoder:
     """Exhaustive minimum-Euclidean-distance decision over expected slot
     amplitudes; the desk-scale oracle for the faster decoders.
 
-    `gain` scales unit codewords to the calibrated statistic level;
-    `noise_var` (per-slot) whitens the metric when provided.
+    `gain` scales unit codewords to the calibrated statistic level.
     """
 
-    def __init__(self, c, gain=1.0, noise_var=None):
+    def __init__(self, c, gain=1.0):
         if c.size > ML_SIZE_LIMIT:
             raise CapacityError(
                 f"{c.size} symbols exceed the ML decoder limit {ML_SIZE_LIMIT}"
             )
         self.constellation = c
         self.templates = _candidate_codewords(c) * gain
-        if noise_var is not None:
-            weights = 1.0 / np.sqrt(np.asarray(noise_var, dtype=np.float64))
-            self.templates = self.templates * weights
-            self._weights = weights
-        else:
-            self._weights = None
 
     def decode_block(self, stats_2d):
-        s = np.asarray(stats_2d, dtype=np.float64)
-        if self._weights is not None:
-            s = s * self._weights
-        cross = s @ self.templates.T
+        cross = np.asarray(stats_2d, dtype=np.float64) @ self.templates.T
         energy = (self.templates ** 2).sum(axis=1)
         return np.argmax(cross - 0.5 * energy, axis=1)
-
-    def decode(self, stats_vec):
-        return int(self.decode_block(stats_vec.reshape(1, -1))[0])
 
 
 class MeppmComponentDecoder:
@@ -209,13 +150,6 @@ class MeppmComponentDecoder:
             self._solve = np.linalg.inv(mat)
         else:
             self._solve = None
-
-    def decode_counts(self, stats_2d):
-        """Greedy component counts for each row of (raw) statistics."""
-        r = np.array(stats_2d, dtype=np.float64, copy=True) / self.gain
-        if r.ndim == 1:
-            r = r.reshape(1, -1)
-        return self._greedy(r)
 
     def _greedy(self, calibrated):
         r = calibrated.copy()
@@ -259,8 +193,6 @@ class MeppmComponentDecoder:
 
     def decode_block(self, stats_2d):
         stats_2d = np.asarray(stats_2d, dtype=np.float64) / self.gain
-        if stats_2d.ndim == 1:
-            stats_2d = stats_2d.reshape(1, -1)
         counts = self._greedy(stats_2d)
         c_greedy = self._counts_to_c(counts)
         best_c = c_greedy
@@ -274,9 +206,6 @@ class MeppmComponentDecoder:
         for i, s in enumerate(sums):
             out[i] = self.constellation.index_of(s)
         return out
-
-    def decode(self, stats_vec):
-        return int(self.decode_block(stats_vec.reshape(1, -1))[0])
 
 
 def _repair_lattice_vector(c_int, c_float, n, use_complements):
@@ -317,29 +246,6 @@ def _repair_lattice_vector(c_int, c_float, n, use_complements):
         c_int[best[1]] += best[2]
 
 
-def decode_correlation(s, c, overlap_factor=1):
-    """One-symbol correlation decision (see CorrelationDecoder)."""
-    vec = restore_block_amplitudes(_as_vector(s, c.q), c.q, overlap_factor)
-    return CorrelationDecoder(c).decode(vec)
-
-
-def decode_ml(s, c, noise_var=None, overlap_factor=1, gain=1.0):
-    """One-symbol exhaustive minimum-distance decision."""
-    vec = restore_block_amplitudes(_as_vector(s, c.q), c.q, overlap_factor)
-    return MlDecoder(c, gain=gain, noise_var=noise_var).decode(vec)
-
-
-def deinterleave(s, spec):
-    """Invert the transmit interleaver at the slot-statistic level."""
-    if isinstance(s, SlotStatistics):
-        if s.geometry.overlap_factor != 1:
-            raise ParameterError("interleaving is defined for F=1 streams")
-        return SlotStatistics(
-            wf.deinterleave_values(s.values, spec), s.geometry
-        )
-    return wf.deinterleave_values(np.asarray(s, dtype=np.float64), spec)
-
-
 class StreamReceiver:
     """Waveform-to-indices pipeline for one scheme and geometry.
 
@@ -349,7 +255,7 @@ class StreamReceiver:
     """
 
     def __init__(self, c, g, decoder="correlation", interleaver=None,
-                 gain=1.0, noise_var=None, kernel=None):
+                 gain=1.0, kernel=None):
         self.constellation = c
         self.geometry = g
         self.interleaver = interleaver
@@ -362,7 +268,7 @@ class StreamReceiver:
         if decoder == "correlation":
             self._decoder = CorrelationDecoder(c)
         elif decoder == "ml":
-            self._decoder = MlDecoder(c, gain=dec_gain, noise_var=noise_var)
+            self._decoder = MlDecoder(c, gain=dec_gain)
         elif decoder == "components":
             self._decoder = MeppmComponentDecoder(c, gain=dec_gain)
         else:
@@ -383,8 +289,7 @@ class StreamReceiver:
     def decode_stats(self, stats):
         q = self.constellation.q
         f = self.geometry.overlap_factor
-        values = stats.values if isinstance(stats, SlotStatistics) else stats
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(stats, dtype=np.float64)
         n_signal = values.size - (f - 1)
         if n_signal % q:
             raise InputError("statistics do not cover whole symbols")
@@ -401,7 +306,7 @@ class StreamReceiver:
         for m in range(n_sym):
             lo = m * q
             amps = self._restore @ res[lo: lo + q]
-            idx = self._decoder.decode(amps)
+            idx = self._decoder.decode_block(amps[None])[0]
             out[m] = idx
             decided = np.asarray(
                 self.constellation.codeword_at(int(idx)), dtype=np.float64

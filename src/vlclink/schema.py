@@ -4,6 +4,7 @@ The dataclasses are the only schema: field names, annotations and defaults
 come from `dataclasses.fields`, so no key or default is written twice.
 """
 
+import json
 import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 
@@ -78,7 +79,8 @@ def section(cls, doc, path, base=None, unbounded=()):
                                    name in unbounded)
         choices = f.metadata.get("choices")
         if choices and values[name] not in choices:
-            raise ConfigError(where, f"expected one of {', '.join(choices)}")
+            raise ConfigError(where, "expected one of "
+                              + ", ".join(map(json.dumps, choices)))
     try:
         return cls(**values) if base is None else replace(base, **values)
     except ParameterError as exc:

@@ -192,7 +192,8 @@ class TrialConfig:
     array_split_leds: int = 0       # >0: drive that many LEDs separately
     interleaver_depth: int = 1
     dimming_target: float = 0.0     # 0: off
-    decoder: str = ""               # default: per scheme
+    decoder: str = field(default="",  # "": per scheme
+                         metadata={"choices": ("", *rx.DECODERS)})
     seed: int = 1
 
     def __post_init__(self):
@@ -333,10 +334,8 @@ class _PulseChain:
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        w = wf.synthesize(words, g, self.peak)
-        w = ac.led_transfer(w, cfg.device)
-        w = _apply_channel_deterministic(w, cfg)
-        stats = rx.slot_statistics(w, g).values
+        w = _apply_channel_deterministic(self.transmit(words), cfg)
+        stats = rx.slot_statistics(w, g)
         peak = np.abs(stats).max()
         if peak <= 0:
             raise ParameterError("unit pulse produced no received signal")
@@ -395,9 +394,9 @@ class _OfdmChain:
         # LED small-signal gain, LED pole, channel taps, responsivity
         ir = ac.lowpass_impulse_response(config.device, fs, 256)
         if config.channel.dispersive() or config.channel.model.shadowed:
+            model = config.channel.model
             cir = ac.channel_impulse_response(
-                config.channel.model, fs,
-                max(256, _cir_length(config.channel.model, fs)),
+                model, fs, max(256, model.response_length(fs))
             )
             ir = np.convolve(ir, cir)
         else:
@@ -430,12 +429,6 @@ class _OfdmChain:
         return bits.size, bit_errors, n_frames, frame_errors
 
 
-def _cir_length(model, fs):
-    return int(round(model.los_delay * fs)) + int(
-        np.ceil(5.0 * model.nlos_decay * fs)
-    ) + 1
-
-
 def _apply_channel_deterministic(w, cfg):
     """Noise-free part of the channel (propagation, gains, responsivity)."""
     spec = cfg.channel
@@ -449,9 +442,7 @@ def _apply_channel_deterministic(w, cfg):
         raise ParameterError(f"unknown channel mode {spec.mode!r}")
     samples = w.samples
     if spec.dispersive() or spec.model.shadowed:
-        h = ac.channel_impulse_response(
-            spec.model, w.sample_rate, _cir_length(spec.model, w.sample_rate)
-        )
+        h = ac.channel_impulse_response(spec.model, w.sample_rate)
         samples = np.convolve(samples, h)[: samples.size]
     else:
         samples = samples * spec.model.total_gain

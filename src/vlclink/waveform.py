@@ -155,16 +155,8 @@ def interleave(codewords, spec):
     return flat.reshape(codewords.shape)
 
 
-def deinterleave(codewords, spec):
-    codewords = np.asarray(codewords)
-    if codewords.shape[0] % spec.depth:
-        raise InputError("symbol count is not a multiple of interleaver depth")
-    flat = _permute_stream(codewords.reshape(-1), spec, spec.inverse)
-    return flat.reshape(codewords.shape)
-
-
 def deinterleave_values(values, spec):
-    """Deinterleave a flat per-slot value stream (receiver side)."""
+    """Invert `interleave` on slot values or codewords, in their shape."""
     return _permute_stream(np.asarray(values), spec, spec.inverse)
 
 

@@ -108,6 +108,25 @@ class TestErrors:
         assert "Traceback" not in res.stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("patch", [
+        {"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 21,
+                    "use_complements": True}, "decoder": "ml"},
+        {"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 4},
+         "array_split_leds": 2},
+        {"scheme": {"kind": "meppm", "q": 8, "k": 4, "n": 12,
+                    "use_complements": True}},
+    ], ids=["ml-decoder-too-large", "too-few-split-leds",
+            "enumeration-guard"])
+    def test_capacity_error_exit_3(self, tmp_path, patch):
+        doc = dict(BASE_EPPM, sweep={"points": [6.0, 9.0]}, **patch)
+        cfg = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        res = run_cli("ber-sweep", "--config", cfg, "--output-dir", str(out_dir))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: parameter:")
+        assert len(res.stderr.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_unknown_verb_exit_2(self):
         res = run_cli("frobnicate", "--config", "x.json")
         assert res.returncode == 2

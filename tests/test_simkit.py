@@ -103,6 +103,17 @@ class TestRunTrials:
         assert 0 <= r.ber < 0.5
         assert r.symbols_sent > 0
 
+    def test_ml_decoder_matches_correlation(self):
+        # EPPM is equal-energy, so minimum distance and correlation decide
+        # alike on every symbol
+        corr = sk.run_trials(awgn_config(kind="eppm", snr_db=8.0, seed=4))
+        ml = sk.run_trials(
+            awgn_config(kind="eppm", snr_db=8.0, seed=4, decoder="ml"))
+        assert corr.symbol_errors > 0
+        assert (ml.bits_sent, ml.bit_errors, ml.symbols_sent,
+                ml.symbol_errors) == (corr.bits_sent, corr.bit_errors,
+                                      corr.symbols_sent, corr.symbol_errors)
+
     def test_report_fields(self):
         cfg = awgn_config(snr_db=6.0, run=sk.RunSpec(
             max_bits=30_000, min_errors=30, batch_symbols=512))
@@ -303,10 +314,11 @@ class TestConfigDocuments:
         ({"device": "warm"}, "device.preset", "preset"),
         ({"device": {"knee_sharpness": "inf"}}, "device.knee_sharpness",
          "knee_sharpness"),
+        ({"decoder": "bogus"}, "$.decoder", "decoder"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
-            "inf-outside-unbounded-fields"])
+            "inf-outside-unbounded-fields", "unknown-decoder"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
