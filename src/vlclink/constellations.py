@@ -20,10 +20,9 @@ from math import comb
 import numpy as np
 
 from ._combi import (
+    MultisetCounter,
     SignedBallCounter,
     count_multisets,
-    rank_multiset,
-    unrank_multiset,
     unrank_subset_colex,
 )
 from .errors import CapacityError, ParameterError
@@ -210,10 +209,9 @@ class _MeppmLattice:
         self._inv = np.linalg.inv(shifts.astype(float))
         if use_complements:
             self.counter = SignedBallCounter(self.q, n, n & 1)
-            self.size = self.counter.total
         else:
-            self.counter = None
-            self.size = count_multisets(self.q, n)
+            self.counter = MultisetCounter(self.q, n)
+        self.size = self.counter.total
 
     @staticmethod
     def usable(seed_word, n, use_complements):
@@ -226,63 +224,35 @@ class _MeppmLattice:
             return False
         return True
 
-    def _sum_from_c(self, c):
-        c = np.asarray(c, dtype=np.int64)
-        bias = (self.n - int(c.sum())) // 2
-        return c @ self.shifts.astype(np.int64) + bias
-
-    def codeword_at(self, index):
+    def _sums_from_c(self, c):
+        sums = c @ self.shifts.astype(np.int64)
         if self.use_complements:
-            return self._sum_from_c(self.counter.unrank(index))
-        counts = np.bincount(
-            unrank_multiset(index, self.q, self.n), minlength=self.q
-        )
-        return counts.astype(np.int64) @ self.shifts.astype(np.int64)
+            sums += ((self.n - c.sum(axis=1)) // 2)[:, None]
+        return sums
 
-    def _c_from_sum(self, sumvec):
-        s = np.asarray(sumvec, dtype=float)
-        total = float(s.sum())
-        sum_c = (2.0 * total - self.q * self.n) / (2 * self.k - self.q)
-        bias = (self.n - sum_c) / 2.0
-        c = (s - bias) @ self._inv
-        c_int = np.rint(c).astype(np.int64)
-        if not np.allclose(c, c_int, atol=1e-6):
-            raise ValueError("not a constellation sum vector")
-        return c_int
+    def codewords(self, indices):
+        """Sum vectors (n, q) of the symbol indices (n,)."""
+        return self._sums_from_c(self.counter.unrank(indices))
 
-    def index_of(self, sumvec):
+    def indices(self, sums):
+        """Symbol indices (n,) of the sum vectors (n, q)."""
+        sums = np.asarray(sums, dtype=np.int64)
+        s = sums.astype(float)
         if self.use_complements:
-            c = self._c_from_sum(sumvec)
-            check = self._sum_from_c(c)
-            if not np.array_equal(check, np.asarray(sumvec, dtype=np.int64)):
-                raise ValueError("not a constellation sum vector")
-            return self.counter.rank(tuple(int(x) for x in c))
-        a = np.asarray(sumvec, dtype=float) @ self._inv
-        a_int = np.rint(a).astype(np.int64)
-        if (
-            not np.allclose(a, a_int, atol=1e-6)
-            or np.any(a_int < 0)
-            or int(a_int.sum()) != self.n
-        ):
+            sum_c = (2.0 * s.sum(axis=1) - self.q * self.n) / (2 * self.k - self.q)
+            s = s - ((self.n - sum_c) / 2.0)[:, None]
+        c = np.rint(s @ self._inv).astype(np.int64)
+        if not np.array_equal(self._sums_from_c(c), sums):
             raise ValueError("not a constellation sum vector")
-        items = tuple(
-            i for i, cnt in enumerate(a_int) for _ in range(int(cnt))
-        )
-        return rank_multiset(items, self.q)
+        return self.counter.rank(c)
 
     def index_of_counts(self, shift_counts, comp_counts):
+        c = np.asarray(shift_counts, np.int64)
         if comp_counts is not None and np.any(np.asarray(comp_counts) > 0):
             if not self.use_complements:
                 raise ValueError("complement counts in a complement-free code")
-            c = np.asarray(shift_counts, np.int64) - np.asarray(comp_counts, np.int64)
-            return self.counter.rank(tuple(int(x) for x in c))
-        if self.use_complements:
-            c = np.asarray(shift_counts, dtype=np.int64)
-            return self.counter.rank(tuple(int(x) for x in c))
-        items = tuple(
-            i for i, cnt in enumerate(shift_counts) for _ in range(int(cnt))
-        )
-        return rank_multiset(items, self.q)
+            c = c - np.asarray(comp_counts, np.int64)
+        return int(self.counter.rank(c[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +320,22 @@ class Constellation:
             raise ParameterError(f"symbol index {index} out of range")
         if self._symbols is not None:
             return self._symbols[index]
-        return self._lattice.codeword_at(index)
+        return self._lattice.codewords([index])[0]
 
     def index_of(self, codeword):
+        """Index of one codeword, or the indices (n,) of a stack (n, Q)."""
         cw = np.asarray(codeword)
+        rows = cw.reshape(-1, self.q)
         if self._index is not None:
-            key = np.ascontiguousarray(cw, dtype=np.int16).tobytes()
+            keys = np.ascontiguousarray(rows, dtype=np.int16)
             try:
-                return self._index[key]
+                idx = np.array([self._index[k.tobytes()] for k in keys],
+                               dtype=np.int64)
             except KeyError:
                 raise ValueError("codeword not in constellation") from None
-        return self._lattice.index_of(cw)
+        else:
+            idx = self._lattice.indices(rows)
+        return int(idx[0]) if cw.ndim == 1 else idx
 
     def index_of_components(self, shift_counts, comp_counts=None):
         """Symbol index of the sum of an explicit component multiset (MEPPM)."""
@@ -401,7 +376,7 @@ class Constellation:
             raise ParameterError("symbol index out of range")
         if self._symbols is not None:
             return self._symbols[indices]
-        return np.stack([self._lattice.codeword_at(int(i)) for i in indices])
+        return self._lattice.codewords(indices)
 
     # -- serialization -------------------------------------------------------
 
@@ -685,5 +660,4 @@ def decode_bits(c, codewords):
     codewords = np.asarray(codewords)
     if codewords.size == 0:
         return np.zeros(0, dtype=np.int64)
-    indices = np.array([c.index_of(row) for row in codewords], dtype=np.int64)
-    return indices_to_bits(indices, c.bits_per_symbol)
+    return indices_to_bits(c.index_of(codewords), c.bits_per_symbol)

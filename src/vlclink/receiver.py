@@ -72,13 +72,9 @@ def restoration_matrix(kernel, q):
 
 
 def _candidate_codewords(c):
-    if c.is_materialized:
-        return c.symbols.astype(np.float64)
-    if c.size > ML_SIZE_LIMIT:
+    if not c.is_materialized and c.size > ML_SIZE_LIMIT:
         raise CapacityError("constellation too large for template decoding")
-    return np.stack(
-        [c.codeword_at(i) for i in range(c.size)]
-    ).astype(np.float64)
+    return c.encode_indices(np.arange(c.size)).astype(np.float64)
 
 
 class CorrelationDecoder:
@@ -153,14 +149,13 @@ class MeppmComponentDecoder:
 
     def _greedy(self, calibrated):
         r = calibrated.copy()
-        n = r.shape[0]
-        counts = np.zeros((n, self.templates.shape[0]), dtype=np.int64)
-        rows = np.arange(n)
+        picks = []
         for _ in range(self.constellation.n):
             pick = np.argmax(r @ self.templates.T - self._half_energy, axis=1)
-            counts[rows, pick] += 1
+            picks.append(pick)
             r -= self.templates[pick]
-        return counts
+        components = np.arange(self.templates.shape[0])
+        return (np.stack(picks)[:, :, None] == components).sum(axis=0)
 
     def _counts_to_c(self, counts):
         q = self.constellation.q
@@ -185,10 +180,7 @@ class MeppmComponentDecoder:
             target = stats_2d
         c_float = target @ self._solve
         c_int = np.rint(c_float).astype(np.int64)
-        for row in range(c_int.shape[0]):
-            _repair_lattice_vector(
-                c_int[row], c_float[row], cst.n, cst.use_complements
-            )
+        _repair_lattice_vector(c_int, c_float, cst.n, cst.use_complements)
         return c_int
 
     def decode_block(self, stats_2d):
@@ -202,48 +194,58 @@ class MeppmComponentDecoder:
             d_round = ((stats_2d - self._reconstruct(c_round)) ** 2).sum(axis=1)
             best_c = np.where((d_round < d_greedy)[:, None], c_round, c_greedy)
         sums = np.rint(self._reconstruct(best_c)).astype(np.int64)
-        out = np.empty(best_c.shape[0], dtype=np.int64)
-        for i, s in enumerate(sums):
-            out[i] = self.constellation.index_of(s)
-        return out
+        return self.constellation.index_of(sums)
 
 
 def _repair_lattice_vector(c_int, c_float, n, use_complements):
-    """Clamp a rounded component-count vector into the valid set, in place.
+    """Clamp rounded component-count vectors (rows) into the valid set, in
+    place.
 
     With complements: sum|c| <= N with the parity of N; without: c >= 0 with
-    sum exactly N.  Each repair step moves the entry whose rounding cost is
-    smallest.
+    sum exactly N.  Each repair step moves, in every row still invalid, the
+    entry whose rounding cost is smallest (the first such entry, and -1
+    before +1).
     """
+    c_int = c_int.reshape(-1, c_int.shape[-1])
+    c_float = c_float.reshape(c_int.shape)
     if not use_complements:
         np.maximum(c_int, 0, out=c_int)
-        while c_int.sum() != n:
+        while True:
+            total = c_int.sum(axis=1)
+            up, down = np.flatnonzero(total < n), np.flatnonzero(total > n)
+            if not (up.size or down.size):
+                return
             err = c_float - c_int
-            if c_int.sum() < n:
-                c_int[int(np.argmax(err))] += 1
-            else:
-                masked = np.where(c_int > 0, err, np.inf)
-                c_int[int(np.argmin(masked))] -= 1
-        return
-    while True:
-        norm = int(np.abs(c_int).sum())
-        if norm <= n and (n - norm) % 2 == 0:
-            return
-        best = None  # (cost, j, direction)
-        for j in range(c_int.size):
-            for direction in (-1, 1):
-                new_val = c_int[j] + direction
-                new_norm = norm - abs(int(c_int[j])) + abs(new_val)
-                if norm > n:
-                    admissible = new_norm < norm
-                else:
-                    admissible = new_norm <= n
-                if not admissible:
-                    continue
-                cost = abs(new_val - c_float[j]) - abs(c_int[j] - c_float[j])
-                if best is None or cost < best[0]:
-                    best = (cost, j, direction)
-        c_int[best[1]] += best[2]
+            c_int[up, np.argmax(err[up], axis=1)] += 1
+            masked = np.where(c_int[down] > 0, err[down], np.inf)
+            c_int[down, np.argmin(masked, axis=1)] -= 1
+    # past the ball only steps toward zero shorten sum|c|, at most one per
+    # entry at a time.  Taking the first cheapest such step sum|c| - N
+    # times takes each entry's steps in runs that start at a new maximum of
+    # its step costs, so it takes the sum|c| - N first steps in the order
+    # (running maximum of the entry's costs, entry, step)
+    rows = np.flatnonzero(np.abs(c_int).sum(axis=1) > n)
+    if rows.size:
+        old, f = c_int[rows], c_float[rows, :, None]
+        sign = np.sign(old)[:, :, None]
+        t = np.arange(np.abs(old).max())
+        x = old[:, :, None] - sign * t          # entry before its step t
+        cost = np.where(t < np.abs(old)[:, :, None],
+                        np.abs(x - sign - f) - np.abs(x - f), np.inf)
+        key = np.maximum.accumulate(cost, axis=2).reshape(rows.size, -1)
+        order = np.argsort(key, axis=1, kind="stable")
+        excess = np.abs(old).sum(axis=1) - n
+        taken = np.empty(key.shape, dtype=bool)
+        np.put_along_axis(taken, order,
+                          np.arange(key.shape[1]) < excess[:, None], axis=1)
+        c_int[rows] = old - sign[:, :, 0] * taken.reshape(cost.shape).sum(axis=2)
+    # inside the ball with the wrong parity every single step is admissible
+    rows = np.flatnonzero((n - np.abs(c_int).sum(axis=1)) % 2)
+    old, f = c_int[rows], c_float[rows]
+    steps = np.stack([old - 1, old + 1], axis=2)   # (rows, j, direction)
+    cost = np.abs(steps - f[:, :, None]) - np.abs(old - f)[:, :, None]
+    best = np.argmin(cost.reshape(rows.size, 2 * old.shape[1]), axis=1)
+    c_int[rows, best // 2] += 2 * (best % 2) - 1
 
 
 class StreamReceiver:
@@ -283,43 +285,56 @@ class StreamReceiver:
             self._kernel = pulse_kernel(g.overlap_factor) * gain
         if g.overlap_factor > 1:
             self._restore = np.linalg.inv(restoration_matrix(self._kernel, c.q))
-        else:
-            self._restore = None
+            # row i: the statistics a unit amplitude in slot i of a block
+            # adds after that block (its tail in the following blocks)
+            self._tails = toeplitz(
+                np.r_[self._kernel[0], np.zeros(c.q - 1)],
+                np.r_[self._kernel, np.zeros(c.q - 1)],
+            )[:, c.q:]
 
     def decode_stats(self, stats):
+        """Symbol indices of one stream's slot statistics, or (n_frames,
+        n_symbols) indices of a stack of frames (n_frames, n_values), which
+        overlapped streams decode in lockstep, one symbol position at a
+        time for all frames."""
         q = self.constellation.q
         f = self.geometry.overlap_factor
         values = np.asarray(stats, dtype=np.float64)
-        n_signal = values.size - (f - 1)
+        frames = np.atleast_2d(values)
+        n_signal = frames.shape[1] - (f - 1)
         if n_signal % q:
             raise InputError("statistics do not cover whole symbols")
         n_sym = n_signal // q
         if f == 1:
-            sig = values
             if self.interleaver is not None:
-                sig = wf.deinterleave_values(sig, self.interleaver)
-            return self._decoder.decode_block(sig.reshape(n_sym, q))
-        res = values.copy()
-        out = np.empty(n_sym, dtype=np.int64)
+                frames = np.stack([wf.deinterleave_values(v, self.interleaver)
+                                   for v in frames])
+            out = self._decoder.decode_block(frames.reshape(-1, q))
+        else:
+            out = self._decode_overlapped(frames, n_sym)
+        return out.reshape(values.shape[:-1] + (n_sym,))
+
+    def _decode_overlapped(self, frames, n_sym):
+        c = self.constellation
+        q = c.q
+        res = frames.copy()
+        out = np.empty((len(frames), n_sym), dtype=np.int64)
         soft_limit = 0.5 * q
-        amp_ceiling = float(self.constellation.n)  # peak slot amplitude
+        amp_ceiling = float(c.n)  # peak slot amplitude
         for m in range(n_sym):
-            lo = m * q
-            amps = self._restore @ res[lo: lo + q]
-            idx = self._decoder.decode_block(amps[None])[0]
-            out[m] = idx
-            decided = np.asarray(
-                self.constellation.codeword_at(int(idx)), dtype=np.float64
-            )
+            lo, hi = m * q, (m + 1) * q
+            amps = res[:, lo:hi] @ self._restore.T
+            idx = self._decoder.decode_block(amps)
+            out[:, m] = idx
+            decided = c.encode_indices(idx).astype(np.float64)
             # feedback: the decided symbol normally (kills noise carryover);
             # when the decision badly mismatches the restored amplitudes,
             # cancel the soft estimate instead so one bad decision cannot
             # avalanche through the following blocks
-            if np.abs(amps - decided).sum() > soft_limit:
-                decided = np.clip(amps, 0.0, amp_ceiling)
-            full = np.convolve(decided, self._kernel)
-            hi = min(lo + full.size, res.size)
-            res[lo:hi] -= full[: hi - lo]
+            soft = np.abs(amps - decided).sum(axis=1) > soft_limit
+            decided[soft] = np.clip(amps[soft], 0.0, amp_ceiling)
+            end = min(hi + self._tails.shape[1], res.shape[1])
+            res[:, hi:end] -= (decided @ self._tails)[:, : end - hi]
         return out
 
     def decode_waveform(self, y):

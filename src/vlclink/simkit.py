@@ -8,6 +8,7 @@ link budget arithmetic, the analytic SER oracles used to validate the
 simulator, the flicker metric, and rate accounting.
 """
 
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -132,7 +133,10 @@ class SchemeSpec:
     cyclic_prefix: int = 0
     sample_rate: float = 1e8        # OFDM only; pulse schemes use geometry
 
+    @functools.lru_cache(maxsize=16)
     def build_constellation(self):
+        """The scheme's constellation, built once per spec: constellations
+        are immutable, so trials and calibration pilots share one."""
         if self.kind == con.PPM:
             return con.build_ppm(self.q)
         if self.kind == con.MPPM:
@@ -199,6 +203,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
+        if self.decoder == "components" and self.scheme.kind != con.MEPPM:
+            raise ParameterError("decoder \"components\" is MEPPM-only")
 
     def params_record(self):
         doc = asdict(self)
@@ -364,7 +370,9 @@ class _PulseChain:
         c = self.constellation
         return c.encode_indices(rng.integers(0, c.used_size, size=256))
 
-    def run_batch(self, batch_index):
+    def receive(self, batch_index):
+        """One batch from its bit draw to its slot statistics: (bits, sent
+        symbol indices, statistics)."""
         cfg = self.config
         c = self.constellation
         rng = np.random.default_rng([cfg.seed, batch_index])
@@ -375,11 +383,29 @@ class _PulseChain:
         if self.interleaver is not None:
             words = wf.interleave(words, self.interleaver)
         y = _apply_channel(self.transmit(words), cfg, rng)
-        decoded = self.receiver.decode_waveform(y)
-        rx_bits = con.indices_to_bits(decoded, c.bits_per_symbol)
-        bit_errors = int(np.sum(rx_bits != bits))
-        symbol_errors = int(np.sum(decoded != idx))
-        return bits.size, bit_errors, n_sym, symbol_errors
+        return bits, idx, rx.slot_statistics(y, self.geometry)
+
+    def _counts(self, bits, idx, decoded):
+        rx_bits = con.indices_to_bits(decoded, self.constellation.bits_per_symbol)
+        return (bits.size, int(np.sum(rx_bits != bits)), idx.size,
+                int(np.sum(decoded != idx)))
+
+    def run_batch(self, batch_index):
+        """Counts of one batch decoded on its own."""
+        bits, idx, stats = self.receive(batch_index)
+        return self._counts(bits, idx, self.receiver.decode_stats(stats))
+
+    def run_wave(self, pool, indices):
+        """Counts of a wave's batches.  F=1 batches decode in their pool
+        job (no feedback); overlapped frames are received in the pool and
+        then decoded together, in lockstep."""
+        if self.geometry.overlap_factor == 1:
+            return pool.map(self.run_batch, indices)
+        received = list(pool.map(self.receive, indices))
+        decoded = self.receiver.decode_stats(
+            np.stack([stats for _, _, stats in received]))
+        return [self._counts(bits, idx, d)
+                for (bits, idx, _), d in zip(received, decoded)]
 
 
 class _OfdmChain:
@@ -427,6 +453,9 @@ class _OfdmChain:
         frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
         frame_errors = int(np.sum(frames.any(axis=1)))
         return bits.size, bit_errors, n_frames, frame_errors
+
+    def run_wave(self, pool, indices):
+        return pool.map(self.run_batch, indices)
 
 
 def _apply_channel_deterministic(w, cfg):
@@ -492,7 +521,7 @@ def run_trials(config):
         while True:
             indices = range(next_batch, next_batch + WAVE_BATCHES)
             next_batch += WAVE_BATCHES
-            for result in pool.map(chain.run_batch, indices):
+            for result in chain.run_wave(pool, indices):
                 totals += np.asarray(result, dtype=np.int64)
             if totals[1] >= run.min_errors or totals[0] >= run.max_bits:
                 break

@@ -229,6 +229,40 @@ class TestStreamReceiver:
         out = rx.StreamReceiver(c, g, interleaver=spec).decode_waveform(w)
         assert np.array_equal(out, idx)
 
+    def test_lockstep_frames_match_single_frames(self):
+        c = con.build_meppm(7, 3, 21, use_complements=True)
+        g = wf.SlotGeometry(1e-6, 20, 10)
+        receiver = rx.StreamReceiver(c, g, decoder="components")
+        rng = np.random.default_rng(4)
+        sent, frames = [], []
+        for _ in range(6):
+            idx = rng.integers(0, c.used_size, size=12)
+            clean = rx.slot_statistics(wf.synthesize(c.encode_indices(idx), g), g)
+            sent.append(idx)
+            frames.append(clean + rng.normal(scale=0.1, size=clean.size))
+        frames = np.stack(frames)
+        # frame 2 opens with a block far below every codeword: its restored
+        # amplitudes miss the decision by more than Q/2, so the receiver
+        # cancels the soft estimate instead of the decided symbol
+        frames[2, :7] = -40.0
+        first = np.linalg.solve(rx.restoration_matrix(rx.pulse_kernel(10), 7),
+                                frames[2, :7])
+        lockstep = receiver.decode_stats(frames)
+        assert lockstep.shape == (6, 12)
+        assert np.abs(first - c.codeword_at(int(lockstep[2, 0]))).sum() > 3.5
+        for frame, out in zip(frames, lockstep):
+            assert np.array_equal(receiver.decode_stats(frame), out)
+        # some frames decode cleanly and some do not
+        errors = (lockstep != np.stack(sent)).sum(axis=1)
+        assert errors.min() == 0 and errors.max() > 0
+
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_empty_stream_decodes_to_no_symbols(self, f):
+        g = wf.SlotGeometry(1e-6, 2 * f, f)
+        receiver = rx.StreamReceiver(con.build_eppm(7, 3), g)
+        assert receiver.decode_stats(np.zeros(f - 1)).shape == (0,)
+        assert receiver.decode_stats(np.zeros((2, f - 1))).shape == (2, 0)
+
     def test_interleaver_requires_f1(self):
         c = con.build_eppm(7, 3)
         g = wf.SlotGeometry(1e-6, 4, 2)
@@ -270,6 +304,35 @@ class TestRestoration:
             norm = int(np.abs(c_int).sum())
             assert norm <= n and (n - norm) % 2 == 0
 
+    @pytest.mark.parametrize("use_complements", [True, False])
+    def test_repair_rows_match_stepwise_reference(self, use_complements):
+        rng = np.random.default_rng(3)
+        n = 9
+        # half-integer solves make many repair steps cost the same, so the
+        # tie-break order (first entry, -1 before +1) decides them
+        c_float = np.concatenate([
+            rng.normal(scale=4.0, size=(300, 7)),
+            rng.normal(scale=30.0, size=(50, 7)),  # far outside the ball
+            rng.integers(-8, 9, size=(300, 7)) + 0.5,
+        ])
+        c_int = np.rint(c_float).astype(np.int64)
+        expected = c_int.copy()
+        for row, f in zip(expected, c_float):
+            stepwise_repair(row, f, n, use_complements)
+        rx._repair_lattice_vector(c_int, c_float, n, use_complements)
+        assert np.array_equal(c_int, expected)
+
+    def test_repair_float_ties_keep_entry_order(self):
+        # each step of both entries costs -1 exactly, but for entry 1 at
+        # 8 -> 7 the float sum lands an ulp below: the first entry must
+        # still take the one step the row needs, as the stepwise loop does
+        c_float = np.array([-0.5, -9.6, 0.0, 0.0, 0.0, 0.0, 0.0])
+        c_int = np.array([3, 8, 0, 0, 0, 0, 0])
+        steps = np.abs(np.arange(7, 0, -1) + 9.6) - np.abs(np.arange(8, 1, -1) + 9.6)
+        assert steps.min() < -1.0
+        rx._repair_lattice_vector(c_int, c_float, 10, True)
+        assert c_int.tolist() == [2, 8, 0, 0, 0, 0, 0]
+
     def test_repair_simplex_vector_valid(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
@@ -279,3 +342,32 @@ class TestRestoration:
             rx._repair_lattice_vector(a_int, a_float, n, False)
             assert a_int.min() >= 0 and int(a_int.sum()) == n
 
+
+
+def stepwise_repair(c_int, c_float, n, use_complements):
+    """One vector at a time, one step at a time: each step takes the first
+    cheapest admissible move over entries j and directions (-1, +1)."""
+    if not use_complements:
+        np.maximum(c_int, 0, out=c_int)
+        while c_int.sum() != n:
+            err = c_float - c_int
+            if c_int.sum() < n:
+                c_int[int(np.argmax(err))] += 1
+            else:
+                c_int[int(np.argmin(np.where(c_int > 0, err, np.inf)))] -= 1
+        return
+    while True:
+        norm = int(np.abs(c_int).sum())
+        if norm <= n and (n - norm) % 2 == 0:
+            return
+        best = None
+        for j in range(c_int.size):
+            for direction in (-1, 1):
+                new_val = c_int[j] + direction
+                new_norm = norm - abs(int(c_int[j])) + abs(new_val)
+                if new_norm < norm if norm > n else new_norm <= n:
+                    cost = (abs(new_val - c_float[j])
+                            - abs(c_int[j] - c_float[j]))
+                    if best is None or cost < best[0]:
+                        best = (cost, j, direction)
+        c_int[best[1]] += best[2]

@@ -315,10 +315,12 @@ class TestConfigDocuments:
         ({"device": {"knee_sharpness": "inf"}}, "device.knee_sharpness",
          "knee_sharpness"),
         ({"decoder": "bogus"}, "$.decoder", "decoder"),
+        ({"decoder": "components"}, "$", "decoder"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
-            "inf-outside-unbounded-fields", "unknown-decoder"])
+            "inf-outside-unbounded-fields", "unknown-decoder",
+            "components-decoder-on-eppm"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
