@@ -435,17 +435,26 @@ def load_constellation(path):
 # builders
 # ---------------------------------------------------------------------------
 
+def check_pulse_scheme(scheme, q, k=1, n=1):
+    """Range rules of the pulse schemes: Q >= 2, 1 <= K < Q for the
+    multi-pulse ones and N >= 1 for MEPPM."""
+    if q < 2:
+        raise ParameterError(f"{scheme.upper()} needs Q >= 2")
+    if scheme != PPM and not 1 <= k < q:
+        raise ParameterError(f"{scheme.upper()} needs 1 <= K < Q")
+    if scheme == MEPPM and n < 1:
+        raise ParameterError("MEPPM needs N >= 1")
+
+
 def build_ppm(q):
     """Q single-pulse symbols; symbol i pulses in slot i."""
-    if q < 2:
-        raise ParameterError("PPM needs Q >= 2")
+    check_pulse_scheme(PPM, q)
     return Constellation(PPM, q, 1, 1, False, symbols=np.eye(q, dtype=np.int16))
 
 
 def build_mppm(q, k):
     """All C(Q,K) weight-K words, ordered by the colex rank of their support."""
-    if not 1 <= k < q:
-        raise ParameterError("MPPM needs 1 <= K < Q")
+    check_pulse_scheme(MPPM, q, k)
     m = comb(q, k)
     symbols = np.zeros((m, q), dtype=np.int16)
     for r in range(m):
@@ -460,8 +469,7 @@ def build_eppm(q, k, seed_positions=None, search_seed=0):
     otherwise the best word found by necklace search; for a difference-set
     seed every symbol pair sits at Hamming distance exactly 2(K - lambda).
     """
-    if not 1 <= k < q:
-        raise ParameterError("EPPM needs 1 <= K < Q")
+    check_pulse_scheme(EPPM, q, k)
     positions = resolve_eppm_seed(q, k, seed_positions, search_seed)
     seed = _positions_to_word(q, positions)
     if min_cyclic_distance(seed) == 0:
@@ -481,8 +489,7 @@ def build_meppm(q, k, n, use_complements=False, seed_positions=None,
     available whenever the seed's cyclic structure makes component sums
     collide only through the counted representation.
     """
-    if n < 1:
-        raise ParameterError("MEPPM needs N >= 1")
+    check_pulse_scheme(MEPPM, q, k, n)
     eppm = build_eppm(q, k, seed_positions, search_seed)
     base = eppm.components_base()
     seed = base[0]

@@ -74,7 +74,7 @@ def restoration_matrix(kernel, q):
 def _candidate_codewords(c):
     if not c.is_materialized and c.size > ML_SIZE_LIMIT:
         raise CapacityError("constellation too large for template decoding")
-    return c.encode_indices(np.arange(c.size)).astype(np.float64)
+    return c.encode_indices(np.arange(c.size)).astype(np.int64)
 
 
 class CorrelationDecoder:
@@ -93,6 +93,10 @@ class CorrelationDecoder:
         scores = np.asarray(stats_2d, dtype=np.float64) @ self.scoring.T
         return np.argmax(scores, axis=1)
 
+    def decide_block(self, stats_2d):
+        """The decided codewords (n, Q) int64 of the rows."""
+        return self.codewords[self.decode_block(stats_2d)]
+
 
 class MlDecoder:
     """Exhaustive minimum-Euclidean-distance decision over expected slot
@@ -107,12 +111,17 @@ class MlDecoder:
                 f"{c.size} symbols exceed the ML decoder limit {ML_SIZE_LIMIT}"
             )
         self.constellation = c
-        self.templates = _candidate_codewords(c) * gain
+        self.codewords = _candidate_codewords(c)
+        self.templates = self.codewords * gain
 
     def decode_block(self, stats_2d):
         cross = np.asarray(stats_2d, dtype=np.float64) @ self.templates.T
         energy = (self.templates ** 2).sum(axis=1)
         return np.argmax(cross - 0.5 * energy, axis=1)
+
+    def decide_block(self, stats_2d):
+        """The decided (unscaled) codewords (n, Q) int64 of the rows."""
+        return self.codewords[self.decode_block(stats_2d)]
 
 
 class MeppmComponentDecoder:
@@ -135,6 +144,9 @@ class MeppmComponentDecoder:
         self.gain = gain
         self.templates = c.components().astype(np.float64)
         self._half_energy = 0.5 * (self.templates ** 2).sum(axis=1)
+        # template inner products: peeling a component lowers every score
+        # by its row, so the greedy rounds need no residual matmul
+        self._gram = self.templates @ self.templates.T
         self._base = c.components_base().astype(np.float64)
         # linear solve for the nearest-valid-symbol candidate, available
         # whenever the shift matrix is invertible for this (seed, N)
@@ -148,12 +160,12 @@ class MeppmComponentDecoder:
             self._solve = None
 
     def _greedy(self, calibrated):
-        r = calibrated.copy()
+        scores = calibrated @ self.templates.T - self._half_energy
         picks = []
         for _ in range(self.constellation.n):
-            pick = np.argmax(r @ self.templates.T - self._half_energy, axis=1)
+            pick = scores.argmax(axis=1)
             picks.append(pick)
-            r -= self.templates[pick]
+            scores -= self._gram[pick]
         components = np.arange(self.templates.shape[0])
         return (np.stack(picks)[:, :, None] == components).sum(axis=0)
 
@@ -184,6 +196,10 @@ class MeppmComponentDecoder:
         return c_int
 
     def decode_block(self, stats_2d):
+        return self.constellation.index_of(self.decide_block(stats_2d))
+
+    def decide_block(self, stats_2d):
+        """The decided sum vectors (n, Q) int64 of the rows."""
         stats_2d = np.asarray(stats_2d, dtype=np.float64) / self.gain
         counts = self._greedy(stats_2d)
         c_greedy = self._counts_to_c(counts)
@@ -193,8 +209,7 @@ class MeppmComponentDecoder:
             d_greedy = ((stats_2d - self._reconstruct(c_greedy)) ** 2).sum(axis=1)
             d_round = ((stats_2d - self._reconstruct(c_round)) ** 2).sum(axis=1)
             best_c = np.where((d_round < d_greedy)[:, None], c_round, c_greedy)
-        sums = np.rint(self._reconstruct(best_c)).astype(np.int64)
-        return self.constellation.index_of(sums)
+        return np.rint(self._reconstruct(best_c)).astype(np.int64)
 
 
 def _repair_lattice_vector(c_int, c_float, n, use_complements):
@@ -241,6 +256,8 @@ def _repair_lattice_vector(c_int, c_float, n, use_complements):
         c_int[rows] = old - sign[:, :, 0] * taken.reshape(cost.shape).sum(axis=2)
     # inside the ball with the wrong parity every single step is admissible
     rows = np.flatnonzero((n - np.abs(c_int).sum(axis=1)) % 2)
+    if not rows.size:
+        return
     old, f = c_int[rows], c_float[rows]
     steps = np.stack([old - 1, old + 1], axis=2)   # (rows, j, direction)
     cost = np.abs(steps - f[:, :, None]) - np.abs(old - f)[:, :, None]
@@ -318,15 +335,14 @@ class StreamReceiver:
         c = self.constellation
         q = c.q
         res = frames.copy()
-        out = np.empty((len(frames), n_sym), dtype=np.int64)
+        words = np.empty((len(frames), n_sym, q), dtype=np.int64)
         soft_limit = 0.5 * q
         amp_ceiling = float(c.n)  # peak slot amplitude
         for m in range(n_sym):
             lo, hi = m * q, (m + 1) * q
             amps = res[:, lo:hi] @ self._restore.T
-            idx = self._decoder.decode_block(amps)
-            out[:, m] = idx
-            decided = c.encode_indices(idx).astype(np.float64)
+            words[:, m] = self._decoder.decide_block(amps)
+            decided = words[:, m].astype(np.float64)
             # feedback: the decided symbol normally (kills noise carryover);
             # when the decision badly mismatches the restored amplitudes,
             # cancel the soft estimate instead so one bad decision cannot
@@ -335,7 +351,7 @@ class StreamReceiver:
             decided[soft] = np.clip(amps[soft], 0.0, amp_ceiling)
             end = min(hi + self._tails.shape[1], res.shape[1])
             res[:, hi:end] -= (decided @ self._tails)[:, : end - hi]
-        return out
+        return c.index_of(words.reshape(-1, q)).reshape(len(frames), n_sym)
 
     def decode_waveform(self, y):
         return self.decode_stats(slot_statistics(y, self.geometry))

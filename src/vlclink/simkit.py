@@ -133,6 +133,10 @@ class SchemeSpec:
     cyclic_prefix: int = 0
     sample_rate: float = 1e8        # OFDM only; pulse schemes use geometry
 
+    def __post_init__(self):
+        if self.kind in con.SCHEMES:
+            con.check_pulse_scheme(self.kind, self.q, self.k, self.n)
+
     @functools.lru_cache(maxsize=16)
     def build_constellation(self):
         """The scheme's constellation, built once per spec: constellations
@@ -182,6 +186,8 @@ class RunSpec:
             raise ParameterError("max_bits must be >= 1")
         if self.min_errors < 0:
             raise ParameterError("min_errors must be >= 0")
+        if self.workers < 1:
+            raise ParameterError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -203,6 +209,12 @@ class TrialConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
+        if self.peak_power_per_unit <= 0:
+            raise ParameterError("peak_power_per_unit must be > 0")
+        if self.array_split_leds < 0:
+            raise ParameterError("array_split_leds must be >= 0")
+        if self.interleaver_depth < 1:
+            raise ParameterError("interleaver_depth must be >= 1")
         if self.decoder == "components" and self.scheme.kind != con.MEPPM:
             raise ParameterError("decoder \"components\" is MEPPM-only")
 
@@ -517,7 +529,7 @@ def run_trials(config):
     totals = np.zeros(4, dtype=np.int64)
     next_batch = 0
     run = config.run
-    with ThreadPoolExecutor(max_workers=max(1, run.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=run.workers) as pool:
         while True:
             indices = range(next_batch, next_batch + WAVE_BATCHES)
             next_batch += WAVE_BATCHES
@@ -737,6 +749,10 @@ class SweepBlock:
     points: list[float]
     depths: list[int] = field(default_factory=lambda: [1, 8])  # isi-sweep
 
+    def __post_init__(self):
+        if any(d < 1 for d in self.depths):
+            raise ParameterError("depths must be >= 1")
+
 
 @dataclass(frozen=True)
 class CompareBlock:
@@ -744,6 +760,10 @@ class CompareBlock:
     mean_power: float = 1.0
     ofdm_scheme: SchemeSpec = field(
         default_factory=lambda: SchemeSpec(kind="dco_ofdm"))
+
+    def __post_init__(self):
+        if self.mean_power <= 0:
+            raise ParameterError("mean_power must be > 0")
 
 
 @dataclass(frozen=True)

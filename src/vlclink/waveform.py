@@ -224,15 +224,14 @@ def array_split(codewords, n_leds):
         )
     if n_leds < 1:
         raise ParameterError("n_leds must be >= 1")
-    shape = codewords.shape
-    flat = codewords.reshape(-1)
-    drives = np.zeros((n_leds, flat.size), dtype=np.int16)
-    ptr = 0
-    for j, a in enumerate(flat):
-        for _ in range(int(a)):
-            drives[ptr, j] = 1
-            ptr = (ptr + 1) % n_leds
-    return [d.reshape(shape) for d in drives]
+    if codewords.size and codewords.min() < 0:
+        raise ParameterError("slot amplitudes must be >= 0")
+    # the run of a slot starts where the previous slots' runs left off
+    a = codewords.reshape(-1)
+    first = (np.cumsum(a) - a) % n_leds
+    leds = np.arange(n_leds)[:, None]
+    drives = ((leds - first) % n_leds < a).astype(np.int16)
+    return [d.reshape(codewords.shape) for d in drives]
 
 
 # ---------------------------------------------------------------------------

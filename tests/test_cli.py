@@ -127,6 +127,15 @@ class TestErrors:
         assert len(res.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_zero_workers_flag_exit_3(self, tmp_path):
+        cfg = write_config(tmp_path, dict(BASE_EPPM, sweep={"points": [6.0, 9.0]}))
+        out_dir = tmp_path / "out"
+        res = run_cli("ber-sweep", "--config", cfg, "--output-dir", str(out_dir),
+                      "--workers", "0")
+        assert res.returncode == 3
+        assert res.stderr == "error: parameter: workers must be >= 1\n"
+        assert not out_dir.exists()
+
     def test_unknown_verb_exit_2(self):
         res = run_cli("frobnicate", "--config", "x.json")
         assert res.returncode == 2

@@ -176,6 +176,83 @@ class TestMeppmComponents:
         with pytest.raises(ParameterError):
             rx.MeppmComponentDecoder(con.build_ppm(4))
 
+    def test_greedy_matches_residual_reference(self):
+        c = con.build_meppm(7, 3, 21, use_complements=True)
+        dec = rx.MeppmComponentDecoder(c)
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, c.used_size, size=3000)
+        noisy = c.encode_indices(idx) + rng.normal(scale=0.6, size=(3000, 7))
+        counts = dec._greedy(noisy)
+        assert np.array_equal(counts, residual_greedy(dec, noisy))
+        # the noise is strong enough to make the peeling miss on some rows
+        assert not np.array_equal(counts @ c.components(), c.encode_indices(idx))
+
+
+def residual_greedy(dec, calibrated):
+    """Greedy peeling that recomputes every score from the residual."""
+    r = calibrated.copy()
+    counts = np.zeros((len(r), len(dec.templates)), dtype=np.int64)
+    for _ in range(dec.constellation.n):
+        pick = np.argmax(r @ dec.templates.T - dec._half_energy, axis=1)
+        counts[np.arange(len(r)), pick] += 1
+        r -= dec.templates[pick]
+    return counts
+
+
+DECISION_CASES = [
+    (con.build_eppm(7, 3), "correlation", 3),
+    (con.build_meppm(7, 3, 2, use_complements=True), "ml", 3),
+    (con.build_meppm(7, 3, 21, use_complements=True), "components", 10),
+]
+
+
+class TestDecideBlock:
+    @pytest.mark.parametrize("c, decoder, f", DECISION_CASES,
+                             ids=["correlation", "ml", "components"])
+    def test_decode_block_ranks_decided_codewords(self, c, decoder, f):
+        dec = rx.StreamReceiver(c, geo(2 * f, f), decoder=decoder)._decoder
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, c.used_size, size=500)
+        noisy = c.encode_indices(idx) + rng.normal(scale=0.7, size=(500, 7))
+        words = dec.decide_block(noisy)
+        assert words.dtype == np.int64 and words.shape == (500, 7)
+        assert np.array_equal(dec.decode_block(noisy), c.index_of(words))
+        assert np.any(dec.decode_block(noisy) != idx)
+
+    @pytest.mark.parametrize("c, decoder, f", DECISION_CASES,
+                             ids=["correlation", "ml", "components"])
+    def test_overlapped_loop_matches_index_feedback(self, c, decoder, f):
+        g = wf.SlotGeometry(1e-6, 2 * f, f)
+        receiver = rx.StreamReceiver(c, g, decoder=decoder)
+        rng = np.random.default_rng(f)
+        idx = rng.integers(0, c.used_size, size=(5, 16))
+        clean = np.stack([rx.slot_statistics(
+            wf.synthesize(c.encode_indices(row), g), g) for row in idx])
+        frames = clean + rng.normal(scale=0.3, size=clean.shape)
+        out = receiver.decode_stats(frames)
+        assert np.array_equal(out, index_feedback_decode(receiver, frames))
+        assert np.any(out != idx)
+
+
+def index_feedback_decode(receiver, frames):
+    """The decision-feedback loop that ranks every decision to an index
+    and unranks it back to the codeword it cancels."""
+    c = receiver.constellation
+    q = c.q
+    res = frames.copy()
+    n_sym = (frames.shape[1] - receiver.geometry.overlap_factor + 1) // q
+    out = np.empty((len(frames), n_sym), dtype=np.int64)
+    for m in range(n_sym):
+        lo, hi = m * q, (m + 1) * q
+        amps = res[:, lo:hi] @ receiver._restore.T
+        out[:, m] = receiver._decoder.decode_block(amps)
+        decided = c.encode_indices(out[:, m]).astype(np.float64)
+        soft = np.abs(amps - decided).sum(axis=1) > 0.5 * q
+        decided[soft] = np.clip(amps[soft], 0.0, float(c.n))
+        end = min(hi + receiver._tails.shape[1], res.shape[1])
+        res[:, hi:end] -= (decided @ receiver._tails)[:, : end - hi]
+    return out
+
 
 class TestDeinterleaveOp:
     def test_roundtrip_statistics(self):

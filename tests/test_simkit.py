@@ -316,16 +316,40 @@ class TestConfigDocuments:
          "knee_sharpness"),
         ({"decoder": "bogus"}, "$.decoder", "decoder"),
         ({"decoder": "components"}, "$", "decoder"),
+        ({"interleaver_depth": 0}, "$", "interleaver_depth"),
+        ({"run": {"workers": 0}}, "run", "workers"),
+        ({"peak_power_per_unit": 0.0}, "$", "peak_power_per_unit"),
+        ({"array_split_leds": -1}, "$", "array_split_leds"),
+        ({"scheme": {"kind": "eppm", "q": 1}}, "scheme", "Q >= 2"),
+        ({"scheme": {"kind": "mppm", "q": 7, "k": 7}}, "scheme", "K < Q"),
+        ({"scheme": {"kind": "meppm", "n": 0}}, "scheme", "N >= 1"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
             "inf-outside-unbounded-fields", "unknown-decoder",
-            "components-decoder-on-eppm"])
+            "components-decoder-on-eppm", "zero-interleaver-depth",
+            "zero-workers", "zero-peak-power", "negative-split-leds",
+            "single-slot-scheme", "k-equals-q", "zero-meppm-components"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
         assert err.value.json_path == path
         assert named in str(err.value)
+
+    @pytest.mark.parametrize("block, value, named", [
+        ("sweep", {"points": [1.0, 2.0], "depths": [1, 0]}, "depths"),
+        ("compare", {"saturation_points": [1.0], "mean_power": 0.0},
+         "mean_power"),
+    ], ids=["zero-isi-depth", "zero-mean-power"])
+    def test_rejected_cli_blocks(self, block, value, named):
+        with pytest.raises(ConfigError) as err:
+            sk.cli_block(dict(MINIMAL_DOC, **{block: value}), block)
+        assert err.value.json_path == block
+        assert named in str(err.value)
+
+    def test_ofdm_scheme_skips_pulse_ranges(self):
+        spec = sk.SchemeSpec(kind="dco_ofdm", q=1, k=0, n=0)
+        assert spec.build_ofdm().n_subcarriers == 64
 
     def test_error_paths(self):
         with pytest.raises(ConfigError) as err:

@@ -225,6 +225,32 @@ class TestArraySplit:
         with pytest.raises(CapacityError):
             wf.array_split(np.array([[3, 0, 0]]), n_leds=2)
 
+    @pytest.mark.parametrize("n_leds", [1, 2, 3, 7, 21])
+    def test_matches_slot_loop(self, n_leds):
+        rng = np.random.default_rng(n_leds)
+        for shape in [(0, 7), (1, 7), (40, 7), (5, 6, 7)]:
+            words = rng.integers(0, n_leds + 1, size=shape)
+            drives = wf.array_split(words, n_leds)
+            assert [d.dtype for d in drives] == [np.int16] * n_leds
+            assert np.array_equal(np.stack(drives),
+                                  slot_loop_split(words, n_leds))
+
+    def test_negative_amplitude(self):
+        with pytest.raises(ParameterError):
+            wf.array_split(np.array([[1, -1, 0]]), n_leds=2)
+
+
+def slot_loop_split(words, n_leds):
+    """Round-robin split one slot and one pulse at a time."""
+    flat = words.reshape(-1)
+    drives = np.zeros((n_leds, flat.size), dtype=np.int16)
+    ptr = 0
+    for j, a in enumerate(flat):
+        for _ in range(int(a)):
+            drives[ptr, j] = 1
+            ptr = (ptr + 1) % n_leds
+    return drives.reshape((n_leds,) + words.shape)
+
 
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path):
