@@ -6,6 +6,7 @@ intensity signal.  Demodulation strips the prefix, applies a one-tap
 equalizer from the known channel response, and makes hard QAM decisions.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,8 +31,10 @@ class OfdmConfig:
             raise ParameterError("n_subcarriers must be a power of two >= 8")
         if self.qam_order not in QAM_ORDERS:
             raise ParameterError(f"qam_order must be one of {QAM_ORDERS}")
-        if self.cyclic_prefix < 0:
-            raise ParameterError("cyclic_prefix must be >= 0")
+        if not 0 <= self.cyclic_prefix <= n:
+            raise ParameterError("cyclic_prefix must lie in [0, n_subcarriers]")
+        if self.dc_bias_sigma < 0:
+            raise ParameterError("dc_bias_sigma must be >= 0")
 
     @property
     def data_carriers(self):
@@ -63,8 +66,12 @@ def _pam_levels(m):
     return levels
 
 
+@functools.lru_cache(maxsize=8)
 def qam_constellation(order):
-    """Gray-coded square QAM with unit average energy; index = bit group."""
+    """Gray-coded square QAM with unit average energy; index = bit group.
+
+    Built once per order and shared, so the table is read-only.
+    """
     m = int(np.sqrt(order))
     if m * m != order:
         raise ParameterError("qam_order must be a perfect square")
@@ -75,7 +82,9 @@ def qam_constellation(order):
         i_bits = idx >> half
         q_bits = idx & ((1 << half) - 1)
         points[idx] = levels[i_bits] + 1j * levels[q_bits]
-    return points / np.sqrt((np.abs(points) ** 2).mean())
+    points /= np.sqrt((np.abs(points) ** 2).mean())
+    points.flags.writeable = False
+    return points
 
 
 def _qam_decide(symbols, order):
@@ -107,10 +116,15 @@ def _groups_to_bits(groups, width):
 # ---------------------------------------------------------------------------
 
 def hermitian_frame(data_symbols, n):
-    """Frequency frame with X[N-k] = conj(X[k]); DC and Nyquist are zero."""
-    x = np.zeros(n, dtype=np.complex128)
-    x[1: n // 2] = data_symbols
-    x[n // 2 + 1:] = np.conj(data_symbols[::-1])
+    """Frequency frame with X[N-k] = conj(X[k]); DC and Nyquist are zero.
+
+    `data_symbols` holds one frame's N/2 - 1 carriers, or a stack of frames
+    along its last axis; each row becomes one frame.
+    """
+    data = np.asarray(data_symbols)
+    x = np.zeros(data.shape[:-1] + (n,), dtype=np.complex128)
+    x[..., 1: n // 2] = data
+    x[..., n // 2 + 1:] = np.conj(data[..., ::-1])
     return x
 
 
@@ -129,17 +143,13 @@ def dco_modulate(bits, cfg, sample_rate=1.0):
     points = qam_constellation(cfg.qam_order)
     symbols = points[_bits_to_groups(bits, width)]
     frames = symbols.reshape(-1, cfg.data_carriers)
-    n = cfg.n_subcarriers
+    n, cp = cfg.n_subcarriers, cfg.cyclic_prefix
+    time = np.fft.ifft(hermitian_frame(frames, n), norm="ortho", axis=1)
+    if np.abs(time.imag).max() > 1e-9:
+        raise AssertionError("Hermitian frame produced complex samples")
     out = np.empty((frames.shape[0], cfg.frame_samples))
-    for row, data in enumerate(frames):
-        freq = hermitian_frame(data, n)
-        time = np.fft.ifft(freq, norm="ortho")
-        if np.abs(time.imag).max() > 1e-9:
-            raise AssertionError("Hermitian frame produced complex samples")
-        real = time.real
-        if cfg.cyclic_prefix:
-            real = np.concatenate([real[-cfg.cyclic_prefix:], real])
-        out[row] = real
+    out[:, cp:] = time.real
+    out[:, :cp] = time.real[:, n - cp:]
     flat = out.reshape(-1)
     bias = cfg.dc_bias_sigma * flat.std()
     return Waveform(np.maximum(flat + bias, 0.0), sample_rate)

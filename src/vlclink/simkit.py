@@ -8,6 +8,7 @@ link budget arithmetic, the analytic SER oracles used to validate the
 simulator, the flicker metric, and rate accounting.
 """
 
+import contextlib
 import functools
 import json
 import time
@@ -136,6 +137,10 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind in con.SCHEMES:
             con.check_pulse_scheme(self.kind, self.q, self.k, self.n)
+        elif self.kind == "dco_ofdm":
+            self.build_ofdm()  # OfdmConfig checks the carrier ranges
+            if self.sample_rate <= 0:
+                raise ParameterError("sample_rate must be > 0")
 
     @functools.lru_cache(maxsize=16)
     def build_constellation(self):
@@ -289,14 +294,15 @@ class _PulseChain:
     def __init__(self, config):
         self.config = config
         c = config.scheme.build_constellation()
-        self.peak = config.peak_power_per_unit
         if config.dimming_target:
             dim = wf.apply_dimming(c, config.dimming_target)
             c = dim.constellation
-            self.peak *= dim.power_scale
+            self.drive_scale = dim.power_scale
             self.achieved_dimming = dim.achieved_ratio
         else:
+            self.drive_scale = 1.0
             self.achieved_dimming = None
+        self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
         self.geometry = config.geometry
         self.interleaver = (
@@ -352,7 +358,8 @@ class _PulseChain:
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        w = _apply_channel_deterministic(self.transmit(words), cfg)
+        w = _apply_channel_deterministic(
+            _led_output(self.drive(words), self.peak, cfg.device), cfg)
         stats = rx.slot_statistics(w, g)
         peak = np.abs(stats).max()
         if peak <= 0:
@@ -365,17 +372,13 @@ class _PulseChain:
         depth = self.config.interleaver_depth
         return n + (-n) % max(depth, 1)
 
-    def transmit(self, words):
-        """Optical waveform after the LED for a codeword stream, driven
-        whole or split over `array_split_leds` binary LEDs."""
-        cfg, g = self.config, self.geometry
-        n_leds = cfg.array_split_leds
+    def drive(self, words):
+        """Unit-peak drive waveforms of a codeword stream: one for the
+        whole stream, or one per LED when split over `array_split_leds`
+        binary LEDs."""
+        n_leds = self.config.array_split_leds
         parts = wf.array_split(words, n_leds) if n_leds else [words]
-        samples = sum(
-            ac.led_transfer(wf.synthesize(p, g, self.peak), cfg.device).samples
-            for p in parts
-        )
-        return wf.Waveform(samples, g.sample_rate, g)
+        return [wf.synthesize(p, self.geometry) for p in parts]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
@@ -394,7 +397,8 @@ class _PulseChain:
         words = c.encode_indices(idx)
         if self.interleaver is not None:
             words = wf.interleave(words, self.interleaver)
-        y = _apply_channel(self.transmit(words), cfg, rng)
+        light = _led_output(self.drive(words), self.peak, cfg.device)
+        y = _apply_channel(light, cfg, rng)
         return bits, idx, rx.slot_statistics(y, self.geometry)
 
     def _counts(self, bits, idx, decoded):
@@ -407,13 +411,14 @@ class _PulseChain:
         bits, idx, stats = self.receive(batch_index)
         return self._counts(bits, idx, self.receiver.decode_stats(stats))
 
-    def run_wave(self, pool, indices):
-        """Counts of a wave's batches.  F=1 batches decode in their pool
-        job (no feedback); overlapped frames are received in the pool and
-        then decoded together, in lockstep."""
+    def run_wave(self, jobs, indices):
+        """Counts of a wave's batches, with `jobs` mapping a function over
+        them (`map`, or a thread pool's).  F=1 batches decode in their job
+        (no feedback); overlapped frames are received in the jobs and then
+        decoded together, in lockstep."""
         if self.geometry.overlap_factor == 1:
-            return pool.map(self.run_batch, indices)
-        received = list(pool.map(self.receive, indices))
+            return jobs(self.run_batch, indices)
+        received = list(jobs(self.receive, indices))
         decoded = self.receiver.decode_stats(
             np.stack([stats for _, _, stats in received]))
         return [self._counts(bits, idx, d)
@@ -422,12 +427,14 @@ class _PulseChain:
 
 class _OfdmChain:
     achieved_dimming = None
+    drive_scale = 1.0
 
     def __init__(self, config):
         self.config = config
         self.ofdm = config.scheme.build_ofdm()
         fs = config.scheme.sample_rate
         self.fs = fs
+        self.peak = config.peak_power_per_unit
         # composite linear response for the one-tap equalizer: drive scale,
         # LED small-signal gain, LED pole, channel taps, responsivity
         ir = ac.lowpass_impulse_response(config.device, fs, 256)
@@ -444,11 +451,9 @@ class _OfdmChain:
             gain *= config.channel.detector.responsivity
         self.equalizer_ir = ir * gain
 
-    def transmit(self, bits):
-        """Optical waveform after the LED for a whole number of frames."""
-        w = ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)
-        w = wf.Waveform(w.samples * self.config.peak_power_per_unit, self.fs)
-        return ac.led_transfer(w, self.config.device)
+    def drive(self, bits):
+        """Unit-peak drive waveform of a whole number of frames."""
+        return [ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
@@ -459,15 +464,28 @@ class _OfdmChain:
         rng = np.random.default_rng([cfg.seed, batch_index])
         n_frames = cfg.run.batch_symbols
         bits = rng.integers(0, 2, size=n_frames * self.ofdm.bits_per_frame)
-        y = _apply_channel(self.transmit(bits), cfg, rng)
+        light = _led_output(self.drive(bits), self.peak, cfg.device)
+        y = _apply_channel(light, cfg, rng)
         rx_bits = ofdm_mod.dco_demodulate(y, self.ofdm, self.equalizer_ir)
         bit_errors = int(np.sum(rx_bits != bits))
         frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
         frame_errors = int(np.sum(frames.any(axis=1)))
         return bits.size, bit_errors, n_frames, frame_errors
 
-    def run_wave(self, pool, indices):
-        return pool.map(self.run_batch, indices)
+    def run_wave(self, jobs, indices):
+        return jobs(self.run_batch, indices)
+
+
+def _led_output(drives, peak, device):
+    """Optical waveform after the LEDs: each unit-peak drive is scaled to
+    `peak`, passed through its own LED, and the outputs add up."""
+    first = drives[0]
+    samples = sum(
+        ac.led_transfer(wf.Waveform(peak * d.samples, d.sample_rate,
+                                    d.geometry), device).samples
+        for d in drives
+    )
+    return wf.Waveform(samples, first.sample_rate, first.geometry)
 
 
 def _apply_channel_deterministic(w, cfg):
@@ -529,11 +547,15 @@ def run_trials(config):
     totals = np.zeros(4, dtype=np.int64)
     next_batch = 0
     run = config.run
-    with ThreadPoolExecutor(max_workers=run.workers) as pool:
+    with contextlib.ExitStack() as stack:
+        # one worker runs the batches in this thread: a pool would only
+        # add hand-offs
+        jobs = (stack.enter_context(ThreadPoolExecutor(run.workers)).map
+                if run.workers > 1 else map)
         while True:
             indices = range(next_batch, next_batch + WAVE_BATCHES)
             next_batch += WAVE_BATCHES
-            for result in chain.run_wave(pool, indices):
+            for result in chain.run_wave(jobs, indices):
                 totals += np.asarray(result, dtype=np.int64)
             if totals[1] >= run.min_errors or totals[0] >= run.max_bits:
                 break
@@ -636,26 +658,23 @@ def write_sweep_outputs(config, axis, points, reports, output_dir, label=None):
 # nonlinearity comparison (DCO-OFDM vs MEPPM with array split)
 # ---------------------------------------------------------------------------
 
-def _pilot_mean_power(config):
-    """Mean optical power of one noiseless pilot batch after the LED."""
-    chain = _build_chain(replace(config, channel=ChannelSpec(mode="identity")))
-    rng = np.random.default_rng([config.seed, 0])
-    return float(chain.transmit(chain.pilot(rng)).samples.mean())
-
-
 def calibrate_drive(config, target_mean_power, iterations=3):
     """Scale the drive so the post-LED mean optical power hits the target.
 
-    Fixed-point iteration; deterministic (pilot uses the config seed).
+    Fixed-point iteration on one noiseless pilot batch, drawn once from
+    the config seed: the unit-peak drive does not depend on the peak, so
+    each iteration only rescales it through the LED.
     """
-    cfg = config
+    chain = _build_chain(replace(config, channel=ChannelSpec(mode="identity")))
+    drives = chain.drive(chain.pilot(np.random.default_rng([config.seed, 0])))
+    peak = config.peak_power_per_unit
     for _ in range(iterations):
-        measured = _pilot_mean_power(cfg)
+        light = _led_output(drives, peak * chain.drive_scale, config.device)
+        measured = float(light.samples.mean())
         if measured <= 0:
             raise ParameterError("pilot produced no optical power")
-        scale = target_mean_power / measured
-        cfg = replace(cfg, peak_power_per_unit=cfg.peak_power_per_unit * scale)
-    return cfg
+        peak = peak * (target_mean_power / measured)
+    return replace(config, peak_power_per_unit=peak)
 
 
 def nonlin_compare(meppm_config, ofdm_config, saturation_points,

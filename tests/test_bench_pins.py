@@ -1,13 +1,18 @@
-"""Bit-identity pins for the benchmark's overlapped MEPPM workload.
+"""Bit-identity pins for the benchmark's trial workloads.
 
-The benchmark holds `meppm21-overlap` only to a wide pooled BER window, so
-a change to the receiver's decisions would pass it unseen.  These counts
-(bits, bit errors, symbols, symbol errors) were measured on the per-frame
-receiver that the lockstep one replaced; any decision change fails here.
+The benchmark holds `meppm21-overlap` only to a wide pooled BER window and
+`nonlin-compare-cli` only to C8's pooled ordering, so a change to the
+receiver's decisions, the transmitted waveform or the drive calibration
+would pass it unseen.  The `meppm21-overlap` counts (bits, bit errors,
+symbols, symbol errors) were measured on the per-frame receiver that the
+lockstep one replaced; the `nonlin-compare` counts on the per-frame
+DCO-OFDM modulator and the per-iteration calibration pilot.  Any change to
+either fails here.
 """
 
 import importlib.util
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -40,3 +45,21 @@ def test_meppm21_overlap_counts(seed, counts):
     report = sk.run_trials(sk.config_from_document(workload.document(seed)))
     assert (report.bits_sent, report.bit_errors, report.symbols_sent,
             report.symbol_errors) == counts
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (1, {"meppm": [(896, 15), (896, 15), (896, 15)],
+         "dco_ofdm": [(15872, 6198), (15872, 5132), (15872, 4891)]}),
+    (2, {"meppm": [(896, 15), (896, 15), (896, 15)],
+         "dco_ofdm": [(15872, 6173), (15872, 5056), (15872, 4830)]}),
+])
+def test_nonlin_compare_counts(tmp_path, seed, counts):
+    """(bits, bit errors) per scheme at each of the saturation points."""
+    doc = WORKLOADS.NonlinCompareCli(vlclink, str(tmp_path)).document(seed)
+    config = sk.config_from_document(doc)
+    compare = sk.cli_block(doc, "compare")
+    results = sk.nonlin_compare(
+        config, replace(config, scheme=compare.ofdm_scheme),
+        compare.saturation_points, mean_power=compare.mean_power)
+    assert {name: [(r.bits_sent, r.bit_errors) for r in reports]
+            for name, reports in results.items()} == counts

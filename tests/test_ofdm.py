@@ -18,6 +18,27 @@ def random_bits(rng, count):
     return rng.integers(0, 2, size=count)
 
 
+def reference_modulate(bits, c):
+    """Per-frame DCO-OFDM modulator: one Hermitian frame, one IFFT and one
+    cyclic prefix per frame, then the burst-wide bias and clip."""
+    width = int(np.log2(c.qam_order))
+    points = ofdm.qam_constellation(c.qam_order)
+    frames = points[ofdm._bits_to_groups(bits, width)].reshape(
+        -1, c.data_carriers)
+    n = c.n_subcarriers
+    out = np.empty((frames.shape[0], c.frame_samples))
+    for row, data in enumerate(frames):
+        freq = np.zeros(n, dtype=np.complex128)
+        freq[1: n // 2] = data
+        freq[n // 2 + 1:] = np.conj(data[::-1])
+        real = np.fft.ifft(freq, norm="ortho").real
+        if c.cyclic_prefix:
+            real = np.concatenate([real[-c.cyclic_prefix:], real])
+        out[row] = real
+    flat = out.reshape(-1)
+    return np.maximum(flat + c.dc_bias_sigma * flat.std(), 0.0)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -63,6 +84,25 @@ class TestModulate:
         clipped = np.mean(w.samples == 0.0)
         expected = norm.cdf(-flat_bias)
         assert clipped == pytest.approx(expected, rel=0.25)
+
+    @pytest.mark.parametrize("qam", [4, 16, 64])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("cp", [0, 8])
+    @pytest.mark.parametrize("n_frames", [1, 64])
+    def test_burst_matches_per_frame_reference(self, qam, n, cp, n_frames):
+        c = cfg(n=n, qam=qam, cp=cp)
+        rng = np.random.default_rng([qam, n, cp, n_frames])
+        bits = random_bits(rng, c.bits_per_frame * n_frames)
+        w = ofdm.dco_modulate(bits, c)
+        assert w.samples.tobytes() == reference_modulate(bits, c).tobytes()
+
+    def test_hermitian_frame_stack_is_row_by_row(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(5, 31)) + 1j * rng.normal(size=(5, 31))
+        stack = ofdm.hermitian_frame(data, 64)
+        assert stack.shape == (5, 64)
+        for row, frame in zip(data, stack):
+            assert np.array_equal(ofdm.hermitian_frame(row, 64), frame)
 
     def test_bit_length_mismatch(self):
         with pytest.raises(InputError):
@@ -164,6 +204,12 @@ class TestQamMapping:
                     assert bin(a ^ b).count("1") == 1
         decided = ofdm._qam_decide(points, 16)
         assert np.array_equal(decided, np.arange(16))
+
+    def test_table_is_shared_and_read_only(self):
+        points = ofdm.qam_constellation(16)
+        assert ofdm.qam_constellation(16) is points
+        with pytest.raises(ValueError):
+            points[0] = 0.0
 
     def test_decide_roundtrip_all_orders(self):
         for order in (4, 16, 64):

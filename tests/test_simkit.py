@@ -1,10 +1,13 @@
 """Monte Carlo engine, link budget, metrics, and sweep tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vlclink import analog_chain as ac
 from vlclink import constellations as con
+from vlclink import ofdm
 from vlclink import simkit as sk
 from vlclink import waveform as wf
 from vlclink.errors import ConfigError, ParameterError
@@ -80,6 +83,26 @@ class TestRunTrials:
             )
             reports.append(sk.run_trials(cfg))
         assert reports[0].equivalent_to(reports[1])
+
+    def test_overlapped_worker_count_invariance(self, monkeypatch):
+        def config(workers):
+            return awgn_config(
+                kind="meppm", n=3, use_complements=True, snr_db=14.0, seed=4,
+                geometry=geo(sps=6, f=3),
+                run=sk.RunSpec(max_bits=3 * 8 * 16 * 8, min_errors=10 ** 9,
+                               batch_symbols=16, workers=workers),
+            )
+
+        pooled = sk.run_trials(config(3))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker built a thread pool")
+
+        monkeypatch.setattr(sk, "ThreadPoolExecutor", no_pool)
+        serial = sk.run_trials(config(1))
+        assert serial.bits_sent == 3 * 8 * 16 * 8
+        assert serial.bit_errors > 0
+        assert serial.equivalent_to(pooled)
 
     def test_interleaved_run_noiseless(self):
         cfg = sk.TrialConfig(
@@ -175,6 +198,76 @@ class TestSweep:
     def test_too_few_points(self):
         with pytest.raises(ParameterError):
             sk.sweep(awgn_config(), "snr", [1.0])
+
+
+def reference_light(chain, pilot):
+    """Post-LED pilot samples as one transmit: drive at the chain's peak,
+    each LED's drive through the LED, outputs summed."""
+    cfg = chain.config
+    if cfg.scheme.kind == "dco_ofdm":
+        w = ofdm.dco_modulate(pilot, chain.ofdm, chain.fs)
+        drive = wf.Waveform(w.samples * cfg.peak_power_per_unit, chain.fs)
+        return ac.led_transfer(drive, cfg.device).samples
+    n_leds = cfg.array_split_leds
+    parts = wf.array_split(pilot, n_leds) if n_leds else [pilot]
+    return sum(ac.led_transfer(wf.synthesize(p, chain.geometry, chain.peak),
+                               cfg.device).samples
+               for p in parts)
+
+
+def reference_calibration(config, target, iterations=3):
+    """Calibration that rebuilds the chain and re-draws the pilot on every
+    iteration."""
+    cfg = config
+    for _ in range(iterations):
+        chain = sk._build_chain(
+            replace(cfg, channel=sk.ChannelSpec(mode="identity")))
+        pilot = chain.pilot(np.random.default_rng([cfg.seed, 0]))
+        measured = float(reference_light(chain, pilot).mean())
+        cfg = replace(cfg, peak_power_per_unit=cfg.peak_power_per_unit
+                      * (target / measured))
+    return cfg
+
+
+CALIBRATED = {
+    "meppm-split-4-saturating": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=4),
+        geometry=geo(slot=1e-7),
+        device=ac.LedModel(saturation_power=2.0),
+        array_split_leds=4, seed=11),
+    "dimmed-eppm-led-pole": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm", q=15, k=7),
+        geometry=geo(sps=4),
+        device=ac.LedModel(bandwidth_3db=3e5, saturation_power=0.8),
+        dimming_target=0.25, seed=12),
+    "dimmed-meppm-drive-scale": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=2),
+        geometry=geo(sps=4),
+        device=ac.LedModel(bandwidth_3db=3e5, saturation_power=1.5),
+        dimming_target=0.3, seed=13),
+    "f10-meppm-trichromatic": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=21,
+                             use_complements=True),
+        geometry=geo(sps=20, f=10, slot=30e-9),
+        device=replace(ac.LED_PRESETS["trichromatic"], saturation_power=20.0),
+        peak_power_per_unit=0.5, seed=14),
+    "dco-ofdm-saturating": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="dco_ofdm", dc_bias_sigma=3.5,
+                             cyclic_prefix=8, sample_rate=5.8e6),
+        geometry=geo(slot=1e-7),
+        device=ac.LedModel(saturation_power=1.5), seed=15),
+}
+
+
+class TestCalibrateDrive:
+    @pytest.mark.parametrize("name", list(CALIBRATED))
+    def test_matches_rebuilding_reference(self, name):
+        config = CALIBRATED[name]
+        calibrated = sk.calibrate_drive(config, 1.0)
+        expected = reference_calibration(config, 1.0)
+        assert calibrated.peak_power_per_unit == expected.peak_power_per_unit
+        assert calibrated == expected
+        assert calibrated.peak_power_per_unit != config.peak_power_per_unit
 
 
 class TestFlicker:
@@ -323,13 +416,31 @@ class TestConfigDocuments:
         ({"scheme": {"kind": "eppm", "q": 1}}, "scheme", "Q >= 2"),
         ({"scheme": {"kind": "mppm", "q": 7, "k": 7}}, "scheme", "K < Q"),
         ({"scheme": {"kind": "meppm", "n": 0}}, "scheme", "N >= 1"),
+        ({"scheme": {"kind": "dco_ofdm", "n_subcarriers": 63}}, "scheme",
+         "n_subcarriers"),
+        ({"scheme": {"kind": "dco_ofdm", "qam_order": 8}}, "scheme",
+         "qam_order"),
+        ({"scheme": {"kind": "dco_ofdm", "cyclic_prefix": 100}}, "scheme",
+         "cyclic_prefix"),
+        ({"scheme": {"kind": "dco_ofdm", "cyclic_prefix": -1}}, "scheme",
+         "cyclic_prefix"),
+        ({"scheme": {"kind": "dco_ofdm", "sample_rate": 0}}, "scheme",
+         "sample_rate"),
+        ({"scheme": {"kind": "dco_ofdm", "sample_rate": -5}}, "scheme",
+         "sample_rate"),
+        ({"scheme": {"kind": "dco_ofdm", "dc_bias_sigma": -1}}, "scheme",
+         "dc_bias_sigma"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
             "inf-outside-unbounded-fields", "unknown-decoder",
             "components-decoder-on-eppm", "zero-interleaver-depth",
             "zero-workers", "zero-peak-power", "negative-split-leds",
-            "single-slot-scheme", "k-equals-q", "zero-meppm-components"])
+            "single-slot-scheme", "k-equals-q", "zero-meppm-components",
+            "ofdm-carriers-not-power-of-two", "ofdm-qam-order-8",
+            "ofdm-prefix-longer-than-frame", "ofdm-negative-prefix",
+            "ofdm-zero-sample-rate", "ofdm-negative-sample-rate",
+            "ofdm-negative-bias"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
