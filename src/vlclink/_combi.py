@@ -11,11 +11,6 @@ import numpy as np
 from .errors import CapacityError
 
 
-def rank_subset_colex(positions):
-    """Colex rank of a k-subset of {0..n-1}, given as a sorted sequence."""
-    return sum(comb(c, j + 1) for j, c in enumerate(positions))
-
-
 def unrank_subset_colex(r, n, k):
     """k-subset of {0..n-1} with colex rank r, returned sorted ascending."""
     out = [0] * k

@@ -7,7 +7,6 @@ noise whose variance tracks instantaneous shot noise from signal and
 background light, plus a thermal floor.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.los_gain < 0 or self.nlos_gain < 0:
             raise ParameterError("path gains must be nonnegative")
+        if self.los_delay < 0:
+            raise ParameterError("los_delay must be nonnegative")
         if self.nlos_decay <= 0:
             raise ParameterError("nlos_decay must be positive")
 
@@ -169,8 +170,16 @@ def channel_impulse_response(cm, sample_rate, length=None):
     return h
 
 
-def export_impulse_csv(h, path):
-    np.savetxt(path, h, fmt="%.12g")
+def propagate(w, cm):
+    """Optical waveform through the channel: scaled by the LOS gain, or
+    convolved with `channel_impulse_response` when the channel delays,
+    disperses or shadows."""
+    if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
+        samples = cm.los_gain * w.samples
+    else:
+        h = channel_impulse_response(cm, w.sample_rate)
+        samples = np.convolve(w.samples, h)[: w.samples.size]
+    return Waveform(samples, w.sample_rate, w.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +195,7 @@ def propagate_and_detect(w, cm, dm, rng_seed):
     Deterministic for a fixed rng_seed.
     """
     fs = w.sample_rate
-    if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
-        received = cm.los_gain * w.samples
-    else:
-        h = channel_impulse_response(cm, fs)
-        received = np.convolve(w.samples, h)[: w.samples.size]
+    received = propagate(w, cm).samples
     current = dm.responsivity * received
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
@@ -215,7 +220,7 @@ def noise_variance_dark(dm, sample_rate):
 
 
 # ---------------------------------------------------------------------------
-# presets from JSON
+# the LED block of a config
 # ---------------------------------------------------------------------------
 
 def led_from_dict(doc, path="led"):
@@ -231,25 +236,3 @@ def led_from_dict(doc, path="led"):
                           f"expected one of {', '.join(LED_PRESETS)}")
     return section(LedModel, doc, path, base=LED_PRESETS.get(preset),
                    unbounded=("bandwidth_3db", "saturation_power"))
-
-
-def channel_from_dict(doc, path="channel"):
-    return section(ChannelModel, doc, path)
-
-
-def detector_from_dict(doc, path="detector"):
-    return section(DetectorModel, doc, path)
-
-
-def load_presets_json(path):
-    """Load {"led": ..., "channel": ..., "detector": ...} blocks from a file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = {}
-    if "led" in doc:
-        out["led"] = led_from_dict(doc["led"])
-    if "channel" in doc:
-        out["channel"] = channel_from_dict(doc["channel"])
-    if "detector" in doc:
-        out["detector"] = detector_from_dict(doc["detector"])
-    return out

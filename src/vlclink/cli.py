@@ -81,8 +81,9 @@ def cmd_dimming_sweep(args):
     if not all(0 < p <= 1 for p in points):
         raise ConfigError("sweep.points", "dimming targets must lie in (0, 1]")
     reports = sk.sweep(config, "dimming", points, output_dir=args.output_dir)
+    c = config.scheme.build_constellation()
     for p, r in zip(points, reports):
-        achieved = r.params.get("achieved_dimming")
+        achieved = wf.apply_dimming(c, p).achieved_ratio
         print(f"target={p:g} achieved={achieved:.6g} ber={r.ber:.6g}")
     return 0
 

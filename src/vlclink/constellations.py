@@ -131,13 +131,13 @@ def min_cyclic_distance(word):
     return min(int(np.sum(w != np.roll(w, s))) for s in range(1, q))
 
 
-def search_eppm_seed(q, k, search_seed=0):
+def search_eppm_seed(q, k):
     """Find a weight-k seed whose cyclic shifts are far apart in Hamming
     distance.
 
     Exhaustive over support sets containing slot 0 for q <= 20, randomized
-    hill climbing above (deterministic for a fixed search_seed).  The result
-    maximizes the minimum distance over the searched space only.
+    hill climbing above (from a fixed RNG seed, so deterministic).  The
+    result maximizes the minimum distance over the searched space only.
     """
     if q <= 20:
         best = None
@@ -152,7 +152,7 @@ def search_eppm_seed(q, k, search_seed=0):
             raise ParameterError(f"no aperiodic weight-{k} word of length {q}")
         return best
 
-    rng = np.random.default_rng(search_seed)
+    rng = np.random.default_rng(0)
     positions = np.concatenate(([0], 1 + rng.permutation(q - 1)[: k - 1]))
     word = _positions_to_word(q, positions)
     best_d = min_cyclic_distance(word)
@@ -173,7 +173,7 @@ def search_eppm_seed(q, k, search_seed=0):
     return positions
 
 
-def resolve_eppm_seed(q, k, seed_positions=None, search_seed=0):
+def resolve_eppm_seed(q, k, seed_positions=None):
     """Pick the EPPM seed support: explicit > catalog > search."""
     if seed_positions is not None:
         positions = tuple(sorted(int(p) % q for p in seed_positions))
@@ -183,7 +183,7 @@ def resolve_eppm_seed(q, k, seed_positions=None, search_seed=0):
     known = known_difference_set(q, k)
     if known is not None:
         return tuple(sorted(known))
-    return tuple(sorted(search_eppm_seed(q, k, search_seed)))
+    return tuple(sorted(search_eppm_seed(q, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +245,6 @@ class _MeppmLattice:
         if not np.array_equal(self._sums_from_c(c), sums):
             raise ValueError("not a constellation sum vector")
         return self.counter.rank(c)
-
-    def index_of_counts(self, shift_counts, comp_counts):
-        c = np.asarray(shift_counts, np.int64)
-        if comp_counts is not None and np.any(np.asarray(comp_counts) > 0):
-            if not self.use_complements:
-                raise ValueError("complement counts in a complement-free code")
-            c = c - np.asarray(comp_counts, np.int64)
-        return int(self.counter.rank(c[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +328,6 @@ class Constellation:
         else:
             idx = self._lattice.indices(rows)
         return int(idx[0]) if cw.ndim == 1 else idx
-
-    def index_of_components(self, shift_counts, comp_counts=None):
-        """Symbol index of the sum of an explicit component multiset (MEPPM)."""
-        if self.scheme != MEPPM:
-            raise ParameterError("component indexing is MEPPM-only")
-        if self._lattice is not None and self._symbols is None:
-            return self._lattice.index_of_counts(shift_counts, comp_counts)
-        sumvec = np.asarray(shift_counts, np.int64) @ self.components_base().astype(np.int64)
-        if comp_counts is not None:
-            comp = np.asarray(comp_counts, np.int64)
-            sumvec = sumvec + comp.sum() - comp @ self.components_base().astype(np.int64)
-        return self.index_of(sumvec.astype(np.int16))
 
     def components_base(self):
         """The Q cyclic shifts underlying an EPPM/MEPPM constellation."""
@@ -462,7 +442,7 @@ def build_mppm(q, k):
     return Constellation(MPPM, q, k, 1, False, symbols=symbols)
 
 
-def build_eppm(q, k, seed_positions=None, search_seed=0):
+def build_eppm(q, k, seed_positions=None):
     """The Q cyclic shifts of a weight-K seed word.
 
     The seed is a known (Q,K,lambda) cyclic difference set when one exists,
@@ -470,7 +450,7 @@ def build_eppm(q, k, seed_positions=None, search_seed=0):
     seed every symbol pair sits at Hamming distance exactly 2(K - lambda).
     """
     check_pulse_scheme(EPPM, q, k)
-    positions = resolve_eppm_seed(q, k, seed_positions, search_seed)
+    positions = resolve_eppm_seed(q, k, seed_positions)
     seed = _positions_to_word(q, positions)
     if min_cyclic_distance(seed) == 0:
         raise ParameterError("seed word is periodic; shifts would collide")
@@ -480,7 +460,7 @@ def build_eppm(q, k, seed_positions=None, search_seed=0):
 
 
 def build_meppm(q, k, n, use_complements=False, seed_positions=None,
-                search_seed=0, max_table_size=DEFAULT_MAX_TABLE):
+                max_table_size=DEFAULT_MAX_TABLE):
     """All distinct slot-wise sums of N EPPM codewords (and complements).
 
     Small constellations are materialized, keeping the first-seen
@@ -490,7 +470,7 @@ def build_meppm(q, k, n, use_complements=False, seed_positions=None,
     collide only through the counted representation.
     """
     check_pulse_scheme(MEPPM, q, k, n)
-    eppm = build_eppm(q, k, seed_positions, search_seed)
+    eppm = build_eppm(q, k, seed_positions)
     base = eppm.components_base()
     seed = base[0]
     lattice_ok = _MeppmLattice.usable(seed, n, use_complements)
@@ -642,15 +622,6 @@ def indices_to_bits(indices, bits_per_symbol):
     return ((indices[:, None] >> shifts) & 1).ravel()
 
 
-def pad_bits(bits, bits_per_symbol):
-    """Zero-pad a bitstream to a symbol boundary; returns (padded, n_pad)."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    n_pad = (-bits.size) % bits_per_symbol
-    if n_pad:
-        bits = np.concatenate([bits, np.zeros(n_pad, dtype=np.int64)])
-    return bits, n_pad
-
-
 def encode_bits(c, bits):
     """Map a bitstream (length multiple of bits_per_symbol) to codewords."""
     if c.size < 2:
@@ -660,11 +631,3 @@ def encode_bits(c, bits):
         return np.zeros((0, c.q), dtype=np.int16)
     indices = bits_to_indices(bits, c.bits_per_symbol)
     return c.encode_indices(indices)
-
-
-def decode_bits(c, codewords):
-    """Invert encode_bits for a stack of codewords."""
-    codewords = np.asarray(codewords)
-    if codewords.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return indices_to_bits(c.index_of(codewords), c.bits_per_symbol)

@@ -11,7 +11,6 @@ simulator, the flicker metric, and rate accounting.
 import contextlib
 import functools
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -222,6 +221,11 @@ class TrialConfig:
             raise ParameterError("interleaver_depth must be >= 1")
         if self.decoder == "components" and self.scheme.kind != con.MEPPM:
             raise ParameterError("decoder \"components\" is MEPPM-only")
+        if not 0 <= self.dimming_target <= 1:
+            raise ParameterError("dimming_target must lie in [0, 1]")
+        if self.dimming_target and self.scheme.kind == "dco_ofdm":
+            raise ParameterError("dimming_target needs a pulse scheme, "
+                                 "not dco_ofdm")
 
     def params_record(self):
         doc = asdict(self)
@@ -238,10 +242,12 @@ class TrialConfig:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrialReport:
+    """The counts of one trial: deterministic in the config, so two runs
+    of one config compare equal with `==`."""
+
     scheme: str
-    params: dict
     bits_sent: int
     bit_errors: int
     ber: float
@@ -249,19 +255,17 @@ class TrialReport:
     ci_valid: bool
     symbols_sent: int
     symbol_errors: int
-    elapsed: float
     rng_seed: int
 
     @staticmethod
     def from_counts(config, bits_sent, bit_errors, symbols_sent,
-                    symbol_errors, elapsed):
+                    symbol_errors):
         ber = bit_errors / bits_sent if bits_sent else 0.0
         ci95 = (
             1.96 * np.sqrt(ber * (1.0 - ber) / bits_sent) if bits_sent else 0.0
         )
         return TrialReport(
             scheme=config.scheme.kind,
-            params=config.params_record(),
             bits_sent=bits_sent,
             bit_errors=bit_errors,
             ber=ber,
@@ -269,19 +273,12 @@ class TrialReport:
             ci_valid=bit_errors >= 10,
             symbols_sent=symbols_sent,
             symbol_errors=symbol_errors,
-            elapsed=elapsed,
             rng_seed=config.seed,
         )
 
     @property
     def ser(self):
         return self.symbol_errors / self.symbols_sent if self.symbols_sent else 0.0
-
-    def equivalent_to(self, other):
-        """Equality on everything except wall-clock time."""
-        a = {k: v for k, v in vars(self).items() if k != "elapsed"}
-        b = {k: v for k, v in vars(other).items() if k != "elapsed"}
-        return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +295,8 @@ class _PulseChain:
             dim = wf.apply_dimming(c, config.dimming_target)
             c = dim.constellation
             self.drive_scale = dim.power_scale
-            self.achieved_dimming = dim.achieved_ratio
         else:
             self.drive_scale = 1.0
-            self.achieved_dimming = None
         self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
         self.geometry = config.geometry
@@ -426,7 +421,6 @@ class _PulseChain:
 
 
 class _OfdmChain:
-    achieved_dimming = None
     drive_scale = 1.0
 
     def __init__(self, config):
@@ -493,19 +487,13 @@ def _apply_channel_deterministic(w, cfg):
     spec = cfg.channel
     if spec.mode == "identity":
         return w
-    if spec.mode == "physical":
-        quiet = replace(spec.detector, background_power=0.0,
-                        thermal_noise_density=0.0)
-        return ac.propagate_and_detect(w, spec.model, quiet, 0)
-    if spec.mode != "awgn":
+    if spec.mode not in ("physical", "awgn"):
         raise ParameterError(f"unknown channel mode {spec.mode!r}")
-    samples = w.samples
-    if spec.dispersive() or spec.model.shadowed:
-        h = ac.channel_impulse_response(spec.model, w.sample_rate)
-        samples = np.convolve(samples, h)[: samples.size]
-    else:
-        samples = samples * spec.model.total_gain
-    return wf.Waveform(samples, w.sample_rate, w.geometry)
+    y = ac.propagate(w, spec.model)
+    if spec.mode == "physical":
+        return wf.Waveform(spec.detector.responsivity * y.samples,
+                           y.sample_rate, y.geometry)
+    return y
 
 
 def _apply_channel(w, cfg, rng):
@@ -542,7 +530,6 @@ def run_trials(config):
     derives from (seed, batch_index), so the totals do not depend on the
     worker count.
     """
-    start = time.perf_counter()
     chain = _build_chain(config)
     totals = np.zeros(4, dtype=np.int64)
     next_batch = 0
@@ -559,13 +546,7 @@ def run_trials(config):
                 totals += np.asarray(result, dtype=np.int64)
             if totals[1] >= run.min_errors or totals[0] >= run.max_bits:
                 break
-    report = TrialReport.from_counts(
-        config, int(totals[0]), int(totals[1]), int(totals[2]),
-        int(totals[3]), time.perf_counter() - start,
-    )
-    if chain.achieved_dimming is not None:
-        report.params["achieved_dimming"] = chain.achieved_dimming
-    return report
+    return TrialReport.from_counts(config, *(int(t) for t in totals))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +578,7 @@ def sweep(config, axis, points, output_dir=None, label=None):
     """One run_trials per axis point under a shared master seed.
 
     Returns the reports; when output_dir is given, writes
-    `<label>_<axis>.csv` plus a JSON manifest (elapsed excluded so reruns
-    are byte-identical).
+    `<label>_<axis>.csv` plus a JSON manifest, byte-identical on reruns.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"axis must be one of {SWEEP_AXES}")
@@ -642,10 +622,7 @@ def write_sweep_outputs(config, axis, points, reports, output_dir, label=None):
         "axis": axis,
         "points": points,
         "config": config.params_record(),
-        "results": [
-            {k: v for k, v in vars(r).items() if k not in ("elapsed", "params")}
-            for r in reports
-        ],
+        "results": [vars(r) for r in reports],
     }
     manifest_path = os.path.join(output_dir, f"{label}_{axis}_manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:

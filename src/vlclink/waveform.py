@@ -5,7 +5,6 @@ superposing additively and running past symbol boundaries), block
 interleaving, dimming control, and LED-array splitting of multilevel slots.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +38,6 @@ class SlotGeometry:
     def sample_rate(self):
         return self.samples_per_slot / self.slot_duration
 
-    @property
-    def slot_rate(self):
-        return 1.0 / self.slot_duration
-
 
 @dataclass
 class Waveform:
@@ -61,14 +56,6 @@ class Waveform:
         if self.geometry is not None:
             if self.samples.size % self.geometry.samples_per_slot:
                 raise InputError("length not divisible by samples_per_slot")
-
-    @property
-    def n_slots(self):
-        return self.samples.size // self.geometry.samples_per_slot
-
-    @property
-    def duration(self):
-        return self.samples.size / self.sample_rate
 
 
 def slot_amplitudes(codewords):
@@ -105,24 +92,18 @@ class InterleaverSpec:
     """Slot permutation applied per block of `depth` symbols.
 
     `permutation` maps output slot position -> input slot position over the
-    D*Q slots of a block.
+    D*Q slots of a block; it is `row_column_permutation`.
     """
 
     depth: int
     q: int
-    permutation: tuple = field(default=None)
+    permutation: tuple = field(init=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise ParameterError("interleaver depth must be >= 1")
-        perm = self.permutation
-        if perm is None:
-            perm = row_column_permutation(self.depth, self.q)
-            object.__setattr__(self, "permutation", perm)
-        perm = tuple(int(p) for p in perm)
-        object.__setattr__(self, "permutation", perm)
-        if sorted(perm) != list(range(self.depth * self.q)):
-            raise ParameterError("permutation is not a bijection on D*Q slots")
+        object.__setattr__(self, "permutation",
+                           row_column_permutation(self.depth, self.q))
 
     @property
     def inverse(self):
@@ -232,22 +213,3 @@ def array_split(codewords, n_leds):
     leds = np.arange(n_leds)[:, None]
     drives = ((leds - first) % n_leds < a).astype(np.int16)
     return [d.reshape(codewords.shape) for d in drives]
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_waveform_csv(w, path):
-    """One power sample per line, plus a JSON sidecar with the geometry."""
-    np.savetxt(path, w.samples, fmt="%.12g")
-    sidecar = {"sample_rate": w.sample_rate}
-    if w.geometry is not None:
-        sidecar.update(
-            slot_duration=w.geometry.slot_duration,
-            samples_per_slot=w.geometry.samples_per_slot,
-            overlap_factor=w.geometry.overlap_factor,
-        )
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -239,18 +239,19 @@ def test_c06_reference_ber_scenario(tmp_path):
     # documentation run at the full 111 Mslot/s operating point (3 b/slot
     # toward 333 Mb/s per color): shot-noise limited for this
     # decision-feedback receiver
-    full_rate = sk.run_trials(
-        _c6_config(slot_duration=9e-9, max_bits=60_000, min_errors=500)
-    )
+    full_rate_cfg = _c6_config(slot_duration=9e-9, max_bits=60_000,
+                               min_errors=500)
+    full_rate = sk.run_trials(full_rate_cfg)
     manifest = {
         "criterion": "gigabit-scenario BER",
         "target_ber": target,
         "window": list(window),
         "asserted_run": {"ber": r.ber, "bits": r.bits_sent,
-                         "errors": r.bit_errors, "params": r.params},
+                         "errors": r.bit_errors,
+                         "params": cfg.params_record()},
         "full_rate_documentation_run": {
             "ber": full_rate.ber, "bits": full_rate.bits_sent,
-            "params": full_rate.params,
+            "params": full_rate_cfg.params_record(),
             "note": "111 Mslot/s operating point; below the shot-noise "
                     "budget of the decision-feedback receiver",
         },

@@ -94,13 +94,6 @@ class TestChannelImpulse:
         h = ac.channel_impulse_response(cm, 1e9, 64)
         assert h[5] == pytest.approx(1.0)
 
-    def test_export(self, tmp_path):
-        cm = ac.ChannelModel(los_gain=1.0)
-        h = ac.channel_impulse_response(cm, 1e9, 64)
-        path = tmp_path / "h.csv"
-        ac.export_impulse_csv(h, path)
-        assert np.allclose(np.loadtxt(path), h)
-
 
 class TestDetection:
     def test_identity_noiseless(self):
@@ -210,15 +203,3 @@ class TestPresets:
         m = ac.led_from_dict({"preset": "trichromatic", "saturation_power": 2.0})
         assert m.bandwidth_3db == 30e6
         assert m.saturation_power == 2.0
-
-    def test_load_json(self, tmp_path):
-        path = tmp_path / "presets.json"
-        path.write_text(
-            '{"led": {"preset": "phosphor"},'
-            ' "channel": {"los_gain": 0.8, "nlos_gain": 0.2},'
-            ' "detector": {"responsivity": 0.4}}'
-        )
-        loaded = ac.load_presets_json(path)
-        assert loaded["led"].bandwidth_3db == 3e6
-        assert loaded["channel"].los_gain == 0.8
-        assert loaded["detector"].responsivity == 0.4

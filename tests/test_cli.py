@@ -242,6 +242,24 @@ class TestSweepCommands:
                       "--output-dir", str(tmp_path / "out"))
         assert res.returncode == 0
         assert "achieved=0.266667" in res.stdout
+        assert "achieved=0.4 " in res.stdout
+
+    def test_dimming_sweep_on_ofdm_exit_3(self, tmp_path):
+        doc = {
+            "scheme": {"kind": "dco_ofdm"},
+            "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
+            "run": {"max_bits": 4000, "min_errors": 5, "batch_symbols": 4},
+            "sweep": {"points": [0.25, 0.4]},
+        }
+        cfg = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        res = run_cli("dimming-sweep", "--config", cfg,
+                      "--output-dir", str(out_dir))
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ")
+        assert "dimming_target" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert not out_dir.exists()
 
 
 class TestFlickerCommand:

@@ -215,17 +215,6 @@ class TestMeppm:
                 == brute_min_l1(explicit.symbols)
             )
 
-    def test_component_index_consistency(self):
-        c = con.build_meppm(7, 3, 2, use_complements=True)
-        base = c.components_base()
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            picks = rng.integers(0, 14, size=2)
-            a = np.bincount(picks[picks < 7], minlength=7)
-            b = np.bincount(picks[picks >= 7] - 7, minlength=7)
-            s = a @ base + b @ (1 - base)
-            assert c.index_of_components(a, b) == c.index_of(s.astype(np.int16))
-
     def test_constellation_too_small(self):
         with pytest.raises(ParameterError):
             con.build_meppm(7, 3, 0)
@@ -271,12 +260,6 @@ class TestBitMapping:
     def test_empty_bitstring(self):
         c = con.build_ppm(4)
         assert con.encode_bits(c, []).shape == (0, 4)
-        assert con.decode_bits(c, np.zeros((0, 4))).size == 0
-
-    def test_pad_bits(self):
-        bits, n_pad = con.pad_bits([1, 0, 1], 2)
-        assert n_pad == 1
-        assert bits.tolist() == [1, 0, 1, 0]
 
     def test_roundtrip_all_schemes(self):
         rng = np.random.default_rng(3)
@@ -284,7 +267,8 @@ class TestBitMapping:
                   con.build_meppm(7, 3, 2, use_complements=True)]:
             bits = rng.integers(0, 2, size=c.bits_per_symbol * 40)
             assert np.array_equal(
-                con.decode_bits(c, con.encode_bits(c, bits)), bits
+                c.index_of(con.encode_bits(c, bits)),
+                con.bits_to_indices(bits, c.bits_per_symbol),
             )
 
     def test_bijection_small_full(self):

@@ -1,5 +1,6 @@
 """Monte Carlo engine, link budget, metrics, and sweep tests."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestRunTrials:
                                batch_symbols=1024, workers=workers),
             )
             reports.append(sk.run_trials(cfg))
-        assert reports[0].equivalent_to(reports[1])
+        assert reports[0] == reports[1]
 
     def test_overlapped_worker_count_invariance(self, monkeypatch):
         def config(workers):
@@ -102,7 +103,7 @@ class TestRunTrials:
         serial = sk.run_trials(config(1))
         assert serial.bits_sent == 3 * 8 * 16 * 8
         assert serial.bit_errors > 0
-        assert serial.equivalent_to(pooled)
+        assert serial == pooled
 
     def test_interleaved_run_noiseless(self):
         cfg = sk.TrialConfig(
@@ -145,7 +146,7 @@ class TestRunTrials:
         assert r.ci95 > 0
         assert r.ci_valid == (r.bit_errors >= 10)
         assert r.rng_seed == cfg.seed
-        assert "scheme" in r.params
+        assert r.scheme == "eppm"
 
 
 class TestSweep:
@@ -167,6 +168,26 @@ class TestSweep:
         assert header == "axis_value,bits,errors,ber,ci95,flag,seed"
         assert (tmp_path / "eppm_snr_manifest.json").exists()
 
+    def test_manifest_format(self, tmp_path):
+        cfg = awgn_config(
+            snr_db=6.0, seed=8,
+            run=sk.RunSpec(max_bits=20_000, min_errors=40, batch_symbols=512,
+                           workers=2),
+        )
+        reports = sk.sweep(cfg, "snr", [6.0, 9.0], output_dir=tmp_path)
+        manifest = json.loads(
+            (tmp_path / "eppm_snr_manifest.json").read_text())
+        assert set(manifest) == {"axis", "points", "config", "results"}
+        assert manifest["axis"] == "snr"
+        assert manifest["points"] == [6.0, 9.0]
+        assert manifest["config"] == json.loads(
+            json.dumps(cfg.params_record(), default=str))
+        assert "workers" not in manifest["config"]["run"]
+        assert [sorted(entry) for entry in manifest["results"]] == [sorted([
+            "scheme", "bits_sent", "bit_errors", "ber", "ci95", "ci_valid",
+            "symbols_sent", "symbol_errors", "rng_seed"])] * 2
+        assert manifest["results"] == [vars(r) for r in reports]
+
     def test_dimming_axis_achieved_ratios(self):
         cfg = sk.TrialConfig(
             scheme=sk.SchemeSpec(kind="eppm", q=15, k=7),
@@ -174,8 +195,11 @@ class TestSweep:
             channel=sk.ChannelSpec(mode="identity"),
             run=sk.RunSpec(max_bits=4_000, min_errors=5, batch_symbols=128),
         )
-        reports = sk.sweep(cfg, "dimming", [0.25, 0.4])
-        achieved = [r.params["achieved_dimming"] for r in reports]
+        points = [0.25, 0.4]
+        reports = sk.sweep(cfg, "dimming", points)
+        assert [r.bit_errors for r in reports] == [0, 0]
+        c = cfg.scheme.build_constellation()
+        achieved = [wf.apply_dimming(c, p).achieved_ratio for p in points]
         assert achieved[0] == pytest.approx(4 / 15)
         assert achieved[1] == pytest.approx(6 / 15)
 
@@ -430,6 +454,12 @@ class TestConfigDocuments:
          "sample_rate"),
         ({"scheme": {"kind": "dco_ofdm", "dc_bias_sigma": -1}}, "scheme",
          "dc_bias_sigma"),
+        ({"channel": {"model": {"los_delay": -1e-9}}}, "channel.model",
+         "los_delay"),
+        ({"dimming_target": 2.0}, "$", "dimming_target"),
+        ({"dimming_target": -0.5}, "$", "dimming_target"),
+        ({"scheme": {"kind": "dco_ofdm"}, "dimming_target": 0.3}, "$",
+         "dimming_target"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
@@ -440,7 +470,9 @@ class TestConfigDocuments:
             "ofdm-carriers-not-power-of-two", "ofdm-qam-order-8",
             "ofdm-prefix-longer-than-frame", "ofdm-negative-prefix",
             "ofdm-zero-sample-rate", "ofdm-negative-sample-rate",
-            "ofdm-negative-bias"])
+            "ofdm-negative-bias", "negative-los-delay",
+            "dimming-target-above-one", "negative-dimming-target",
+            "dimming-target-on-ofdm"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))

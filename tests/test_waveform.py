@@ -1,7 +1,5 @@
 """Waveform synthesis, interleaving, dimming, and array-splitting tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -56,7 +54,7 @@ class TestSynthesize:
     def test_trailing_pad_is_f_minus_1_slots(self):
         g = geo(sps=6, f=3, slot=1e-6)
         w = wf.synthesize(np.array([[0, 1, 0, 0]]), g)
-        assert w.n_slots == 4 + 2
+        assert w.samples.size == (4 + 2) * 6
 
     def test_superposition_linearity(self):
         rng = np.random.default_rng(5)
@@ -118,10 +116,6 @@ class TestInterleaver:
         spec = wf.InterleaverSpec(depth=4, q=7)
         with pytest.raises(InputError):
             wf.interleave(np.zeros((3, 7)), spec)
-
-    def test_bad_permutation(self):
-        with pytest.raises(ParameterError):
-            wf.InterleaverSpec(depth=2, q=2, permutation=(0, 0, 1, 2))
 
     def test_interference_concentration_lower_with_depth(self):
         # a 3-tap dispersive slot channel smears each symbol forward; with
@@ -250,16 +244,3 @@ def slot_loop_split(words, n_leds):
             drives[ptr, j] = 1
             ptr = (ptr + 1) % n_leds
     return drives.reshape((n_leds,) + words.shape)
-
-
-class TestExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        g = geo(sps=4, f=2)
-        w = wf.synthesize(np.array([[1, 1, 0, 0]]), g)
-        path = tmp_path / "wave.csv"
-        wf.export_waveform_csv(w, path)
-        data = np.loadtxt(path)
-        assert np.allclose(data, w.samples)
-        sidecar = json.loads((tmp_path / "wave.csv.json").read_text())
-        assert sidecar["samples_per_slot"] == 4
-        assert sidecar["overlap_factor"] == 2
