@@ -134,11 +134,12 @@ def lowpass_impulse_response(m, sample_rate, length):
 
 
 def led_transfer(w, m):
-    """Drive waveform through the LED: saturation curve, then the pole."""
+    """Drive waveform (or each of a stack) through the LED: saturation
+    curve, then the pole."""
     y = memoryless_response(w.samples, m)
     a = lowpass_coefficient(m, w.sample_rate)
     if a > 0.0:
-        y = lfilter([1.0 - a], [1.0, -a], y)
+        y = lfilter([1.0 - a], [1.0, -a], y, axis=-1)
     return Waveform(y, w.sample_rate, w.geometry)
 
 
@@ -171,14 +172,16 @@ def channel_impulse_response(cm, sample_rate, length=None):
 
 
 def propagate(w, cm):
-    """Optical waveform through the channel: scaled by the LOS gain, or
-    convolved with `channel_impulse_response` when the channel delays,
-    disperses or shadows."""
+    """Optical waveform (or each of a stack) through the channel: scaled by
+    the LOS gain, or convolved with `channel_impulse_response` when the
+    channel delays, disperses or shadows."""
     if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
         samples = cm.los_gain * w.samples
     else:
         h = channel_impulse_response(cm, w.sample_rate)
-        samples = np.convolve(w.samples, h)[: w.samples.size]
+        samples = np.empty_like(w.samples)
+        for out, row in zip(np.atleast_2d(samples), np.atleast_2d(w.samples)):
+            out[:] = np.convolve(row, h)[: row.size]
     return Waveform(samples, w.sample_rate, w.geometry)
 
 
@@ -192,7 +195,8 @@ def propagate_and_detect(w, cm, dm, rng_seed):
     y = responsivity * (h conv w) + n, where n is white Gaussian with
     per-sample variance
         [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2).
-    Deterministic for a fixed rng_seed.
+    A stack of waveforms takes one rng_seed per row, and each row's noise
+    is what its seed gives the row alone.  Deterministic in the seeds.
     """
     fs = w.sample_rate
     received = propagate(w, cm).samples
@@ -200,14 +204,21 @@ def propagate_and_detect(w, cm, dm, rng_seed):
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
     if dm.background_power > 0 or dm.thermal_noise_density > 0:
-        power_inst = np.maximum(received, 0.0)
-        variance = (
-            2.0 * Q_ELECTRON * dm.responsivity
-            * (power_inst + dm.background_power)
-            + dm.thermal_noise_density
-        ) * (fs / 2.0)
-        rng = np.random.default_rng(rng_seed)
-        current = current + rng.standard_normal(current.size) * np.sqrt(variance)
+        # the noise std, computed in place over the received power
+        std = np.maximum(received, 0.0, out=received)
+        std += dm.background_power
+        std *= 2.0 * Q_ELECTRON * dm.responsivity
+        std += dm.thermal_noise_density
+        std *= fs / 2.0
+        np.sqrt(std, out=std)
+        rows = np.atleast_2d(std)
+        seeds = np.ravel(rng_seed)
+        if seeds.size != len(rows):
+            raise ParameterError("need one rng_seed per waveform")
+        for row, seed, out in zip(rows, seeds, np.atleast_2d(current)):
+            noise = np.random.default_rng(seed).standard_normal(row.size)
+            noise *= row
+            out += noise
     return Waveform(current, fs, w.geometry)
 
 

@@ -78,8 +78,14 @@ def cmd_ber_sweep(args):
 def cmd_dimming_sweep(args):
     config, doc = _load(args)
     points = _sweep_points(doc)
-    if not all(0 < p <= 1 for p in points):
-        raise ConfigError("sweep.points", "dimming targets must lie in (0, 1]")
+    for p in points:
+        if not 0 < p <= 1:
+            raise ConfigError("sweep.points",
+                              "dimming targets must lie in (0, 1]")
+        try:
+            replace(config, dimming_target=p)
+        except ParameterError as exc:
+            raise ConfigError("sweep.points", f"{p:g}: {exc}") from None
     reports = sk.sweep(config, "dimming", points, output_dir=args.output_dir)
     c = config.scheme.build_constellation()
     for p, r in zip(points, reports):

@@ -12,6 +12,7 @@ Every constellation carries a deterministic, invertible bit mapping:
     ranking of the distinct-sum representation when it is not.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -330,17 +331,24 @@ class Constellation:
         return int(idx[0]) if cw.ndim == 1 else idx
 
     def components_base(self):
-        """The Q cyclic shifts underlying an EPPM/MEPPM constellation."""
+        """The Q cyclic shifts underlying an EPPM/MEPPM constellation
+        (read-only, built once)."""
+        return self._components[: self.q]
+
+    def components(self):
+        """Decoder component list: shifts, then complements when enabled
+        (read-only, built once)."""
+        return self._components
+
+    @functools.cached_property
+    def _components(self):
         if self.seed_positions is None:
             raise ParameterError("constellation has no cyclic seed")
         seed = _positions_to_word(self.q, self.seed_positions)
-        return np.stack([np.roll(seed, i) for i in range(self.q)])
-
-    def components(self):
-        """Decoder component list: shifts, then complements when enabled."""
-        base = self.components_base()
+        base = np.stack([np.roll(seed, i) for i in range(self.q)])
         if self.use_complements:
-            return np.concatenate([base, 1 - base], axis=0)
+            base = np.concatenate([base, 1 - base])
+        base.setflags(write=False)
         return base
 
     @property

@@ -37,18 +37,20 @@ def slot_statistics(y, g):
 
     For F=1 this integrates each slot; for F>1 each statistic is the sum of
     the F most recent slot integrals (rectangular template, end-aligned).
-    Returns one float64 value per slot, the F-1 trailing pad slots included.
+    Returns one float64 value per slot, the F-1 trailing pad slots included;
+    a stack of waveforms (n_frames, n_samples) gives one row per frame.
     """
     samples = np.asarray(y.samples, dtype=np.float64)
     sps = g.samples_per_slot
-    if samples.size % sps:
+    if samples.shape[-1] % sps:
         raise InputError("waveform length is not slot-aligned")
-    u = samples.reshape(-1, sps).sum(axis=1) / sps
+    u = samples.reshape(samples.shape[:-1] + (-1, sps)).sum(axis=-1)
+    u /= sps
     f = g.overlap_factor
     if f > 1:
-        cs = np.concatenate([[0.0], np.cumsum(u)])
-        idx = np.arange(u.size)
-        u = cs[idx + 1] - cs[np.maximum(0, idx - f + 1)]
+        cs = np.cumsum(u, axis=-1)
+        u[..., :f] = cs[..., :f]
+        np.subtract(cs[..., f:], cs[..., :-f], out=u[..., f:])
     if not np.all(np.isfinite(u)):
         raise InputError("slot statistics must be finite")
     return u
@@ -161,20 +163,16 @@ class MeppmComponentDecoder:
 
     def _greedy(self, calibrated):
         scores = calibrated @ self.templates.T - self._half_energy
-        picks = []
-        for _ in range(self.constellation.n):
-            pick = scores.argmax(axis=1)
-            picks.append(pick)
-            scores -= self._gram[pick]
-        components = np.arange(self.templates.shape[0])
-        return (np.stack(picks)[:, :, None] == components).sum(axis=0)
-
-    def _counts_to_c(self, counts):
-        q = self.constellation.q
-        a = counts[:, :q]
-        if counts.shape[1] > q:
-            return a - counts[:, q:]
-        return a
+        rows, n_comp = scores.shape
+        picks = np.empty((self.constellation.n, rows), dtype=np.intp)
+        peeled = np.empty_like(scores)
+        for pick in picks:
+            scores.argmax(axis=1, out=pick)
+            scores -= self._gram.take(pick, axis=0, out=peeled, mode="clip")
+        # count each row's picks: row r's component j is bin r * n_comp + j
+        picks += np.arange(rows) * n_comp
+        return np.bincount(picks.ravel(), minlength=rows * n_comp).reshape(
+            rows, n_comp)
 
     def _reconstruct(self, c_rows):
         c_rows = np.asarray(c_rows, dtype=np.float64)
@@ -201,15 +199,14 @@ class MeppmComponentDecoder:
     def decide_block(self, stats_2d):
         """The decided sum vectors (n, Q) int64 of the rows."""
         stats_2d = np.asarray(stats_2d, dtype=np.float64) / self.gain
-        counts = self._greedy(stats_2d)
-        c_greedy = self._counts_to_c(counts)
-        best_c = c_greedy
+        # both candidates' sums are small integers, so exact in float64
+        best = self._greedy(stats_2d) @ self.templates
         if self._solve is not None:
-            c_round = self._round_candidates(stats_2d)
-            d_greedy = ((stats_2d - self._reconstruct(c_greedy)) ** 2).sum(axis=1)
-            d_round = ((stats_2d - self._reconstruct(c_round)) ** 2).sum(axis=1)
-            best_c = np.where((d_round < d_greedy)[:, None], c_round, c_greedy)
-        return np.rint(self._reconstruct(best_c)).astype(np.int64)
+            r_round = self._reconstruct(self._round_candidates(stats_2d))
+            d_greedy = ((stats_2d - best) ** 2).sum(axis=1)
+            d_round = ((stats_2d - r_round) ** 2).sum(axis=1)
+            best = np.where((d_round < d_greedy)[:, None], r_round, best)
+        return best.astype(np.int64)
 
 
 def _repair_lattice_vector(c_int, c_float, n, use_complements):
@@ -348,7 +345,8 @@ class StreamReceiver:
             # cancel the soft estimate instead so one bad decision cannot
             # avalanche through the following blocks
             soft = np.abs(amps - decided).sum(axis=1) > soft_limit
-            decided[soft] = np.clip(amps[soft], 0.0, amp_ceiling)
+            if soft.any():
+                decided[soft] = np.clip(amps[soft], 0.0, amp_ceiling)
             end = min(hi + self._tails.shape[1], res.shape[1])
             res[:, hi:end] -= (decided @ self._tails)[:, : end - hi]
         return c.index_of(words.reshape(-1, q)).reshape(len(frames), n_sym)

@@ -226,6 +226,27 @@ class TrialConfig:
         if self.dimming_target and self.scheme.kind == "dco_ofdm":
             raise ParameterError("dimming_target needs a pulse scheme, "
                                  "not dco_ofdm")
+        if self.scheme.kind in con.SCHEMES:
+            self._check_pulse_link()
+
+    def _check_pulse_link(self):
+        """The limits a pulse scheme's chain would otherwise hit only when
+        it is built: the dimming range of the code, and a LOS delay under
+        one slot (the receiver has no timing recovery, so it takes slot
+        statistics on the transmit grid)."""
+        if self.dimming_target:
+            c = self.scheme.build_constellation()
+            try:
+                wf.apply_dimming(c, self.dimming_target)
+            except ParameterError as exc:
+                raise ParameterError(f"dimming_target: {exc}") from None
+        g = self.geometry
+        delay = int(round(self.channel.model.los_delay * g.sample_rate))
+        if self.channel.mode != "identity" and delay >= g.samples_per_slot:
+            raise ParameterError(
+                f"channel.model.los_delay is {delay} samples, a slot "
+                f"({g.samples_per_slot} samples) or more; the receiver "
+                "has no timing recovery")
 
     def params_record(self):
         doc = asdict(self)
@@ -305,18 +326,25 @@ class _PulseChain:
             if config.interleaver_depth > 1
             else None
         )
+
+    @functools.cached_property
+    def receiver(self):
+        """The trial's receiver, built on first use: calibration pilots
+        only transmit, so they never pay for its tables or kernel."""
+        config = self.config
+        c = self.constellation
         decoder = config.decoder or (
             "components" if c.scheme == con.MEPPM else "correlation"
         )
-        self.gain = self._linear_gain()
         kernel = (
             self._effective_kernel()
             if config.geometry.overlap_factor > 1
             else None
         )
-        self.receiver = rx.StreamReceiver(
+        return rx.StreamReceiver(
             c, config.geometry, decoder=decoder,
-            interleaver=self.interleaver, gain=self.gain, kernel=kernel,
+            interleaver=self.interleaver, gain=self._linear_gain(),
+            kernel=kernel,
         )
 
     def _linear_gain(self):
@@ -354,7 +382,7 @@ class _PulseChain:
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
         w = _apply_channel_deterministic(
-            _led_output(self.drive(words), self.peak, cfg.device), cfg)
+            _led_output(self.drive(words, self.peak), cfg.device), cfg)
         stats = rx.slot_statistics(w, g)
         peak = np.abs(stats).max()
         if peak <= 0:
@@ -367,34 +395,43 @@ class _PulseChain:
         depth = self.config.interleaver_depth
         return n + (-n) % max(depth, 1)
 
-    def drive(self, words):
-        """Unit-peak drive waveforms of a codeword stream: one for the
-        whole stream, or one per LED when split over `array_split_leds`
-        binary LEDs."""
+    def drive(self, words, peak=1.0):
+        """Drive waveforms, at `peak` per unit of slot amplitude, of a
+        codeword stream or of each frame of a stack: one for the whole
+        stream, or one per LED when split over `array_split_leds` binary
+        LEDs."""
         n_leds = self.config.array_split_leds
         parts = wf.array_split(words, n_leds) if n_leds else [words]
-        return [wf.synthesize(p, self.geometry) for p in parts]
+        return [wf.synthesize(p, self.geometry, peak) for p in parts]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
         c = self.constellation
         return c.encode_indices(rng.integers(0, c.used_size, size=256))
 
-    def receive(self, batch_index):
-        """One batch from its bit draw to its slot statistics: (bits, sent
-        symbol indices, statistics)."""
+    def receive(self, indices):
+        """Batches from their bit draws to their slot statistics, one row
+        per batch index: (bits, sent symbol indices, statistics).
+
+        Each batch draws from its own (seed, batch_index) stream, first its
+        bits and then its channel noise, so a row does not depend on the
+        other batches received with it."""
         cfg = self.config
         c = self.constellation
-        rng = np.random.default_rng([cfg.seed, batch_index])
         n_sym = self.batch_symbols()
-        bits = rng.integers(0, 2, size=n_sym * c.bits_per_symbol)
+        rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
+        bits = np.stack([rng.integers(0, 2, size=n_sym * c.bits_per_symbol)
+                         for rng in rngs])
         idx = con.bits_to_indices(bits, c.bits_per_symbol)
         words = c.encode_indices(idx)
         if self.interleaver is not None:
+            # interleaver blocks never straddle two frames
             words = wf.interleave(words, self.interleaver)
-        light = _led_output(self.drive(words), self.peak, cfg.device)
-        y = _apply_channel(light, cfg, rng)
-        return bits, idx, rx.slot_statistics(y, self.geometry)
+        words = words.reshape(len(rngs), n_sym, c.q)
+        light = _led_output(self.drive(words, self.peak), cfg.device)
+        y = _apply_channel(light, cfg, rngs)
+        return bits, idx.reshape(len(rngs), n_sym), rx.slot_statistics(
+            y, self.geometry)
 
     def _counts(self, bits, idx, decoded):
         rx_bits = con.indices_to_bits(decoded, self.constellation.bits_per_symbol)
@@ -403,21 +440,20 @@ class _PulseChain:
 
     def run_batch(self, batch_index):
         """Counts of one batch decoded on its own."""
-        bits, idx, stats = self.receive(batch_index)
-        return self._counts(bits, idx, self.receiver.decode_stats(stats))
+        bits, idx, stats = self.receive([batch_index])
+        return self._counts(bits[0], idx[0],
+                            self.receiver.decode_stats(stats[0]))
 
     def run_wave(self, jobs, indices):
         """Counts of a wave's batches, with `jobs` mapping a function over
-        them (`map`, or a thread pool's).  F=1 batches decode in their job
-        (no feedback); overlapped frames are received in the jobs and then
-        decoded together, in lockstep."""
+        them (`map`, or a thread pool's).  F=1 batches run one per job (no
+        feedback); overlapped frames are received as one stack and decoded
+        together, in lockstep, in this thread."""
         if self.geometry.overlap_factor == 1:
             return jobs(self.run_batch, indices)
-        received = list(jobs(self.receive, indices))
-        decoded = self.receiver.decode_stats(
-            np.stack([stats for _, _, stats in received]))
-        return [self._counts(bits, idx, d)
-                for (bits, idx, _), d in zip(received, decoded)]
+        bits, idx, stats = self.receive(indices)
+        decoded = self.receiver.decode_stats(stats)
+        return [self._counts(*row) for row in zip(bits, idx, decoded)]
 
 
 class _OfdmChain:
@@ -445,9 +481,11 @@ class _OfdmChain:
             gain *= config.channel.detector.responsivity
         self.equalizer_ir = ir * gain
 
-    def drive(self, bits):
-        """Unit-peak drive waveform of a whole number of frames."""
-        return [ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)]
+    def drive(self, bits, peak=1.0):
+        """Drive waveform of a whole number of frames, at `peak`."""
+        w = ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)
+        w.samples *= peak
+        return [w]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
@@ -458,8 +496,8 @@ class _OfdmChain:
         rng = np.random.default_rng([cfg.seed, batch_index])
         n_frames = cfg.run.batch_symbols
         bits = rng.integers(0, 2, size=n_frames * self.ofdm.bits_per_frame)
-        light = _led_output(self.drive(bits), self.peak, cfg.device)
-        y = _apply_channel(light, cfg, rng)
+        light = _led_output(self.drive(bits, self.peak), cfg.device)
+        y = _apply_channel(light, cfg, [rng])
         rx_bits = ofdm_mod.dco_demodulate(y, self.ofdm, self.equalizer_ir)
         bit_errors = int(np.sum(rx_bits != bits))
         frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
@@ -470,15 +508,13 @@ class _OfdmChain:
         return jobs(self.run_batch, indices)
 
 
-def _led_output(drives, peak, device):
-    """Optical waveform after the LEDs: each unit-peak drive is scaled to
-    `peak`, passed through its own LED, and the outputs add up."""
+def _led_output(drives, device):
+    """Optical waveform after the LEDs: each drive passes through its own
+    LED, and the outputs add up."""
     first = drives[0]
-    samples = sum(
-        ac.led_transfer(wf.Waveform(peak * d.samples, d.sample_rate,
-                                    d.geometry), device).samples
-        for d in drives
-    )
+    samples = ac.led_transfer(first, device).samples
+    for d in drives[1:]:
+        samples += ac.led_transfer(d, device).samples
     return wf.Waveform(samples, first.sample_rate, first.geometry)
 
 
@@ -496,13 +532,15 @@ def _apply_channel_deterministic(w, cfg):
     return y
 
 
-def _apply_channel(w, cfg, rng):
+def _apply_channel(w, cfg, rngs):
+    """The channel and its noise: row i of a stack of waveforms draws its
+    noise from rngs[i] (a single waveform from the one rng in rngs)."""
     spec = cfg.channel
     if spec.mode == "identity":
         return w
     if spec.mode == "physical":
-        seed = rng.integers(0, 2 ** 63 - 1)
-        return ac.propagate_and_detect(w, spec.model, spec.detector, seed)
+        seeds = [rng.integers(0, 2 ** 63 - 1) for rng in rngs]
+        return ac.propagate_and_detect(w, spec.model, spec.detector, seeds)
     y = _apply_channel_deterministic(w, cfg)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0 and cfg.geometry is not None:
@@ -511,10 +549,12 @@ def _apply_channel(w, cfg, rng):
         sigma = cfg.peak_power_per_unit * np.sqrt(
             cfg.geometry.samples_per_slot / snr
         )
-    samples = y.samples
     if sigma > 0:
-        samples = samples + rng.standard_normal(samples.size) * sigma
-    return wf.Waveform(samples, w.sample_rate, w.geometry)
+        for row, rng in zip(np.atleast_2d(y.samples), rngs):
+            noise = rng.standard_normal(row.size)
+            noise *= sigma
+            row += noise
+    return y
 
 
 def _build_chain(config):
@@ -646,7 +686,10 @@ def calibrate_drive(config, target_mean_power, iterations=3):
     drives = chain.drive(chain.pilot(np.random.default_rng([config.seed, 0])))
     peak = config.peak_power_per_unit
     for _ in range(iterations):
-        light = _led_output(drives, peak * chain.drive_scale, config.device)
+        scale = peak * chain.drive_scale
+        light = _led_output([wf.Waveform(scale * d.samples, d.sample_rate,
+                                         d.geometry) for d in drives],
+                            config.device)
         measured = float(light.samples.mean())
         if measured <= 0:
             raise ParameterError("pilot produced no optical power")

@@ -43,8 +43,10 @@ class SlotGeometry:
 class Waveform:
     """Uniformly sampled signal; optical waveforms keep samples >= 0.
 
-    `geometry` is present for slot-structured signals and None otherwise
-    (e.g. OFDM), in which case the slot-divisibility invariant is vacuous.
+    `samples` is one signal, or a stack of equally long signals with time
+    along the last axis.  `geometry` is present for slot-structured
+    signals and None otherwise (e.g. OFDM), in which case the
+    slot-divisibility invariant is vacuous.
     """
 
     samples: np.ndarray
@@ -54,32 +56,39 @@ class Waveform:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.geometry is not None:
-            if self.samples.size % self.geometry.samples_per_slot:
+            if self.samples.shape[-1] % self.geometry.samples_per_slot:
                 raise InputError("length not divisible by samples_per_slot")
 
 
 def slot_amplitudes(codewords):
-    """Flatten a stack of codewords into one slot-amplitude stream."""
+    """Flatten codewords (n_symbols, Q) into one slot-amplitude stream, or
+    a stack of frames (n_frames, n_symbols, Q) into one stream per frame."""
     codewords = np.asarray(codewords)
-    if codewords.ndim != 2:
-        raise InputError("codewords must be a 2-D (n_symbols, Q) array")
-    return codewords.reshape(-1)
+    if codewords.ndim not in (2, 3):
+        raise InputError("codewords must be (n_symbols, Q) or "
+                         "(n_frames, n_symbols, Q)")
+    return codewords.reshape(codewords.shape[:-2] + (-1,))
 
 
 def synthesize(codewords, g, peak_power_per_unit=1.0):
-    """Render a codeword stream as an intensity waveform.
+    """Render a codeword stream, or each frame of a stack, as an intensity
+    waveform.
 
     Each unit of slot amplitude contributes one rectangular pulse of width
     F x slot_duration starting at its slot boundary; pulses superpose
-    additively and run into following symbols, so the stream is padded by
-    F - 1 trailing slots.
+    additively and run into following symbols, so each stream is padded by
+    F - 1 trailing slots and no pulse runs into the next frame.
     """
     amps = slot_amplitudes(codewords).astype(np.float64)
     f = g.overlap_factor
     # pulses start and end on slot boundaries, so per-slot coverage is the
-    # F-wide running sum of the amplitude stream
-    coverage = np.convolve(amps, np.ones(f)) if f > 1 else amps
-    samples = peak_power_per_unit * np.repeat(coverage, g.samples_per_slot)
+    # F-wide running sum of the amplitude stream (exact: integer amplitudes)
+    n = amps.shape[-1]
+    coverage = np.zeros(amps.shape[:-1] + (n + f - 1,))
+    for lag in range(f):
+        coverage[..., lag:lag + n] += amps
+    samples = np.repeat(coverage, g.samples_per_slot, axis=-1)
+    samples *= peak_power_per_unit
     return Waveform(samples, g.sample_rate, g)
 
 
@@ -196,7 +205,9 @@ def array_split(codewords, n_leds):
 
     A slot amplitude a lights a consecutive (round-robin) run of a distinct
     LEDs, so each LED sees a two-level drive and the slot-wise sum of all
-    per-LED streams reproduces the multilevel stream exactly.
+    per-LED streams reproduces the multilevel stream exactly.  Codewords
+    are one stream (n_symbols, Q) or a stack of frames (n_frames,
+    n_symbols, Q); the round robin restarts at each frame.
     """
     codewords = np.asarray(codewords, dtype=np.int64)
     if codewords.size and codewords.max() > n_leds:
@@ -207,9 +218,9 @@ def array_split(codewords, n_leds):
         raise ParameterError("n_leds must be >= 1")
     if codewords.size and codewords.min() < 0:
         raise ParameterError("slot amplitudes must be >= 0")
-    # the run of a slot starts where the previous slots' runs left off
-    a = codewords.reshape(-1)
-    first = (np.cumsum(a) - a) % n_leds
-    leds = np.arange(n_leds)[:, None]
+    # a slot's run starts where the previous slots of its frame left off
+    a = slot_amplitudes(codewords)
+    first = (np.cumsum(a, axis=-1) - a) % n_leds
+    leds = np.arange(n_leds).reshape((-1,) + (1,) * a.ndim)
     drives = ((leds - first) % n_leds < a).astype(np.int16)
     return [d.reshape(codewords.shape) for d in drives]

@@ -98,7 +98,9 @@ class TestErrors:
     @pytest.mark.parametrize("verb, points", [
         ("ber-sweep", [6.0, "high"]),
         ("dimming-sweep", [0, 0.5]),
-    ], ids=["non-numeric-point", "dimming-point-zero"])
+        ("dimming-sweep", [0.5, 0.05]),
+    ], ids=["non-numeric-point", "dimming-point-zero",
+            "dimming-point-below-one-pulse"])
     def test_bad_sweep_point_reports_json_path(self, tmp_path, verb, points):
         cfg = write_config(tmp_path, dict(BASE_EPPM, sweep={"points": points}))
         out_dir = tmp_path / "out"

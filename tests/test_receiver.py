@@ -188,6 +188,29 @@ class TestMeppmComponents:
         assert not np.array_equal(counts @ c.components(), c.encode_indices(idx))
 
 
+    @pytest.mark.parametrize("n, use_complements", [(21, True), (5, False)])
+    def test_greedy_counts_match_stacked_picks(self, n, use_complements):
+        c = con.build_meppm(7, 3, n, use_complements=use_complements)
+        dec = rx.MeppmComponentDecoder(c)
+        rng = np.random.default_rng(n)
+        idx = rng.integers(0, c.used_size, size=500)
+        noisy = c.encode_indices(idx) + rng.normal(scale=0.6, size=(500, 7))
+        assert np.array_equal(dec._greedy(noisy), stacked_greedy(dec, noisy))
+
+
+def stacked_greedy(dec, calibrated):
+    """Greedy peeling that counts its picks by stacking them and comparing
+    the stack with every component."""
+    scores = calibrated @ dec.templates.T - dec._half_energy
+    picks = []
+    for _ in range(dec.constellation.n):
+        pick = scores.argmax(axis=1)
+        picks.append(pick)
+        scores -= dec._gram[pick]
+    components = np.arange(dec.templates.shape[0])
+    return (np.stack(picks)[:, :, None] == components).sum(axis=0)
+
+
 def residual_greedy(dec, calibrated):
     """Greedy peeling that recomputes every score from the residual."""
     r = calibrated.copy()

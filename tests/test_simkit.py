@@ -294,6 +294,80 @@ class TestCalibrateDrive:
         assert calibrated.peak_power_per_unit != config.peak_power_per_unit
 
 
+    def test_pilot_builds_no_receiver(self, monkeypatch):
+        def no_receiver(*args, **kwargs):
+            raise AssertionError("calibration built a receiver")
+
+        monkeypatch.setattr(sk.rx, "StreamReceiver", no_receiver)
+        config = CALIBRATED["f10-meppm-trichromatic"]
+        assert sk.calibrate_drive(config, 1.0) == reference_calibration(
+            config, 1.0)
+
+
+RECEIVED = {
+    "f1-awgn-eppm-interleaved": awgn_config(
+        snr_db=8.0, interleaver_depth=8,
+        run=sk.RunSpec(batch_symbols=60)),
+    "f10-physical-meppm21-trichromatic": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=21,
+                             use_complements=True),
+        geometry=geo(sps=20, f=10, slot=30e-9),
+        device=ac.LED_PRESETS["trichromatic"],
+        channel=sk.ChannelSpec(
+            mode="physical",
+            detector=ac.DetectorModel(background_power=5e-7)),
+        run=sk.RunSpec(batch_symbols=32),
+        peak_power_per_unit=5e-6 / 10.5, seed=6),
+    "f2-awgn-dispersive-delayed": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=3,
+                             use_complements=True),
+        geometry=geo(sps=4, f=2),
+        channel=sk.ChannelSpec(
+            mode="awgn", slot_snr_db=14.0,
+            model=ac.ChannelModel(los_gain=0.9, los_delay=0.3e-6,
+                                  nlos_gain=0.2, nlos_decay=0.5e-6)),
+        run=sk.RunSpec(batch_symbols=24)),
+    # complements vary a symbol's pulse count, so frames end mid-round
+    "f2-meppm-split-4-saturating": awgn_config(
+        kind="meppm", n=4, use_complements=True, geometry=geo(sps=4, f=2),
+        device=ac.LedModel(bandwidth_3db=2e5, saturation_power=1.5),
+        array_split_leds=4, run=sk.RunSpec(batch_symbols=24)),
+    "identity": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=4, f=2),
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(batch_symbols=24)),
+    "dimmed-eppm15": awgn_config(
+        q=15, k=7, snr_db=8.0, dimming_target=0.3,
+        device=ac.LedModel(bandwidth_3db=3e5),
+        run=sk.RunSpec(batch_symbols=24)),
+}
+
+
+class TestStackedReceive:
+    @pytest.mark.parametrize("name", list(RECEIVED))
+    def test_rows_equal_single_batches(self, name):
+        chain = sk._build_chain(RECEIVED[name])
+        indices = [5, 0, 3, 6]
+        stacked = chain.receive(indices)
+        assert [a.shape[0] for a in stacked] == [len(indices)] * 3
+        for row, i in enumerate(indices):
+            for whole, single in zip(stacked, chain.receive([i])):
+                assert single.shape[0] == 1
+                assert whole[row].dtype == single.dtype
+                assert whole[row].tobytes() == single[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["f1-awgn-eppm-interleaved",
+                                      "f2-awgn-dispersive-delayed",
+                                      "f10-physical-meppm21-trichromatic"])
+    def test_empty_frames(self, name):
+        config = RECEIVED[name]
+        config = replace(config, run=replace(config.run, batch_symbols=0))
+        bits, idx, stats = sk._build_chain(config).receive([0, 1])
+        f = config.geometry.overlap_factor
+        assert (bits.shape, idx.shape, stats.shape) == ((2, 0), (2, 0),
+                                                        (2, f - 1))
+
+
 class TestFlicker:
     def test_constant_waveform(self):
         w = wf.Waveform(np.full(1000, 2.0), 1e6)
@@ -460,6 +534,13 @@ class TestConfigDocuments:
         ({"dimming_target": -0.5}, "$", "dimming_target"),
         ({"scheme": {"kind": "dco_ofdm"}, "dimming_target": 0.3}, "$",
          "dimming_target"),
+        ({"dimming_target": 0.05}, "$", "dimming_target"),
+        ({"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 2,
+                     "use_complements": True}, "dimming_target": 0.9}, "$",
+         "dimming_target"),
+        ({"channel": {"model": {"los_delay": 1e-6}}}, "$", "los_delay"),
+        ({"channel": {"mode": "physical", "model": {"los_delay": 0.8e-6}}},
+         "$", "los_delay"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
@@ -472,7 +553,9 @@ class TestConfigDocuments:
             "ofdm-zero-sample-rate", "ofdm-negative-sample-rate",
             "ofdm-negative-bias", "negative-los-delay",
             "dimming-target-above-one", "negative-dimming-target",
-            "dimming-target-on-ofdm"])
+            "dimming-target-on-ofdm", "dimming-needs-no-pulses",
+            "dimming-above-meppm-ratio", "los-delay-one-slot",
+            "los-delay-rounds-to-one-slot"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
@@ -489,6 +572,16 @@ class TestConfigDocuments:
             sk.cli_block(dict(MINIMAL_DOC, **{block: value}), block)
         assert err.value.json_path == block
         assert named in str(err.value)
+
+    @pytest.mark.parametrize("patch", [
+        {"channel": {"model": {"los_delay": 0.7e-6}}},
+        {"channel": {"mode": "identity", "model": {"los_delay": 5e-6}}},
+        {"scheme": {"kind": "dco_ofdm"},
+         "channel": {"model": {"los_delay": 5e-6}}},
+    ], ids=["los-delay-under-a-slot", "identity-channel-ignores-delay",
+            "ofdm-equalizes-delay"])
+    def test_accepted_los_delays(self, patch):
+        sk.config_from_document(dict(MINIMAL_DOC, **patch))
 
     def test_ofdm_scheme_skips_pulse_ranges(self):
         spec = sk.SchemeSpec(kind="dco_ofdm", q=1, k=0, n=0)

@@ -235,7 +235,10 @@ class TestArraySplit:
 
 
 def slot_loop_split(words, n_leds):
-    """Round-robin split one slot and one pulse at a time."""
+    """Round-robin split one slot and one pulse at a time; a stack of
+    frames (3-D) restarts at the first LED in each frame."""
+    if words.ndim == 3:
+        return np.stack([slot_loop_split(w, n_leds) for w in words], axis=1)
     flat = words.reshape(-1)
     drives = np.zeros((n_leds, flat.size), dtype=np.int16)
     ptr = 0
