@@ -38,6 +38,8 @@ class LedModel:
             raise ParameterError("saturation_power must be positive")
         if self.knee_sharpness < 1:
             raise ParameterError("knee_sharpness must be >= 1")
+        if self.linear_gain <= 0:
+            raise ParameterError("linear_gain must be positive")
 
 
 # 3-dB bandwidths: phosphor-converted LEDs reach a few MHz, trichromatic
@@ -83,18 +85,15 @@ IDENTITY_CHANNEL = ChannelModel(los_gain=1.0, nlos_gain=0.0)
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Photodiode responsivity, collection area, and noise parameters."""
+    """Photodiode responsivity and noise parameters."""
 
     responsivity: float = 0.5
-    aperture_area: float = 1e-5
     background_power: float = 5e-6
     thermal_noise_density: float = 1e-24  # A^2/Hz
 
     def __post_init__(self):
         if self.responsivity <= 0:
             raise ParameterError("responsivity must be positive")
-        if self.aperture_area <= 0:
-            raise ParameterError("aperture_area must be positive")
         if self.background_power < 0 or self.thermal_noise_density < 0:
             raise ParameterError("noise parameters must be nonnegative")
 

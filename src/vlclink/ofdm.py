@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import constellations as con
 from .errors import InputError, ParameterError
 from .waveform import Waveform
 
@@ -100,17 +101,6 @@ def _qam_decide(symbols, order):
     return (gray_i << half) | gray_q
 
 
-def _bits_to_groups(bits, width):
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1, width)
-    powers = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits @ powers
-
-
-def _groups_to_bits(groups, width):
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(groups, dtype=np.int64)[:, None] >> shifts) & 1).ravel()
-
-
 # ---------------------------------------------------------------------------
 # modulation / demodulation
 # ---------------------------------------------------------------------------
@@ -141,7 +131,7 @@ def dco_modulate(bits, cfg, sample_rate=1.0):
         )
     width = int(np.log2(cfg.qam_order))
     points = qam_constellation(cfg.qam_order)
-    symbols = points[_bits_to_groups(bits, width)]
+    symbols = points[con.bits_to_indices(bits, width)]
     frames = symbols.reshape(-1, cfg.data_carriers)
     n, cp = cfg.n_subcarriers, cfg.cyclic_prefix
     time = np.fft.ifft(hermitian_frame(frames, n), norm="ortho", axis=1)
@@ -189,7 +179,7 @@ def dco_demodulate(y, cfg, channel_response=None):
     data = spectra[:, 1: n // 2] / h_freq[1: n // 2]
     width = int(np.log2(cfg.qam_order))
     groups = _qam_decide(data.reshape(-1), cfg.qam_order)
-    return _groups_to_bits(groups, width)
+    return con.indices_to_bits(groups, width)
 
 
 def qam_ber_awgn(order, ebn0_linear):

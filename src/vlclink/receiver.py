@@ -101,28 +101,24 @@ class CorrelationDecoder:
 
 
 class MlDecoder:
-    """Exhaustive minimum-Euclidean-distance decision over expected slot
-    amplitudes; the desk-scale oracle for the faster decoders.
+    """Exhaustive minimum-Euclidean-distance decision over unit-scaled slot
+    amplitudes; the desk-scale oracle for the faster decoders."""
 
-    `gain` scales unit codewords to the calibrated statistic level.
-    """
-
-    def __init__(self, c, gain=1.0):
+    def __init__(self, c):
         if c.size > ML_SIZE_LIMIT:
             raise CapacityError(
                 f"{c.size} symbols exceed the ML decoder limit {ML_SIZE_LIMIT}"
             )
         self.constellation = c
         self.codewords = _candidate_codewords(c)
-        self.templates = self.codewords * gain
 
     def decode_block(self, stats_2d):
-        cross = np.asarray(stats_2d, dtype=np.float64) @ self.templates.T
-        energy = (self.templates ** 2).sum(axis=1)
+        cross = np.asarray(stats_2d, dtype=np.float64) @ self.codewords.T
+        energy = (self.codewords ** 2).sum(axis=1)
         return np.argmax(cross - 0.5 * energy, axis=1)
 
     def decide_block(self, stats_2d):
-        """The decided (unscaled) codewords (n, Q) int64 of the rows."""
+        """The decided codewords (n, Q) int64 of the rows."""
         return self.codewords[self.decode_block(stats_2d)]
 
 
@@ -135,15 +131,13 @@ class MeppmComponentDecoder:
     Because complement mixtures can defeat the greedy peeling, a second
     candidate is formed by rounding the component-count solve to the
     nearest valid symbol, and whichever candidate reconstructs the observed
-    statistics more closely wins.  Statistics are assumed calibrated to
-    unit pulse gain (`gain` rescales them when they are not).
+    statistics more closely wins.  Statistics are unit-scaled amplitudes.
     """
 
-    def __init__(self, c, gain=1.0):
+    def __init__(self, c):
         if c.scheme != con.MEPPM:
             raise ParameterError("component decoding is MEPPM-only")
         self.constellation = c
-        self.gain = gain
         self.templates = c.components().astype(np.float64)
         self._half_energy = 0.5 * (self.templates ** 2).sum(axis=1)
         # template inner products: peeling a component lowers every score
@@ -198,7 +192,7 @@ class MeppmComponentDecoder:
 
     def decide_block(self, stats_2d):
         """The decided sum vectors (n, Q) int64 of the rows."""
-        stats_2d = np.asarray(stats_2d, dtype=np.float64) / self.gain
+        stats_2d = np.asarray(stats_2d, dtype=np.float64)
         # both candidates' sums are small integers, so exact in float64
         best = self._greedy(stats_2d) @ self.templates
         if self._solve is not None:
@@ -207,6 +201,10 @@ class MeppmComponentDecoder:
             d_round = ((stats_2d - r_round) ** 2).sum(axis=1)
             best = np.where((d_round < d_greedy)[:, None], r_round, best)
         return best.astype(np.int64)
+
+
+_DECODER_CLASSES = dict(zip(DECODERS, (CorrelationDecoder, MlDecoder,
+                                       MeppmComponentDecoder)))
 
 
 def _repair_lattice_vector(c_int, c_float, n, use_complements):
@@ -265,38 +263,31 @@ def _repair_lattice_vector(c_int, c_float, n, use_complements):
 class StreamReceiver:
     """Waveform-to-indices pipeline for one scheme and geometry.
 
-    F=1 streams decode fully vectorized (after optional deinterleaving).
-    Overlapped streams decode causally: restore each block's amplitudes,
-    decide, then cancel the decided pulses' tails from later statistics.
+    `kernel` is the slot response of one unit pulse (default: the unit-gain
+    `pulse_kernel`); its first value is the link's scale.  F=1 streams
+    decode fully vectorized, after deinterleaving blocks of
+    `interleaver_depth` symbols.  Overlapped streams decode causally:
+    restore each block's amplitudes, decide, then cancel the decided
+    pulses' tails from later statistics.
     """
 
-    def __init__(self, c, g, decoder="correlation", interleaver=None,
-                 gain=1.0, kernel=None):
+    def __init__(self, c, g, decoder="correlation", interleaver_depth=1,
+                 kernel=None):
         self.constellation = c
         self.geometry = g
-        self.interleaver = interleaver
-        self.gain = gain
-        if interleaver is not None and g.overlap_factor != 1:
+        self.interleaver_depth = interleaver_depth
+        if interleaver_depth < 1:
+            raise ParameterError("interleaver_depth must be >= 1")
+        if interleaver_depth != 1 and g.overlap_factor != 1:
             raise ParameterError("interleaving requires overlap_factor 1")
-        # with overlap, block restoration divides the kernel level out, so
-        # the decision stage sees unit-scaled amplitudes
-        dec_gain = gain if g.overlap_factor == 1 else 1.0
-        if decoder == "correlation":
-            self._decoder = CorrelationDecoder(c)
-        elif decoder == "ml":
-            self._decoder = MlDecoder(c, gain=dec_gain)
-        elif decoder == "components":
-            self._decoder = MeppmComponentDecoder(c, gain=dec_gain)
-        else:
+        if decoder not in _DECODER_CLASSES:
             raise ParameterError(f"unknown decoder {decoder!r}")
-        if kernel is not None:
-            # measured slot response of one unit pulse through the known
-            # chain; restoration and cancellation then match the hardware
-            self._kernel = np.asarray(kernel, dtype=np.float64)
-            if self._kernel[0] <= 0:
-                raise ParameterError("kernel must respond in its first slot")
-        else:
-            self._kernel = pulse_kernel(g.overlap_factor) * gain
+        self._decoder = _DECODER_CLASSES[decoder](c)
+        self._kernel = np.asarray(
+            pulse_kernel(g.overlap_factor) if kernel is None else kernel,
+            dtype=np.float64)
+        if self._kernel[0] <= 0:
+            raise ParameterError("kernel must respond in its first slot")
         if g.overlap_factor > 1:
             self._restore = np.linalg.inv(restoration_matrix(self._kernel, c.q))
             # row i: the statistics a unit amplitude in slot i of a block
@@ -310,20 +301,21 @@ class StreamReceiver:
         """Symbol indices of one stream's slot statistics, or (n_frames,
         n_symbols) indices of a stack of frames (n_frames, n_values), which
         overlapped streams decode in lockstep, one symbol position at a
-        time for all frames."""
+        time for all frames.  The decoder sees unit-scaled amplitudes: at
+        F=1 the statistics divided by kernel[0], at F>1 the restored ones."""
         q = self.constellation.q
         f = self.geometry.overlap_factor
         values = np.asarray(stats, dtype=np.float64)
         frames = np.atleast_2d(values)
         n_signal = frames.shape[1] - (f - 1)
-        if n_signal % q:
-            raise InputError("statistics do not cover whole symbols")
+        if n_signal % (q * self.interleaver_depth):
+            raise InputError("statistics do not cover whole symbols or "
+                             "interleaver blocks")
         n_sym = n_signal // q
         if f == 1:
-            if self.interleaver is not None:
-                frames = np.stack([wf.deinterleave_values(v, self.interleaver)
-                                   for v in frames])
-            out = self._decoder.decode_block(frames.reshape(-1, q))
+            amps = wf.deinterleave_values(frames, self.interleaver_depth, q)
+            out = self._decoder.decode_block(
+                amps.reshape(-1, q) / self._kernel[0])
         else:
             out = self._decode_overlapped(frames, n_sym)
         return out.reshape(values.shape[:-1] + (n_sym,))

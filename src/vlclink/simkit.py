@@ -174,6 +174,13 @@ class ChannelSpec:
     model: ac.ChannelModel = field(default_factory=lambda: ac.IDENTITY_CHANNEL)
     detector: ac.DetectorModel = field(default_factory=ac.DetectorModel)
 
+    def __post_init__(self):
+        if self.sample_noise_sigma < 0:
+            raise ParameterError("sample_noise_sigma must be >= 0")
+        if self.mode != "identity" and self.model.total_gain == 0:
+            raise ParameterError("model.total_gain is 0: the channel "
+                                 "passes no light")
+
     def dispersive(self):
         return self.model.nlos_gain > 0 or self.model.los_delay > 0
 
@@ -219,6 +226,11 @@ class TrialConfig:
             raise ParameterError("array_split_leds must be >= 0")
         if self.interleaver_depth < 1:
             raise ParameterError("interleaver_depth must be >= 1")
+        if self.interleaver_depth > 1 and (
+                self.scheme.kind not in con.SCHEMES
+                or self.geometry.overlap_factor != 1):
+            raise ParameterError("interleaver_depth above 1 needs a pulse "
+                                 "scheme at overlap_factor 1")
         if self.decoder == "components" and self.scheme.kind != con.MEPPM:
             raise ParameterError("decoder \"components\" is MEPPM-only")
         if not 0 <= self.dimming_target <= 1:
@@ -321,11 +333,6 @@ class _PulseChain:
         self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
         self.geometry = config.geometry
-        self.interleaver = (
-            wf.InterleaverSpec(depth=config.interleaver_depth, q=c.q)
-            if config.interleaver_depth > 1
-            else None
-        )
 
     @functools.cached_property
     def receiver(self):
@@ -339,27 +346,27 @@ class _PulseChain:
         kernel = (
             self._effective_kernel()
             if config.geometry.overlap_factor > 1
-            else None
+            else [self._linear_gain()]
         )
         return rx.StreamReceiver(
             c, config.geometry, decoder=decoder,
-            interleaver=self.interleaver, gain=self._linear_gain(),
-            kernel=kernel,
+            interleaver_depth=config.interleaver_depth, kernel=kernel,
         )
 
     def _linear_gain(self):
+        """Statistic level of one unit pulse at F=1: the drive through the
+        LED curve, then the channel's gain and responsivity (an identity
+        channel passes the light on unchanged)."""
         cfg = self.config
-        gain = self.peak * cfg.device.linear_gain * cfg.channel.model.total_gain
-        if cfg.channel.mode == "physical":
-            gain *= cfg.channel.detector.responsivity
         if cfg.array_split_leds and np.isfinite(cfg.device.saturation_power):
             # per-LED binary drive: the on-level compression is exactly known
-            gain = (
-                ac.memoryless_response(self.peak, cfg.device)
-                * cfg.channel.model.total_gain
-            )
-            if cfg.channel.mode == "physical":
-                gain *= cfg.channel.detector.responsivity
+            gain = ac.memoryless_response(self.peak, cfg.device)
+        else:
+            gain = self.peak * cfg.device.linear_gain
+        if cfg.channel.mode != "identity":
+            gain *= cfg.channel.model.total_gain
+        if cfg.channel.mode == "physical":
+            gain *= cfg.channel.detector.responsivity
         return gain
 
     def _effective_kernel(self):
@@ -392,8 +399,7 @@ class _PulseChain:
 
     def batch_symbols(self):
         n = self.config.run.batch_symbols
-        depth = self.config.interleaver_depth
-        return n + (-n) % max(depth, 1)
+        return n + (-n) % self.config.interleaver_depth
 
     def drive(self, words, peak=1.0):
         """Drive waveforms, at `peak` per unit of slot amplitude, of a
@@ -423,10 +429,8 @@ class _PulseChain:
         bits = np.stack([rng.integers(0, 2, size=n_sym * c.bits_per_symbol)
                          for rng in rngs])
         idx = con.bits_to_indices(bits, c.bits_per_symbol)
-        words = c.encode_indices(idx)
-        if self.interleaver is not None:
-            # interleaver blocks never straddle two frames
-            words = wf.interleave(words, self.interleaver)
+        # interleaver blocks never straddle two frames
+        words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
         light = _led_output(self.drive(words, self.peak), cfg.device)
         y = _apply_channel(light, cfg, rngs)
@@ -711,9 +715,8 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
     results = {"meppm": [], "dco_ofdm": []}
     for sat in points:
         for name, base in (("meppm", meppm_config), ("dco_ofdm", ofdm_config)):
-            cfg = replace(base, device=replace(base.device,
-                                               saturation_power=sat))
-            cfg = calibrate_drive(cfg, mean_power)
+            cfg = calibrate_drive(_config_at(base, "saturation", sat),
+                                  mean_power)
             results[name].append(run_trials(cfg))
     if output_dir is not None:
         for name, base in (("meppm", meppm_config), ("dco_ofdm", ofdm_config)):

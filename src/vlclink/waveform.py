@@ -5,7 +5,7 @@ superposing additively and running past symbol boundaries), block
 interleaving, dimming control, and LED-array splitting of multilevel slots.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,58 +96,24 @@ def synthesize(codewords, g, peak_power_per_unit=1.0):
 # interleaving
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InterleaverSpec:
-    """Slot permutation applied per block of `depth` symbols.
-
-    `permutation` maps output slot position -> input slot position over the
-    D*Q slots of a block; it is `row_column_permutation`.
-    """
-
-    depth: int
-    q: int
-    permutation: tuple = field(init=False)
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ParameterError("interleaver depth must be >= 1")
-        object.__setattr__(self, "permutation",
-                           row_column_permutation(self.depth, self.q))
-
-    @property
-    def inverse(self):
-        inv = [0] * len(self.permutation)
-        for out_pos, in_pos in enumerate(self.permutation):
-            inv[in_pos] = out_pos
-        return tuple(inv)
-
-
-def row_column_permutation(depth, q):
-    """Write symbols as rows of a D x Q block, read slots column-wise."""
-    return tuple((k % depth) * q + (k // depth) for k in range(depth * q))
-
-
-def _permute_stream(flat, spec, perm):
-    flat = np.asarray(flat)
-    block = spec.depth * spec.q
-    if flat.size % block:
-        raise InputError("stream length is not a multiple of D*Q slots")
-    out = flat.reshape(-1, block)[:, list(perm)]
-    return out.reshape(flat.shape)
-
-
-def interleave(codewords, spec):
-    """Permute slot values across each block of `depth` symbols."""
+def interleave(codewords, depth):
+    """Write each block of `depth` symbols as the rows of a depth x Q
+    array and send its slots column by column."""
     codewords = np.asarray(codewords)
-    if codewords.shape[0] % spec.depth:
+    if codewords.shape[0] % depth:
         raise InputError("symbol count is not a multiple of interleaver depth")
-    flat = _permute_stream(codewords.reshape(-1), spec, spec.permutation)
-    return flat.reshape(codewords.shape)
+    q = codewords.shape[-1]
+    return codewords.reshape(-1, depth, q).swapaxes(1, 2).reshape(
+        codewords.shape)
 
 
-def deinterleave_values(values, spec):
-    """Invert `interleave` on slot values or codewords, in their shape."""
-    return _permute_stream(np.asarray(values), spec, spec.inverse)
+def deinterleave_values(values, depth, q):
+    """Invert `interleave` on slot values or codewords, in their shape; a
+    stack of frames that each hold whole blocks deinterleaves at once."""
+    values = np.asarray(values)
+    if values.size % (depth * q):
+        raise InputError("stream length is not a multiple of D*Q slots")
+    return values.reshape(-1, q, depth).swapaxes(1, 2).reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------

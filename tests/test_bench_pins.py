@@ -6,8 +6,9 @@ receiver's decisions, the transmitted waveform or the drive calibration
 would pass it unseen.  The `meppm21-overlap` counts (bits, bit errors,
 symbols, symbol errors) were measured on the per-frame receiver that the
 lockstep one replaced; the `nonlin-compare` counts on the per-frame
-DCO-OFDM modulator and the per-iteration calibration pilot.  Any change to
-either fails here.
+DCO-OFDM modulator and the per-iteration calibration pilot; the
+`eppm-awgn-2w` counts and the F=1 ML trial on the receiver that took a
+`gain` beside its kernel.  Any change to these fails here.
 """
 
 import importlib.util
@@ -63,3 +64,41 @@ def test_nonlin_compare_counts(tmp_path, seed, counts):
         compare.saturation_points, mean_power=compare.mean_power)
     assert {name: [(r.bits_sent, r.bit_errors) for r in reports]
             for name, reports in results.items()} == counts
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (1, (262144, 1496, 131072, 1276)),
+    (2, (262144, 1377, 131072, 1204)),
+    (3, (262144, 1423, 131072, 1221)),
+])
+def test_eppm_awgn_counts(seed, counts):
+    """The interleaved F=1 correlation path of `eppm-awgn-2w`."""
+    workload = WORKLOADS.EppmAwgn(vlclink, workdir=None)
+    report = sk.run_trials(sk.config_from_document(workload.document(seed)))
+    assert (report.bits_sent, report.bit_errors, report.symbols_sent,
+            report.symbol_errors) == counts
+
+
+def test_f1_ml_physical_counts():
+    """F=1 ML decisions on a physical channel at a pulse gain near 1e-9,
+    where the receiver divides the link's scale out before deciding."""
+    doc = {
+        "scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 2,
+                   "use_complements": True},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+        "device": "trichromatic",
+        "channel": {
+            "mode": "physical",
+            "model": {"los_gain": 0.8, "nlos_gain": 0.1, "nlos_decay": 2e-7},
+            "detector": {"responsivity": 0.5, "background_power": 5e-7,
+                         "thermal_noise_density": 1e-24},
+        },
+        "peak_power_per_unit": 4e-9,
+        "run": {"batch_symbols": 512, "max_bits": 60000,
+                "min_errors": WORKLOADS.UNREACHABLE_ERRORS},
+        "decoder": "ml",
+        "seed": 1,
+    }
+    report = sk.run_trials(sk.config_from_document(doc))
+    assert (report.bits_sent, report.bit_errors, report.symbols_sent,
+            report.symbol_errors) == (73728, 6345, 12288, 2131)

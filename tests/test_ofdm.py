@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from vlclink import constellations as con
 from vlclink import ofdm
 from vlclink.errors import InputError, ParameterError
 from vlclink.waveform import Waveform
@@ -23,7 +24,7 @@ def reference_modulate(bits, c):
     cyclic prefix per frame, then the burst-wide bias and clip."""
     width = int(np.log2(c.qam_order))
     points = ofdm.qam_constellation(c.qam_order)
-    frames = points[ofdm._bits_to_groups(bits, width)].reshape(
+    frames = points[con.bits_to_indices(bits, width)].reshape(
         -1, c.data_carriers)
     n = c.n_subcarriers
     out = np.empty((frames.shape[0], c.frame_samples))
@@ -179,7 +180,7 @@ class TestPapr:
         for _ in range(n_frames):
             bits = random_bits(rng, c.bits_per_frame)
             data = ofdm.qam_constellation(16)[
-                ofdm._bits_to_groups(bits, 4)
+                con.bits_to_indices(bits, 4)
             ]
             time = np.fft.ifft(ofdm.hermitian_frame(data, 256), norm="ortho").real
             paprs.append(ofdm.papr_waveform(Waveform(time, 1.0)))

@@ -282,21 +282,21 @@ class TestDeinterleaveOp:
         g = geo()
         rng = np.random.default_rng(5)
         vals = rng.normal(size=7 * 8)
-        spec = wf.InterleaverSpec(depth=8, q=7)
-        inter = wf._permute_stream(vals, spec, spec.permutation)
-        assert np.allclose(wf.deinterleave_values(inter, spec), vals)
+        inter = wf.interleave(vals.reshape(-1, 7), 8).reshape(-1)
+        assert np.allclose(wf.deinterleave_values(inter, 8, 7), vals)
         # statistics taken from an interleaved waveform come back in
         # symbol order, and the receiver decodes them as the plain stream
         c = con.build_eppm(7, 3)
         words = c.encode_indices(rng.integers(0, c.used_size, size=8))
         plain = rx.slot_statistics(wf.synthesize(words, g), g)
         mixed = rx.slot_statistics(
-            wf.synthesize(wf.interleave(words, spec), g), g
+            wf.synthesize(wf.interleave(words, 8), g), g
         )
-        assert np.allclose(wf.deinterleave_values(mixed, spec), plain)
+        assert np.allclose(wf.deinterleave_values(mixed, 8, 7), plain)
         noise = rng.normal(scale=0.3, size=plain.size)
-        noisy_mixed = mixed + wf._permute_stream(noise, spec, spec.permutation)
-        out = rx.StreamReceiver(c, g, interleaver=spec).decode_stats(noisy_mixed)
+        noisy_mixed = mixed + wf.interleave(noise.reshape(-1, 7), 8).reshape(-1)
+        out = rx.StreamReceiver(c, g, interleaver_depth=8).decode_stats(
+            noisy_mixed)
         ref = rx.StreamReceiver(c, g).decode_stats(plain + noise)
         assert np.array_equal(out, ref)
 
@@ -315,18 +315,19 @@ class TestStreamReceiver:
             g = wf.SlotGeometry(1e-6, 2 * f, f)
             idx = rng.integers(0, c.used_size, size=60)
             w = wf.synthesize(c.encode_indices(idx), g, peak_power_per_unit=2.5)
-            out = rx.StreamReceiver(c, g, decoder=dec, gain=2.5).decode_waveform(w)
+            out = rx.StreamReceiver(
+                c, g, decoder=dec, kernel=2.5 * rx.pulse_kernel(f)
+            ).decode_waveform(w)
             assert np.array_equal(out, idx)
 
     def test_loopback_through_interleaver(self):
         c = con.build_eppm(7, 3)
         g = geo()
-        spec = wf.InterleaverSpec(depth=8, q=7)
         rng = np.random.default_rng(9)
         idx = rng.integers(0, c.used_size, size=64)
-        words = wf.interleave(c.encode_indices(idx), spec)
+        words = wf.interleave(c.encode_indices(idx), 8)
         w = wf.synthesize(words, g)
-        out = rx.StreamReceiver(c, g, interleaver=spec).decode_waveform(w)
+        out = rx.StreamReceiver(c, g, interleaver_depth=8).decode_waveform(w)
         assert np.array_equal(out, idx)
 
     def test_lockstep_frames_match_single_frames(self):
@@ -363,11 +364,16 @@ class TestStreamReceiver:
         assert receiver.decode_stats(np.zeros(f - 1)).shape == (0,)
         assert receiver.decode_stats(np.zeros((2, f - 1))).shape == (2, 0)
 
+    @pytest.mark.parametrize("first", [0.0, -1.0])
+    def test_kernel_must_respond_in_first_slot(self, first):
+        with pytest.raises(ParameterError):
+            rx.StreamReceiver(con.build_eppm(7, 3), geo(), kernel=[first])
+
     def test_interleaver_requires_f1(self):
         c = con.build_eppm(7, 3)
         g = wf.SlotGeometry(1e-6, 4, 2)
         with pytest.raises(ParameterError):
-            rx.StreamReceiver(c, g, interleaver=wf.InterleaverSpec(depth=2, q=7))
+            rx.StreamReceiver(c, g, interleaver_depth=2)
 
     def test_correlation_close_to_ml_awgn(self):
         # identical decisions on equal-energy codes, so rates agree exactly

@@ -115,6 +115,19 @@ class TestRunTrials:
         )
         assert sk.run_trials(cfg).bit_errors == 0
 
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_identity_channel_ignores_its_model(self, f):
+        # an identity channel passes the light on unchanged, so the
+        # receiver's scale must not include the model's gain either
+        cfg = sk.TrialConfig(
+            scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=4),
+            geometry=geo(sps=4, f=f),
+            channel=sk.ChannelSpec(mode="identity",
+                                   model=ac.ChannelModel(los_gain=0.5)),
+            run=sk.RunSpec(max_bits=20_000, min_errors=10, batch_symbols=512),
+        )
+        assert sk.run_trials(cfg).bit_errors == 0
+
     def test_meppm_components_run(self):
         cfg = sk.TrialConfig(
             scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=2,
@@ -541,6 +554,17 @@ class TestConfigDocuments:
         ({"channel": {"model": {"los_delay": 1e-6}}}, "$", "los_delay"),
         ({"channel": {"mode": "physical", "model": {"los_delay": 0.8e-6}}},
          "$", "los_delay"),
+        ({"device": {"linear_gain": 0}}, "device", "linear_gain"),
+        ({"device": {"linear_gain": -1}}, "device", "linear_gain"),
+        ({"channel": {"model": {"los_gain": 0}}}, "channel", "total_gain"),
+        ({"channel": {"model": {"shadowed": True}}}, "channel", "total_gain"),
+        ({"channel": {"sample_noise_sigma": -0.3}}, "channel",
+         "sample_noise_sigma"),
+        ({"geometry": {"slot_duration": 1e-6, "samples_per_slot": 4,
+                       "overlap_factor": 2}, "interleaver_depth": 8}, "$",
+         "interleaver_depth"),
+        ({"scheme": {"kind": "dco_ofdm"}, "interleaver_depth": 8}, "$",
+         "interleaver_depth"),
     ], ids=["misspelled-key", "unknown-top-level", "bool-as-int",
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
@@ -555,7 +579,10 @@ class TestConfigDocuments:
             "dimming-target-above-one", "negative-dimming-target",
             "dimming-target-on-ofdm", "dimming-needs-no-pulses",
             "dimming-above-meppm-ratio", "los-delay-one-slot",
-            "los-delay-rounds-to-one-slot"])
+            "los-delay-rounds-to-one-slot", "zero-linear-gain",
+            "negative-linear-gain", "zero-los-gain", "shadowed-without-nlos",
+            "negative-sample-noise", "interleaving-overlapped-pulses",
+            "interleaving-ofdm"])
     def test_rejected_documents(self, patch, path, named):
         with pytest.raises(ConfigError) as err:
             sk.config_from_document(dict(MINIMAL_DOC, **patch))
