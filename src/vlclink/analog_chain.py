@@ -15,7 +15,6 @@ from scipy.signal import lfilter
 
 from .errors import ConfigError, ParameterError
 from .schema import section
-from .waveform import Waveform
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,14 @@ def lowpass_impulse_response(m, sample_rate, length):
     return (1.0 - a) * a ** np.arange(length)
 
 
-def led_transfer(w, m):
-    """Drive waveform (or each of a stack) through the LED: saturation
+def led_transfer(x, m, sample_rate):
+    """Drive samples (or each row of a stack) through the LED: saturation
     curve, then the pole."""
-    y = memoryless_response(w.samples, m)
-    a = lowpass_coefficient(m, w.sample_rate)
+    y = memoryless_response(x, m)
+    a = lowpass_coefficient(m, sample_rate)
     if a > 0.0:
         y = lfilter([1.0 - a], [1.0, -a], y, axis=-1)
-    return Waveform(y, w.sample_rate, w.geometry)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +169,34 @@ def channel_impulse_response(cm, sample_rate, length=None):
     return h
 
 
-def propagate(w, cm):
-    """Optical waveform (or each of a stack) through the channel: scaled by
-    the LOS gain, or convolved with `channel_impulse_response` when the
+def propagate(x, cm, sample_rate):
+    """Optical samples (or each row of a stack) through the channel: scaled
+    by the LOS gain, or convolved with `channel_impulse_response` when the
     channel delays, disperses or shadows."""
+    x = np.asarray(x, dtype=np.float64)
     if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
-        samples = cm.los_gain * w.samples
-    else:
-        h = channel_impulse_response(cm, w.sample_rate)
-        samples = np.empty_like(w.samples)
-        for out, row in zip(np.atleast_2d(samples), np.atleast_2d(w.samples)):
-            out[:] = np.convolve(row, h)[: row.size]
-    return Waveform(samples, w.sample_rate, w.geometry)
+        return cm.los_gain * x
+    h = channel_impulse_response(cm, sample_rate)
+    y = np.empty_like(x)
+    for out, row in zip(np.atleast_2d(y), np.atleast_2d(x)):
+        out[:] = np.convolve(row, h)[: row.size]
+    return y
 
 
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
 
-def propagate_and_detect(w, cm, dm, rng_seed):
-    """Optical waveform -> electrical samples with signal-dependent noise.
+def propagate_and_detect(x, cm, dm, sample_rate, rng_seed):
+    """Optical samples -> electrical samples with signal-dependent noise.
 
-    y = responsivity * (h conv w) + n, where n is white Gaussian with
+    y = responsivity * (h conv x) + n, where n is white Gaussian with
     per-sample variance
         [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2).
-    A stack of waveforms takes one rng_seed per row, and each row's noise
+    A stack of signals takes one rng_seed per row, and each row's noise
     is what its seed gives the row alone.  Deterministic in the seeds.
     """
-    fs = w.sample_rate
-    received = propagate(w, cm).samples
+    received = propagate(x, cm, sample_rate)
     current = dm.responsivity * received
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
@@ -208,17 +206,17 @@ def propagate_and_detect(w, cm, dm, rng_seed):
         std += dm.background_power
         std *= 2.0 * Q_ELECTRON * dm.responsivity
         std += dm.thermal_noise_density
-        std *= fs / 2.0
+        std *= sample_rate / 2.0
         np.sqrt(std, out=std)
         rows = np.atleast_2d(std)
         seeds = np.ravel(rng_seed)
         if seeds.size != len(rows):
-            raise ParameterError("need one rng_seed per waveform")
+            raise ParameterError("need one rng_seed per row")
         for row, seed, out in zip(rows, seeds, np.atleast_2d(current)):
             noise = np.random.default_rng(seed).standard_normal(row.size)
             noise *= row
             out += noise
-    return Waveform(current, fs, w.geometry)
+    return current
 
 
 def noise_variance_dark(dm, sample_rate):

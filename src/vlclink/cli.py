@@ -61,13 +61,20 @@ def cmd_stats(args):
     return 0
 
 
-def _sweep_points(doc):
-    return [float(p) for p in sk.cli_block(doc, "sweep").points]
+def _sweep_points(doc, config, axis):
+    """The sweep's points, each checked against the config and the axis
+    before any point runs."""
+    points = [float(p) for p in sk.cli_block(doc, "sweep").points]
+    try:
+        sk.check_sweep(config, axis, points)
+    except ParameterError as exc:
+        raise ConfigError("sweep.points", str(exc)) from None
+    return points
 
 
 def cmd_ber_sweep(args):
     config, doc = _load(args)
-    points = _sweep_points(doc)
+    points = _sweep_points(doc, config, "snr")
     reports = sk.sweep(config, "snr", points, output_dir=args.output_dir)
     for p, r in zip(points, reports):
         print(f"snr={p:g} ber={r.ber:.6g} errors={r.bit_errors} "
@@ -77,15 +84,7 @@ def cmd_ber_sweep(args):
 
 def cmd_dimming_sweep(args):
     config, doc = _load(args)
-    points = _sweep_points(doc)
-    for p in points:
-        if not 0 < p <= 1:
-            raise ConfigError("sweep.points",
-                              "dimming targets must lie in (0, 1]")
-        try:
-            replace(config, dimming_target=p)
-        except ParameterError as exc:
-            raise ConfigError("sweep.points", f"{p:g}: {exc}") from None
+    points = _sweep_points(doc, config, "dimming")
     reports = sk.sweep(config, "dimming", points, output_dir=args.output_dir)
     c = config.scheme.build_constellation()
     for p, r in zip(points, reports):
@@ -96,12 +95,17 @@ def cmd_dimming_sweep(args):
 
 def cmd_isi_sweep(args):
     config, doc = _load(args)
-    points = _sweep_points(doc)
+    points = _sweep_points(doc, config, "delay_spread")
     depths = sk.cli_block(doc, "sweep").depths
     if not depths:
         raise ConfigError("sweep.depths", "need a nonempty list of depths")
+    derived_configs = []
     for depth in depths:
-        derived = replace(config, interleaver_depth=depth)
+        try:
+            derived_configs.append(replace(config, interleaver_depth=depth))
+        except ParameterError as exc:
+            raise ConfigError("sweep.depths", f"{depth}: {exc}") from None
+    for depth, derived in zip(depths, derived_configs):
         label = f"{config.scheme.kind}_d{depth}"
         reports = sk.sweep(derived, "delay_spread", points,
                            output_dir=args.output_dir, label=label)
@@ -160,13 +164,14 @@ def cmd_flicker(args):
     c = config.scheme.build_constellation()
     rng = np.random.default_rng(config.seed)
     idx = rng.integers(0, c.used_size, size=flicker.n_symbols)
-    w = wf.synthesize(c.encode_indices(idx), config.geometry,
-                      config.peak_power_per_unit)
+    light = wf.synthesize(c.encode_indices(idx), config.geometry,
+                          config.peak_power_per_unit)
     symbol_t = c.q * config.geometry.slot_duration
     os.makedirs(args.output_dir, exist_ok=True)
     rows = ["window_symbols,metric"]
     for k in flicker.window_symbols:
-        metric = sk.flicker_metric(w, float(k) * symbol_t)
+        metric = sk.flicker_metric(light, config.geometry.sample_rate,
+                                   float(k) * symbol_t)
         rows.append(f"{k},{sk.format_float(metric)}")
         print(f"window_symbols={k} flicker={metric:.6g}")
     with open(os.path.join(args.output_dir, "flicker.csv"), "w",

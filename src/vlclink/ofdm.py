@@ -14,7 +14,6 @@ import numpy as np
 
 from . import constellations as con
 from .errors import InputError, ParameterError
-from .waveform import Waveform
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -118,8 +117,8 @@ def hermitian_frame(data_symbols, n):
     return x
 
 
-def dco_modulate(bits, cfg, sample_rate=1.0):
-    """Bits -> nonnegative DCO-OFDM intensity waveform.
+def dco_modulate(bits, cfg):
+    """Bits -> nonnegative DCO-OFDM intensity samples, one frame after another.
 
     The DC bias is dc_bias_sigma times the pre-clipping signal standard
     deviation (measured over the whole burst); negatives are clipped to 0.
@@ -142,11 +141,11 @@ def dco_modulate(bits, cfg, sample_rate=1.0):
     out[:, :cp] = time.real[:, n - cp:]
     flat = out.reshape(-1)
     bias = cfg.dc_bias_sigma * flat.std()
-    return Waveform(np.maximum(flat + bias, 0.0), sample_rate)
+    return np.maximum(flat + bias, 0.0)
 
 
 def dco_demodulate(y, cfg, channel_response=None):
-    """Electrical waveform -> bits, one-tap equalized by the known channel.
+    """Electrical samples -> bits, one-tap equalized by the known channel.
 
     `channel_response` is the sample-domain impulse response between the
     modulator output and this input (defaults to identity).  A prefix
@@ -164,7 +163,7 @@ def dco_demodulate(y, cfg, channel_response=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    samples = np.asarray(y.samples, dtype=np.float64)
+    samples = np.asarray(y, dtype=np.float64)
     if samples.size % cfg.frame_samples:
         raise InputError("waveform length is not a multiple of the frame size")
     n = cfg.n_subcarriers
@@ -191,10 +190,10 @@ def qam_ber_awgn(order, ebn0_linear):
     return 2.0 * (1.0 - 1.0 / np.sqrt(order)) / k * erfc(arg)
 
 
-def papr_waveform(w, window_samples=None):
+def papr_waveform(x, window_samples=None):
     """Peak sample power over mean sample power, per window (max across
     windows when a window size is given)."""
-    x = np.asarray(w.samples if isinstance(w, Waveform) else w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InputError("empty waveform")
     power = x ** 2

@@ -33,14 +33,15 @@ def pulse_kernel(f):
 
 
 def slot_statistics(y, g):
-    """Correlate a waveform with the known F-slot pulse at each slot offset.
+    """Correlate received samples with the known F-slot pulse at each slot
+    offset.
 
     For F=1 this integrates each slot; for F>1 each statistic is the sum of
     the F most recent slot integrals (rectangular template, end-aligned).
     Returns one float64 value per slot, the F-1 trailing pad slots included;
-    a stack of waveforms (n_frames, n_samples) gives one row per frame.
+    a stack of signals (n_frames, n_samples) gives one row per frame.
     """
-    samples = np.asarray(y.samples, dtype=np.float64)
+    samples = np.asarray(y, dtype=np.float64)
     sps = g.samples_per_slot
     if samples.shape[-1] % sps:
         raise InputError("waveform length is not slot-aligned")

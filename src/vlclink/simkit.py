@@ -34,32 +34,12 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # link budget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received-power arithmetic from illumination-level inputs."""
-
-    illuminance: float = 400.0          # lux
-    aperture_area: float = 1e-5         # m^2 (0.1 cm^2)
-    luminous_efficacy: float = 300.0    # lm/W
-    background_power: float = 5e-6      # W
-
-    def __post_init__(self):
-        if min(self.illuminance, self.aperture_area,
-               self.luminous_efficacy) <= 0:
-            raise ParameterError("link budget inputs must be positive")
-        if self.background_power < 0:
-            raise ParameterError("background_power must be nonnegative")
-
-    @property
-    def received_signal_power(self):
-        return self.illuminance * self.aperture_area / self.luminous_efficacy
-
-
 def illuminance_to_power(illuminance, aperture_area, luminous_efficacy):
-    """Received optical signal power implied by an illumination level."""
-    return LinkBudget(
-        illuminance, aperture_area, luminous_efficacy
-    ).received_signal_power
+    """Received optical signal power implied by an illumination level (lux),
+    a detector aperture (m^2) and the source's luminous efficacy (lm/W)."""
+    if min(illuminance, aperture_area, luminous_efficacy) <= 0:
+        raise ParameterError("link budget inputs must be positive")
+    return illuminance * aperture_area / luminous_efficacy
 
 
 # practical operating point: standard illumination through a
@@ -333,6 +313,7 @@ class _PulseChain:
         self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
         self.geometry = config.geometry
+        self.fs = config.geometry.sample_rate
 
     @functools.cached_property
     def receiver(self):
@@ -388,9 +369,10 @@ class _PulseChain:
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        w = _apply_channel_deterministic(
-            _led_output(self.drive(words, self.peak), cfg.device), cfg)
-        stats = rx.slot_statistics(w, g)
+        y = _apply_channel_deterministic(
+            _led_output(self.drive(words, self.peak), cfg.device, self.fs),
+            cfg, self.fs)
+        stats = rx.slot_statistics(y, g)
         peak = np.abs(stats).max()
         if peak <= 0:
             raise ParameterError("unit pulse produced no received signal")
@@ -402,7 +384,7 @@ class _PulseChain:
         return n + (-n) % self.config.interleaver_depth
 
     def drive(self, words, peak=1.0):
-        """Drive waveforms, at `peak` per unit of slot amplitude, of a
+        """Drive samples, at `peak` per unit of slot amplitude, of a
         codeword stream or of each frame of a stack: one for the whole
         stream, or one per LED when split over `array_split_leds` binary
         LEDs."""
@@ -432,8 +414,8 @@ class _PulseChain:
         # interleaver blocks never straddle two frames
         words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
-        light = _led_output(self.drive(words, self.peak), cfg.device)
-        y = _apply_channel(light, cfg, rngs)
+        light = _led_output(self.drive(words, self.peak), cfg.device, self.fs)
+        y = _apply_channel(light, cfg, self.fs, rngs)
         return bits, idx.reshape(len(rngs), n_sym), rx.slot_statistics(
             y, self.geometry)
 
@@ -470,26 +452,28 @@ class _OfdmChain:
         self.fs = fs
         self.peak = config.peak_power_per_unit
         # composite linear response for the one-tap equalizer: drive scale,
-        # LED small-signal gain, LED pole, channel taps, responsivity
+        # LED small-signal gain, LED pole, channel taps (an identity channel
+        # passes the light on unchanged), responsivity
         ir = ac.lowpass_impulse_response(config.device, fs, 256)
-        if config.channel.dispersive() or config.channel.model.shadowed:
-            model = config.channel.model
+        model = (ac.IDENTITY_CHANNEL if config.channel.mode == "identity"
+                 else config.channel.model)
+        if model.nlos_gain > 0 or model.los_delay > 0 or model.shadowed:
             cir = ac.channel_impulse_response(
                 model, fs, max(256, model.response_length(fs))
             )
             ir = np.convolve(ir, cir)
         else:
-            ir = ir * config.channel.model.total_gain
+            ir = ir * model.total_gain
         gain = config.peak_power_per_unit * config.device.linear_gain
         if config.channel.mode == "physical":
             gain *= config.channel.detector.responsivity
         self.equalizer_ir = ir * gain
 
     def drive(self, bits, peak=1.0):
-        """Drive waveform of a whole number of frames, at `peak`."""
-        w = ofdm_mod.dco_modulate(bits, self.ofdm, self.fs)
-        w.samples *= peak
-        return [w]
+        """Drive samples of a whole number of frames, at `peak`."""
+        x = ofdm_mod.dco_modulate(bits, self.ofdm)
+        x *= peak
+        return [x]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
@@ -500,8 +484,8 @@ class _OfdmChain:
         rng = np.random.default_rng([cfg.seed, batch_index])
         n_frames = cfg.run.batch_symbols
         bits = rng.integers(0, 2, size=n_frames * self.ofdm.bits_per_frame)
-        light = _led_output(self.drive(bits, self.peak), cfg.device)
-        y = _apply_channel(light, cfg, [rng])
+        light = _led_output(self.drive(bits, self.peak), cfg.device, self.fs)
+        y = _apply_channel(light, cfg, self.fs, [rng])
         rx_bits = ofdm_mod.dco_demodulate(y, self.ofdm, self.equalizer_ir)
         bit_errors = int(np.sum(rx_bits != bits))
         frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
@@ -512,40 +496,39 @@ class _OfdmChain:
         return jobs(self.run_batch, indices)
 
 
-def _led_output(drives, device):
-    """Optical waveform after the LEDs: each drive passes through its own
+def _led_output(drives, device, fs):
+    """Optical samples after the LEDs: each drive passes through its own
     LED, and the outputs add up."""
-    first = drives[0]
-    samples = ac.led_transfer(first, device).samples
+    light = ac.led_transfer(drives[0], device, fs)
     for d in drives[1:]:
-        samples += ac.led_transfer(d, device).samples
-    return wf.Waveform(samples, first.sample_rate, first.geometry)
+        light += ac.led_transfer(d, device, fs)
+    return light
 
 
-def _apply_channel_deterministic(w, cfg):
+def _apply_channel_deterministic(x, cfg, fs):
     """Noise-free part of the channel (propagation, gains, responsivity)."""
     spec = cfg.channel
     if spec.mode == "identity":
-        return w
+        return x
     if spec.mode not in ("physical", "awgn"):
         raise ParameterError(f"unknown channel mode {spec.mode!r}")
-    y = ac.propagate(w, spec.model)
+    y = ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
-        return wf.Waveform(spec.detector.responsivity * y.samples,
-                           y.sample_rate, y.geometry)
+        return spec.detector.responsivity * y
     return y
 
 
-def _apply_channel(w, cfg, rngs):
-    """The channel and its noise: row i of a stack of waveforms draws its
-    noise from rngs[i] (a single waveform from the one rng in rngs)."""
+def _apply_channel(x, cfg, fs, rngs):
+    """The channel and its noise: row i of a stack of signals draws its
+    noise from rngs[i] (a single signal from the one rng in rngs)."""
     spec = cfg.channel
     if spec.mode == "identity":
-        return w
+        return x
     if spec.mode == "physical":
         seeds = [rng.integers(0, 2 ** 63 - 1) for rng in rngs]
-        return ac.propagate_and_detect(w, spec.model, spec.detector, seeds)
-    y = _apply_channel_deterministic(w, cfg)
+        return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
+                                       seeds)
+    y = _apply_channel_deterministic(x, cfg, fs)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0 and cfg.geometry is not None:
         # slot-level SNR: variance of a unit-amplitude slot statistic
@@ -554,7 +537,7 @@ def _apply_channel(w, cfg, rngs):
             cfg.geometry.samples_per_slot / snr
         )
     if sigma > 0:
-        for row, rng in zip(np.atleast_2d(y.samples), rngs):
+        for row, rng in zip(np.atleast_2d(y), rngs):
             noise = rng.standard_normal(row.size)
             noise *= sigma
             row += noise
@@ -618,17 +601,40 @@ def _config_at(config, axis, value):
     raise ParameterError(f"unknown sweep axis {axis!r}")
 
 
+def check_sweep(config, axis, points):
+    """Raise ParameterError unless every point gives a valid config and the
+    link reads the axis: a sweep over an axis that the config ignores would
+    write the same row at every point."""
+    if axis not in SWEEP_AXES:
+        raise ParameterError(f"axis must be one of {SWEEP_AXES}")
+    if len(points) < 2:
+        raise ParameterError("a sweep needs at least 2 points")
+    spec = config.channel
+    if axis == "snr" and (spec.mode != "awgn" or spec.sample_noise_sigma):
+        raise ParameterError("the snr axis needs channel.mode \"awgn\" with "
+                             "sample_noise_sigma 0")
+    if axis == "delay_spread" and (spec.mode == "identity"
+                                   or spec.model.nlos_gain == 0):
+        raise ParameterError("the delay_spread axis needs a non-identity "
+                             "channel with model.nlos_gain > 0")
+    for p in points:
+        # a dimming target of 0 is a valid config, but it turns dimming off
+        if axis == "dimming" and not 0 < p <= 1:
+            raise ParameterError("dimming targets must lie in (0, 1]")
+        try:
+            _config_at(config, axis, p)
+        except ParameterError as exc:
+            raise ParameterError(f"{p:g}: {exc}") from None
+
+
 def sweep(config, axis, points, output_dir=None, label=None):
     """One run_trials per axis point under a shared master seed.
 
     Returns the reports; when output_dir is given, writes
     `<label>_<axis>.csv` plus a JSON manifest, byte-identical on reruns.
     """
-    if axis not in SWEEP_AXES:
-        raise ParameterError(f"axis must be one of {SWEEP_AXES}")
     points = list(points)
-    if len(points) < 2:
-        raise ParameterError("a sweep needs at least 2 points")
+    check_sweep(config, axis, points)
     reports = [run_trials(_config_at(config, axis, p)) for p in points]
     if output_dir is not None:
         write_sweep_outputs(config, axis, points, reports, output_dir, label)
@@ -691,10 +697,9 @@ def calibrate_drive(config, target_mean_power, iterations=3):
     peak = config.peak_power_per_unit
     for _ in range(iterations):
         scale = peak * chain.drive_scale
-        light = _led_output([wf.Waveform(scale * d.samples, d.sample_rate,
-                                         d.geometry) for d in drives],
-                            config.device)
-        measured = float(light.samples.mean())
+        light = _led_output([scale * d for d in drives], config.device,
+                            chain.fs)
+        measured = float(light.mean())
         if measured <= 0:
             raise ParameterError("pilot produced no optical power")
         peak = peak * (target_mean_power / measured)
@@ -729,15 +734,15 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
 # metrics
 # ---------------------------------------------------------------------------
 
-def flicker_metric(w, window_seconds):
+def flicker_metric(samples, sample_rate, window_seconds):
     """Worst relative deviation of tiled window means from the global mean.
 
-    Windows tile the waveform back to back (a trailing partial window is
+    Windows tile the samples back to back (a trailing partial window is
     dropped); a scheme with constant per-symbol energy scores exactly 0 at
     any whole multiple of the symbol duration.
     """
-    samples = np.asarray(w.samples, dtype=np.float64)
-    n_win = int(round(window_seconds * w.sample_rate))
+    samples = np.asarray(samples, dtype=np.float64)
+    n_win = int(round(window_seconds * sample_rate))
     if n_win < 1 or n_win > samples.size:
         raise ParameterError("window must fit inside the waveform")
     n_tiles = samples.size // n_win

@@ -39,27 +39,6 @@ class SlotGeometry:
         return self.samples_per_slot / self.slot_duration
 
 
-@dataclass
-class Waveform:
-    """Uniformly sampled signal; optical waveforms keep samples >= 0.
-
-    `samples` is one signal, or a stack of equally long signals with time
-    along the last axis.  `geometry` is present for slot-structured
-    signals and None otherwise (e.g. OFDM), in which case the
-    slot-divisibility invariant is vacuous.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-    geometry: SlotGeometry | None = None
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.geometry is not None:
-            if self.samples.shape[-1] % self.geometry.samples_per_slot:
-                raise InputError("length not divisible by samples_per_slot")
-
-
 def slot_amplitudes(codewords):
     """Flatten codewords (n_symbols, Q) into one slot-amplitude stream, or
     a stack of frames (n_frames, n_symbols, Q) into one stream per frame."""
@@ -70,9 +49,9 @@ def slot_amplitudes(codewords):
     return codewords.reshape(codewords.shape[:-2] + (-1,))
 
 
-def synthesize(codewords, g, peak_power_per_unit=1.0):
+def synthesize(codewords, g, peak=1.0):
     """Render a codeword stream, or each frame of a stack, as an intensity
-    waveform.
+    waveform: float64 samples at `g.sample_rate`, time along the last axis.
 
     Each unit of slot amplitude contributes one rectangular pulse of width
     F x slot_duration starting at its slot boundary; pulses superpose
@@ -88,8 +67,8 @@ def synthesize(codewords, g, peak_power_per_unit=1.0):
     for lag in range(f):
         coverage[..., lag:lag + n] += amps
     samples = np.repeat(coverage, g.samples_per_slot, axis=-1)
-    samples *= peak_power_per_unit
-    return Waveform(samples, g.sample_rate, g)
+    samples *= peak
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,12 @@ def count_distinct_sums_dp(q, k, n, use_complements=True):
     """Breadth-first closure of achievable sum vectors, packed 5 bits per
     slot.  The component set is rotation-closed, so levels are stored as
     canonical (rotation-minimal) representatives and re-expanded by orbit
-    size at the end (orbits are full for prime Q except constant sums)."""
+    size at the end (orbits are full for prime Q except constant sums).
+
+    Each level is sliced by slot total: sums with different totals never
+    coincide, so each slice is deduplicated on its own.  A shift adds k to
+    the total and a complement q - k, so with q != 2k the slices are the
+    numbers of shift components."""
     assert n < 32 and q * 5 <= 60
     base = con.build_eppm(q, k).components_base()
     comps = np.concatenate([base, 1 - base]) if use_complements else base
@@ -79,6 +84,7 @@ def count_distinct_sums_dp(q, k, n, use_complements=True):
         [sum(int(v) << (5 * j) for j, v in enumerate(row)) for row in comps],
         dtype=np.int64,
     )
+    weights = comps.sum(axis=1)
 
     def canonical(arr):
         best = arr.copy()
@@ -88,13 +94,22 @@ def count_distinct_sums_dp(q, k, n, use_complements=True):
             np.minimum(best, x, out=best)
         return best
 
-    level = np.array([0], dtype=np.int64)
+    level = {0: np.array([0], dtype=np.int64)}  # slot total -> slice
     for _ in range(n):
-        parts = [canonical(level + inc) for inc in packed]
-        level = np.unique(np.concatenate(parts))
-    rot = ((level << 5) & mask) | (level >> (5 * (q - 1)))
-    n_const = int(np.sum(rot == level))
-    return q * (level.size - n_const) + n_const
+        totals = sorted({t + w for t in level for w in weights})
+        level = {
+            t: np.unique(np.concatenate([
+                canonical(level[t - w] + inc)
+                for inc, w in zip(packed, weights) if t - w in level
+            ]))
+            for t in totals
+        }
+    count = 0
+    for part in level.values():
+        rot = ((part << 5) & mask) | (part >> (5 * (q - 1)))
+        n_const = int(np.sum(rot == part))
+        count += q * (part.size - n_const) + n_const
+    return count
 
 
 def test_c02_meppm_capacity_oracle():
@@ -355,11 +370,11 @@ def test_c09_flicker_invariant():
     checks = []
     for c in (con.build_eppm(7, 3), con.build_meppm(7, 3, 3)):
         idx = rng.integers(0, c.used_size, size=10_000)
-        w = wf.synthesize(c.encode_indices(idx), geometry,
-                          peak_power_per_unit=1.0)
+        w = wf.synthesize(c.encode_indices(idx), geometry, peak=1.0)
         symbol_t = c.q * geometry.slot_duration
         for k in (1, 2, 5):
-            checks.append(sk.flicker_metric(w, k * symbol_t) == 0.0)
+            checks.append(sk.flicker_metric(w, geometry.sample_rate,
+                                            k * symbol_t) == 0.0)
     ok = all(checks)
     report("C9 flicker-invariant", ok,
            f"{sum(checks)}/{len(checks)} windows exactly 0 over 1e4 symbols")

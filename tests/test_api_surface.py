@@ -25,7 +25,6 @@ KEPT = {
     "papr_waveform",
     # the README's link-budget arithmetic; C6's 400 lx -> 13 uW reasoning
     "illuminance_to_power",
-    "LinkBudget",
 }
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import vlclink
+from vlclink import cli
 
 BASE_EPPM = {
     "scheme": {"kind": "eppm", "q": 7, "k": 3},
@@ -108,6 +109,38 @@ class TestErrors:
         assert res.returncode == 3
         assert res.stderr.startswith("error: config: sweep.points")
         assert "Traceback" not in res.stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb, patch, path", [
+        ("ber-sweep", {"channel": {"mode": "awgn", "sample_noise_sigma": 1.5}},
+         "sweep.points"),
+        ("ber-sweep", {"scheme": {"kind": "dco_ofdm"},
+                       "channel": {"mode": "identity",
+                                   "model": {"los_gain": 0.5}}},
+         "sweep.points"),
+        ("isi-sweep", {}, "sweep.points"),
+        ("isi-sweep", {"geometry": {"slot_duration": 1e-6,
+                                    "samples_per_slot": 4,
+                                    "overlap_factor": 2},
+                       "channel": {"mode": "awgn",
+                                   "model": {"los_gain": 0.7,
+                                             "nlos_gain": 0.3}}},
+         "sweep.depths"),
+    ], ids=["snr-with-fixed-sigma", "snr-on-identity-channel",
+            "delay-spread-without-nlos", "depth-above-1-at-f2"])
+    def test_sweep_checked_before_any_point_runs(self, tmp_path, capsys,
+                                                 verb, patch, path):
+        # an ignored axis would write the same row at every point, and a
+        # bad depth would fail only after the earlier depths' sweeps.  Run
+        # in process: only the exit code, stderr and the outputs are tested
+        doc = dict(BASE_EPPM, sweep={"points": [0.5, 1.0]}, **patch)
+        out_dir = tmp_path / "out"
+        code = cli.main([verb, "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: config: {path}: ")
+        assert len(err.splitlines()) == 1
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("patch", [

@@ -7,7 +7,6 @@ from scipy.stats import norm
 from vlclink import constellations as con
 from vlclink import ofdm
 from vlclink.errors import InputError, ParameterError
-from vlclink.waveform import Waveform
 
 
 def cfg(n=64, qam=16, sigma=3.0, cp=0):
@@ -64,16 +63,16 @@ class TestModulate:
     def test_all_zero_bits_constant_after_clip(self):
         c = cfg()
         bits = np.zeros(c.bits_per_frame, dtype=int)
-        w = ofdm.dco_modulate(bits, c)
+        x = ofdm.dco_modulate(bits, c)
         # all-zero bits load identical symbols on every carrier; after the
         # bias the waveform is nonnegative and periodic, nothing negative
-        assert w.samples.min() >= 0
+        assert x.min() >= 0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         c = cfg(sigma=2.0)
-        w = ofdm.dco_modulate(random_bits(rng, c.bits_per_frame * 20), c)
-        assert w.samples.min() >= 0
+        x = ofdm.dco_modulate(random_bits(rng, c.bits_per_frame * 20), c)
+        assert x.min() >= 0
 
     def test_clip_fraction_sigma3(self):
         rng = np.random.default_rng(2)
@@ -81,8 +80,8 @@ class TestModulate:
         n_frames = int(np.ceil(1_000_000 / c.frame_samples))
         bits = random_bits(rng, c.bits_per_frame * n_frames)
         flat_bias = 3.0
-        w = ofdm.dco_modulate(bits, c)
-        clipped = np.mean(w.samples == 0.0)
+        x = ofdm.dco_modulate(bits, c)
+        clipped = np.mean(x == 0.0)
         expected = norm.cdf(-flat_bias)
         assert clipped == pytest.approx(expected, rel=0.25)
 
@@ -94,8 +93,8 @@ class TestModulate:
         c = cfg(n=n, qam=qam, cp=cp)
         rng = np.random.default_rng([qam, n, cp, n_frames])
         bits = random_bits(rng, c.bits_per_frame * n_frames)
-        w = ofdm.dco_modulate(bits, c)
-        assert w.samples.tobytes() == reference_modulate(bits, c).tobytes()
+        x = ofdm.dco_modulate(bits, c)
+        assert x.tobytes() == reference_modulate(bits, c).tobytes()
 
     def test_hermitian_frame_stack_is_row_by_row(self):
         rng = np.random.default_rng(8)
@@ -116,31 +115,29 @@ class TestDemodulate:
         for qam in (4, 16, 64):
             c = cfg(qam=qam)
             bits = random_bits(rng, c.bits_per_frame * 8)
-            w = ofdm.dco_modulate(bits, c)
-            back = ofdm.dco_demodulate(w, c)
+            x = ofdm.dco_modulate(bits, c)
+            back = ofdm.dco_demodulate(x, c)
             assert np.array_equal(back, bits)
 
     def test_dispersive_channel_with_prefix(self):
         rng = np.random.default_rng(4)
         c = cfg(n=64, qam=16, cp=8)
         bits = random_bits(rng, c.bits_per_frame * 10)
-        w = ofdm.dco_modulate(bits, c)
+        x = ofdm.dco_modulate(bits, c)
         h = np.array([0.8, 0.15, 0.05])
-        rx = np.convolve(w.samples, h)[: w.samples.size]
-        back = ofdm.dco_demodulate(Waveform(rx, w.sample_rate), c,
-                                   channel_response=h)
+        rx = np.convolve(x, h)[: x.size]
+        back = ofdm.dco_demodulate(rx, c, channel_response=h)
         assert np.array_equal(back, bits)
 
     def test_short_prefix_warns(self):
         rng = np.random.default_rng(5)
         c = cfg(n=64, qam=4, cp=1)
         bits = random_bits(rng, c.bits_per_frame * 2)
-        w = ofdm.dco_modulate(bits, c)
+        x = ofdm.dco_modulate(bits, c)
         h = np.array([0.7, 0.2, 0.1])
-        rx = np.convolve(w.samples, h)[: w.samples.size]
+        rx = np.convolve(x, h)[: x.size]
         with pytest.warns(RuntimeWarning):
-            ofdm.dco_demodulate(Waveform(rx, w.sample_rate), c,
-                                channel_response=h)
+            ofdm.dco_demodulate(rx, c, channel_response=h)
 
     def test_16qam_awgn_matches_closed_form(self):
         rng = np.random.default_rng(6)
@@ -148,13 +145,13 @@ class TestDemodulate:
         c = ofdm.OfdmConfig(n_subcarriers=256, qam_order=16, dc_bias_sigma=4.0)
         n_frames = 420  # ~2e5 bits
         bits = random_bits(rng, c.bits_per_frame * n_frames)
-        w = ofdm.dco_modulate(bits, c)
+        x = ofdm.dco_modulate(bits, c)
         # per-carrier symbol energy is 1 (ortho FFT); time-domain AWGN of
         # variance s2 gives per-carrier noise variance s2, so Eb/N0 = 1/(4 s2)
         ebn0 = 10 ** (ebn0_db / 10)
         sigma = np.sqrt(1.0 / (4 * ebn0))
-        noisy = w.samples + rng.standard_normal(w.samples.size) * sigma
-        back = ofdm.dco_demodulate(Waveform(noisy, w.sample_rate), c)
+        noisy = x + rng.standard_normal(x.size) * sigma
+        back = ofdm.dco_demodulate(noisy, c)
         ber = np.mean(back != bits)
         theory = ofdm.qam_ber_awgn(16, ebn0)
         assert theory / 2 <= ber <= theory * 2
@@ -162,13 +159,12 @@ class TestDemodulate:
 
 class TestPapr:
     def test_constant_is_one(self):
-        w = Waveform(np.full(100, 0.3), 1.0)
-        assert ofdm.papr_waveform(w) == pytest.approx(1.0)
+        assert ofdm.papr_waveform(np.full(100, 0.3)) == pytest.approx(1.0)
 
     def test_single_pulse_q8(self):
         samples = np.zeros(8)
         samples[2] = 1.0
-        assert ofdm.papr_waveform(Waveform(samples, 1.0)) == pytest.approx(8.0)
+        assert ofdm.papr_waveform(samples) == pytest.approx(8.0)
 
     def test_ofdm_preclip_papr_naturally_high(self):
         # real Hermitian OFDM at N=256: extreme-value statistics put the
@@ -183,16 +179,15 @@ class TestPapr:
                 con.bits_to_indices(bits, 4)
             ]
             time = np.fft.ifft(ofdm.hermitian_frame(data, 256), norm="ortho").real
-            paprs.append(ofdm.papr_waveform(Waveform(time, 1.0)))
+            paprs.append(ofdm.papr_waveform(time))
         paprs = np.array(paprs)
         assert np.mean(paprs > 6.0) >= 0.97
         assert np.mean(paprs > 8.0) >= 0.60
         assert np.median(paprs) > 8.0
 
     def test_window_validation(self):
-        w = Waveform(np.ones(10), 1.0)
         with pytest.raises(ParameterError):
-            ofdm.papr_waveform(w, window_samples=20)
+            ofdm.papr_waveform(np.ones(10), window_samples=20)
 
 
 class TestQamMapping:

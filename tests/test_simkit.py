@@ -128,6 +128,20 @@ class TestRunTrials:
         )
         assert sk.run_trials(cfg).bit_errors == 0
 
+    def test_identity_channel_ofdm_equalizer_ignores_its_model(self):
+        # the one-tap equalizer must not divide out a gain the identity
+        # channel never applied
+        cfg = sk.TrialConfig(
+            scheme=sk.SchemeSpec(kind="dco_ofdm"),
+            geometry=geo(),
+            channel=sk.ChannelSpec(mode="identity",
+                                   model=ac.ChannelModel(los_gain=0.5)),
+            run=sk.RunSpec(max_bits=20_000, min_errors=10, batch_symbols=16),
+        )
+        report = sk.run_trials(cfg)
+        assert report.bits_sent >= 20_000
+        assert report.bit_errors == 0
+
     def test_meppm_components_run(self):
         cfg = sk.TrialConfig(
             scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=2,
@@ -236,19 +250,37 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sk.sweep(awgn_config(), "snr", [1.0])
 
+    @pytest.mark.parametrize("axis, channel", [
+        ("snr", sk.ChannelSpec(mode="awgn", sample_noise_sigma=1.5)),
+        ("snr", sk.ChannelSpec(mode="identity")),
+        ("snr", sk.ChannelSpec(mode="physical")),
+        ("delay_spread", sk.ChannelSpec(mode="awgn")),
+        ("delay_spread", sk.ChannelSpec(
+            mode="identity", model=ac.ChannelModel(nlos_gain=0.5))),
+    ], ids=["snr-fixed-sigma", "snr-identity", "snr-physical",
+            "delay-spread-no-nlos", "delay-spread-identity"])
+    def test_axis_the_config_ignores(self, axis, channel, monkeypatch):
+        # every point would run the same link and write the same row
+        def no_trials(config):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sk, "run_trials", no_trials)
+        with pytest.raises(ParameterError, match=axis):
+            sk.sweep(replace(awgn_config(), channel=channel), axis,
+                     [0.5, 1.0])
+
 
 def reference_light(chain, pilot):
     """Post-LED pilot samples as one transmit: drive at the chain's peak,
     each LED's drive through the LED, outputs summed."""
     cfg = chain.config
     if cfg.scheme.kind == "dco_ofdm":
-        w = ofdm.dco_modulate(pilot, chain.ofdm, chain.fs)
-        drive = wf.Waveform(w.samples * cfg.peak_power_per_unit, chain.fs)
-        return ac.led_transfer(drive, cfg.device).samples
+        drive = ofdm.dco_modulate(pilot, chain.ofdm) * cfg.peak_power_per_unit
+        return ac.led_transfer(drive, cfg.device, chain.fs)
     n_leds = cfg.array_split_leds
     parts = wf.array_split(pilot, n_leds) if n_leds else [pilot]
     return sum(ac.led_transfer(wf.synthesize(p, chain.geometry, chain.peak),
-                               cfg.device).samples
+                               cfg.device, chain.fs)
                for p in parts)
 
 
@@ -383,8 +415,7 @@ class TestStackedReceive:
 
 class TestFlicker:
     def test_constant_waveform(self):
-        w = wf.Waveform(np.full(1000, 2.0), 1e6)
-        assert sk.flicker_metric(w, 1e-5) == 0.0
+        assert sk.flicker_metric(np.full(1000, 2.0), 1e6, 1e-5) == 0.0
 
     def test_eppm_symbol_window_exact_zero(self):
         c = con.build_eppm(7, 3)
@@ -392,13 +423,13 @@ class TestFlicker:
         g = geo(sps=4)
         words = c.symbols[rng.integers(0, 7, size=1000)]
         # integer sample values make the window sums exact in binary64
-        w = wf.synthesize(words, g, peak_power_per_unit=1.0)
+        w = wf.synthesize(words, g, peak=1.0)
         symbol_t = 7 * g.slot_duration
         for k in (1, 2, 5):
-            assert sk.flicker_metric(w, k * symbol_t) == 0.0
+            assert sk.flicker_metric(w, g.sample_rate, k * symbol_t) == 0.0
         # non-dyadic drive levels only round at the last ulp
-        w2 = wf.synthesize(words, g, peak_power_per_unit=0.7)
-        assert sk.flicker_metric(w2, symbol_t) < 1e-12
+        w2 = wf.synthesize(words, g, peak=0.7)
+        assert sk.flicker_metric(w2, g.sample_rate, symbol_t) < 1e-12
 
     def test_ppm_half_symbol_window_positive(self):
         c = con.build_ppm(8)
@@ -406,13 +437,12 @@ class TestFlicker:
         g = geo(sps=4)
         words = c.symbols[rng.integers(0, 8, size=500)]
         w = wf.synthesize(words, g)
-        assert sk.flicker_metric(w, 8 * g.slot_duration) == 0.0
-        assert sk.flicker_metric(w, 4 * g.slot_duration) > 0.0
+        assert sk.flicker_metric(w, g.sample_rate, 8 * g.slot_duration) == 0.0
+        assert sk.flicker_metric(w, g.sample_rate, 4 * g.slot_duration) > 0.0
 
     def test_window_validation(self):
-        w = wf.Waveform(np.ones(100), 1e6)
         with pytest.raises(ParameterError):
-            sk.flicker_metric(w, 1.0)
+            sk.flicker_metric(np.ones(100), 1e6, 1.0)
 
 
 class TestRateAccounting:

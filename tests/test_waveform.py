@@ -30,40 +30,40 @@ class TestGeometry:
 class TestSynthesize:
     def test_ppm_f1_single_slot(self):
         g = geo(sps=4, f=1)
-        w = wf.synthesize(np.array([[1, 0, 0, 0]]), g, peak_power_per_unit=2.0)
+        w = wf.synthesize(np.array([[1, 0, 0, 0]]), g, peak=2.0)
         expected = np.concatenate([np.full(4, 2.0), np.zeros(12)])
-        assert np.array_equal(w.samples, expected)
+        assert np.array_equal(w, expected)
 
     def test_overlap_creates_two_level_region(self):
         # adjacent PPM pulses with F=2 overlap into a 2-level region
         g = geo(sps=4, f=2)
         w = wf.synthesize(np.array([[1, 0, 0, 0], [1, 0, 0, 0]]), g)
-        per_slot = w.samples.reshape(-1, 4)[:, 0]
+        per_slot = w.reshape(-1, 4)[:, 0]
         # pulse 1 covers slots 0-1, pulse 2 covers slots 4-5; no overlap here,
         # but within one symbol 1100 they do
         w2 = wf.synthesize(np.array([[1, 1, 0, 0]]), g)
-        per_slot2 = w2.samples.reshape(-1, 4)[:, 0]
+        per_slot2 = w2.reshape(-1, 4)[:, 0]
         assert per_slot2.tolist() == [1, 2, 1, 0, 0]
         assert per_slot.max() == 1
 
     def test_mppm_1100_f2_peak(self):
         g = geo(sps=4, f=2)
-        w = wf.synthesize(np.array([[1, 1, 0, 0]]), g, peak_power_per_unit=1.0)
-        assert w.samples.max() == pytest.approx(2.0)
+        w = wf.synthesize(np.array([[1, 1, 0, 0]]), g, peak=1.0)
+        assert w.max() == pytest.approx(2.0)
 
     def test_trailing_pad_is_f_minus_1_slots(self):
         g = geo(sps=6, f=3, slot=1e-6)
         w = wf.synthesize(np.array([[0, 1, 0, 0]]), g)
-        assert w.samples.size == (4 + 2) * 6
+        assert w.size == (4 + 2) * 6
 
     def test_superposition_linearity(self):
         rng = np.random.default_rng(5)
         g = geo(sps=8, f=2)
         a = rng.integers(0, 3, size=(6, 5))
         b = rng.integers(0, 3, size=(6, 5))
-        wa = wf.synthesize(a, g).samples
-        wb = wf.synthesize(b, g).samples
-        wab = wf.synthesize(a + b, g).samples
+        wa = wf.synthesize(a, g)
+        wb = wf.synthesize(b, g)
+        wab = wf.synthesize(a + b, g)
         assert np.allclose(wa + wb, wab)
 
     def test_nonnegative_across_schemes(self):
@@ -74,7 +74,7 @@ class TestSynthesize:
             words = c.encode_indices(idx)
             for f in (1, 2, 10):
                 g = geo(sps=2 * f, f=f)
-                assert wf.synthesize(words, g).samples.min() >= 0
+                assert wf.synthesize(words, g).min() >= 0
 
     def test_bad_codeword_shape(self):
         with pytest.raises(InputError):
@@ -181,8 +181,8 @@ class TestDimming:
         c = con.build_eppm(7, 3)
         rng = np.random.default_rng(2)
         words = c.symbols[rng.integers(0, 7, size=200)]
-        w = wf.synthesize(words, geo(sps=4, f=1), peak_power_per_unit=1.0)
-        assert w.samples.mean() == pytest.approx(3 / 7, abs=1e-9)
+        w = wf.synthesize(words, geo(sps=4, f=1), peak=1.0)
+        assert w.mean() == pytest.approx(3 / 7, abs=1e-9)
 
 
 class TestArraySplit:
@@ -204,9 +204,9 @@ class TestArraySplit:
         for _ in range(100):
             idx = rng.integers(0, c.used_size, size=8)
             words = c.encode_indices(idx)
-            whole = wf.synthesize(words, g).samples
+            whole = wf.synthesize(words, g)
             parts = wf.array_split(words, n_leds=3)
-            total = sum(wf.synthesize(p, g).samples for p in parts)
+            total = sum(wf.synthesize(p, g) for p in parts)
             assert np.array_equal(whole, total)
 
     def test_capacity_error(self):
