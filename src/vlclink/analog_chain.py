@@ -10,11 +10,11 @@ background light, plus a thermal floor.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import elementary_charge as Q_ELECTRON
-from scipy.signal import lfilter
 
 from .errors import ConfigError, ParameterError
 from .schema import section
+
+Q_ELECTRON = 1.602176634e-19  # elementary charge in C, exact in SI since 2019
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,8 @@ def led_transfer(x, m, sample_rate):
     y = memoryless_response(x, m)
     a = lowpass_coefficient(m, sample_rate)
     if a > 0.0:
+        from scipy.signal import lfilter  # only a pole needs scipy
+
         y = lfilter([1.0 - a], [1.0, -a], y, axis=-1)
     return y
 

@@ -15,7 +15,6 @@ decoder doubles as the oracle for small constellations.
 """
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import constellations as con
 from . import waveform as wf
@@ -71,7 +70,7 @@ def restoration_matrix(kernel, q):
     pulse (invertible whenever kernel[0] is nonzero)."""
     col = np.zeros(q)
     col[: min(q, kernel.size)] = kernel[:q]
-    return toeplitz(col, np.zeros(q))
+    return np.tril(col[np.arange(q)[:, None] - np.arange(q)])
 
 
 def _candidate_codewords(c):
@@ -292,11 +291,11 @@ class StreamReceiver:
         if g.overlap_factor > 1:
             self._restore = np.linalg.inv(restoration_matrix(self._kernel, c.q))
             # row i: the statistics a unit amplitude in slot i of a block
-            # adds after that block (its tail in the following blocks)
-            self._tails = toeplitz(
-                np.r_[self._kernel[0], np.zeros(c.q - 1)],
-                np.r_[self._kernel, np.zeros(c.q - 1)],
-            )[:, c.q:]
+            # adds after that block (its tail in the following blocks):
+            # row i, column j holds kernel[q + j - i], 0 past the kernel
+            padded = np.r_[self._kernel, np.zeros(c.q - 1)]
+            self._tails = padded[np.arange(c.q, padded.size)
+                                 - np.arange(c.q)[:, None]]
 
     def decode_stats(self, stats):
         """Symbol indices of one stream's slot statistics, or (n_frames,

@@ -15,9 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
-from scipy.stats import norm
 
 from . import analog_chain as ac
 from . import constellations as con
@@ -51,7 +48,11 @@ PRACTICAL_RECEIVED_POWER = 5e-6
 # analytic oracles
 # ---------------------------------------------------------------------------
 
+# the oracles import scipy when called: the simulator itself needs only numpy
+
 def q_function(x):
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
@@ -63,10 +64,16 @@ def ser_exact_equicorrelated(m_symbols, k, lam, slot_snr):
     equicorrelated and the common term cancels: the decision reduces to
     m-1 iid comparisons against the true score raised by sqrt(snr*(k-lam)).
     """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
     shift = np.sqrt(slot_snr * (k - lam))
 
     def integrand(t):
-        return norm.pdf(t) * norm.cdf(t + shift) ** (m_symbols - 1)
+        # standard normal pdf times cdf^(m-1), each computed as
+        # scipy.stats.norm computes it
+        pdf = np.exp(-t * t / 2.0) / np.sqrt(2.0 * np.pi)
+        return pdf * ndtr(t + shift) ** (m_symbols - 1)
 
     p_correct, _ = quad(integrand, -12, 12, limit=200)
     return 1.0 - p_correct
@@ -150,6 +157,7 @@ class ChannelSpec:
     mode: str = field(default="awgn",
                       metadata={"choices": ("identity", "awgn", "physical")})
     slot_snr_db: float = 10.0       # awgn: SNR of a unit slot statistic
+                                    # (dco_ofdm: of a unit-peak sample)
     sample_noise_sigma: float = 0.0  # awgn: explicit sample-level sigma
     model: ac.ChannelModel = field(default_factory=lambda: ac.IDENTITY_CHANNEL)
     detector: ac.DetectorModel = field(default_factory=ac.DetectorModel)
@@ -530,12 +538,13 @@ def _apply_channel(x, cfg, fs, rngs):
                                        seeds)
     y = _apply_channel_deterministic(x, cfg, fs)
     sigma = spec.sample_noise_sigma
-    if sigma == 0.0 and cfg.geometry is not None:
-        # slot-level SNR: variance of a unit-amplitude slot statistic
+    if sigma == 0.0:
+        # the SNR of a unit-amplitude slot statistic, which averages a
+        # slot's samples; an OFDM link has no slots, so of one unit sample
         snr = 10 ** (spec.slot_snr_db / 10)
-        sigma = cfg.peak_power_per_unit * np.sqrt(
-            cfg.geometry.samples_per_slot / snr
-        )
+        samples = (1 if cfg.scheme.kind == "dco_ofdm"
+                   else cfg.geometry.samples_per_slot)
+        sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
         for row, rng in zip(np.atleast_2d(y), rngs):
             noise = rng.standard_normal(row.size)

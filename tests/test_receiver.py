@@ -387,6 +387,47 @@ class TestStreamReceiver:
         assert ser_ml <= 1.2 * ser_corr
 
 
+def scipy_toeplitz_matrices(kernel, q):
+    """The restoration matrix and the tails, built with scipy's toeplitz."""
+    from scipy.linalg import toeplitz
+
+    col = np.zeros(q)
+    col[: min(q, kernel.size)] = kernel[:q]
+    tails = toeplitz(np.r_[kernel[0], np.zeros(q - 1)],
+                     np.r_[kernel, np.zeros(q - 1)])[:, q:]
+    return toeplitz(col, np.zeros(q)), tails
+
+
+def measured_overlap_kernel():
+    """The measured slot response of the meppm21-overlap benchmark link."""
+    import vlclink
+    from vlclink import simkit as sk
+
+    from test_bench_pins import WORKLOADS
+
+    doc = WORKLOADS.Meppm21Overlap(vlclink, workdir=None).document(1)
+    return sk._PulseChain(sk.config_from_document(doc))._effective_kernel()
+
+
+class TestToeplitz:
+    @pytest.mark.parametrize("f, kernel", [
+        (2, lambda: rx.pulse_kernel(2)),
+        (3, lambda: rx.pulse_kernel(3)),
+        (10, lambda: rx.pulse_kernel(10)),
+        (2, lambda: np.array([0.9, 0.5, 0.25])),  # shorter than Q
+        (10, measured_overlap_kernel),
+    ], ids=["f2", "f3", "f10", "shorter-than-q", "meppm21-overlap-measured"])
+    def test_matrices_equal_scipy_toeplitz(self, f, kernel):
+        kernel = np.asarray(kernel(), dtype=np.float64)
+        matrix, tails = scipy_toeplitz_matrices(kernel, 7)
+        assert np.array_equal(rx.restoration_matrix(kernel, 7), matrix)
+        receiver = rx.StreamReceiver(con.build_eppm(7, 3),
+                                     wf.SlotGeometry(1e-6, 2 * f, f),
+                                     kernel=kernel)
+        assert receiver._tails.shape == tails.shape
+        assert np.array_equal(receiver._tails, tails)
+
+
 class TestRestoration:
     @pytest.mark.parametrize("f", [2, 4, 10])
     def test_restores_exact_amplitudes(self, f):

@@ -142,6 +142,24 @@ class TestRunTrials:
         assert report.bits_sent >= 20_000
         assert report.bit_errors == 0
 
+    def test_ofdm_awgn_noise_ignores_slot_geometry(self):
+        # an OFDM link has no slots: its slot_snr_db is the SNR of one
+        # unit-peak sample, whatever samples_per_slot the config carries
+        counts = []
+        for sps in (2, 8):
+            cfg = sk.TrialConfig(
+                scheme=sk.SchemeSpec(kind="dco_ofdm"),
+                geometry=geo(sps=sps),
+                channel=sk.ChannelSpec(mode="awgn", slot_snr_db=10.0),
+                run=sk.RunSpec(max_bits=30_000, min_errors=10 ** 9,
+                               batch_symbols=32),
+                seed=3,
+            )
+            r = sk.run_trials(cfg)
+            counts.append((r.bits_sent, r.bit_errors, r.symbol_errors))
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0
+
     def test_meppm_components_run(self):
         cfg = sk.TrialConfig(
             scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=2,
@@ -482,6 +500,20 @@ class TestOracles:
         c = con.build_eppm(7, 3)
         for snr in (6.0, 10.0, 16.0):
             assert sk.ser_exact_for(c, snr) <= sk.ser_union_bound(c, snr)
+
+    @pytest.mark.parametrize("m, k, lam", [(2, 1, 0), (7, 3, 1), (64, 1, 0)])
+    def test_exact_oracle_equals_scipy_stats_form(self, m, k, lam):
+        # the oracle writes the normal pdf and cdf out on scipy.special;
+        # its values must stay bit-identical to the scipy.stats.norm form
+        from scipy.integrate import quad
+        from scipy.stats import norm
+
+        for snr_db in (0.0, 9.3, 11.1, 16.0):
+            snr = 10 ** (snr_db / 10)
+            shift = np.sqrt(snr * (k - lam))
+            p, _ = quad(lambda t: norm.pdf(t) * norm.cdf(t + shift) ** (m - 1),
+                        -12, 12, limit=200)
+            assert sk.ser_exact_equicorrelated(m, k, lam, snr) == 1.0 - p
 
     def test_union_bound_sanity_against_simulation(self):
         # measured SER <= union bound, and within 2x at low error rates
