@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from . import constellations as con
 from . import simkit as sk
@@ -44,9 +42,17 @@ def _stats_line(c):
     )
 
 
+def _pulse_constellation(config):
+    """The config's constellation; a DCO-OFDM scheme has none."""
+    if config.scheme.kind not in con.SCHEMES:
+        raise ConfigError("scheme.kind",
+                          f"not a pulse scheme: {config.scheme.kind!r}")
+    return config.scheme.build_constellation()
+
+
 def cmd_construct(args):
     config, _ = _load(args)
-    c = config.scheme.build_constellation()
+    c = _pulse_constellation(config)
     print(_stats_line(c))
     os.makedirs(args.output_dir, exist_ok=True)
     con.save_constellation(c, os.path.join(args.output_dir, "constellation.json"))
@@ -137,7 +143,7 @@ def cmd_rate(args):
     config, doc = _load(args)
     rate = sk.cli_block(doc, "rate")
     acc = sk.rate_accounting(
-        config.scheme.build_constellation(), config.geometry, config.device,
+        _pulse_constellation(config), config.geometry, config.device,
         rate.n_colors, bits_per_symbol=rate.bits_per_symbol,
     )
     print(f"bits_per_slot={acc.bits_per_slot:.6g}")
@@ -161,19 +167,24 @@ def cmd_rate(args):
 def cmd_flicker(args):
     config, doc = _load(args)
     flicker = sk.cli_block(doc, "flicker")
-    c = config.scheme.build_constellation()
-    rng = np.random.default_rng(config.seed)
-    idx = rng.integers(0, c.used_size, size=flicker.n_symbols)
-    light = wf.synthesize(c.encode_indices(idx), config.geometry,
-                          config.peak_power_per_unit)
-    symbol_t = c.q * config.geometry.slot_duration
-    os.makedirs(args.output_dir, exist_ok=True)
-    rows = ["window_symbols,metric"]
+    _pulse_constellation(config)  # DCO-OFDM sends no pulses to measure
+    light = sk.random_light(config, flicker.n_symbols)
+    g = config.geometry
+    symbol_t = config.scheme.q * g.slot_duration
+    # every window is measured before anything is printed or written
+    metrics = []
     for k in flicker.window_symbols:
-        metric = sk.flicker_metric(light, config.geometry.sample_rate,
-                                   float(k) * symbol_t)
+        try:
+            metrics.append(sk.flicker_metric(light, g.sample_rate,
+                                             float(k) * symbol_t))
+        except ParameterError as exc:
+            raise ConfigError("flicker.window_symbols",
+                              f"{k:g}: {exc}") from None
+    rows = ["window_symbols,metric"]
+    for k, metric in zip(flicker.window_symbols, metrics):
         rows.append(f"{k},{sk.format_float(metric)}")
         print(f"window_symbols={k} flicker={metric:.6g}")
+    os.makedirs(args.output_dir, exist_ok=True)
     with open(os.path.join(args.output_dir, "flicker.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -198,16 +198,20 @@ class _MeppmLattice:
     when enabled).  A sum vector is identified by the per-shift count
     difference c = (#shift_i) - (#complement_i); two component multisets
     collide exactly when they share c, provided the shift matrix is
-    invertible, which `usable` checks via the seed's DFT.
+    invertible, which `usable` checks.  The lattice owns the map between
+    sums and counts both ways: exact for ranking, and real-valued with its
+    nearest valid c for the component decoder.
     """
 
     def __init__(self, shifts, n, use_complements):
-        self.shifts = shifts            # (q, q) int rows: shift i
+        self.shifts = shifts.astype(np.int64)   # (q, q) rows: shift i
         self.q = shifts.shape[0]
-        self.k = int(shifts[0].sum())
         self.n = n
         self.use_complements = use_complements
-        self._inv = np.linalg.inv(shifts.astype(float))
+        # with complements, sums = c @ shifts + (N - sum c) / 2, so
+        # sums - N/2 = c @ (shifts - 1/2)
+        mat = shifts.astype(np.float64)
+        self._inv = np.linalg.inv(mat - 0.5 if use_complements else mat)
         if use_complements:
             self.counter = SignedBallCounter(self.q, n, n & 1)
         else:
@@ -215,37 +219,100 @@ class _MeppmLattice:
         self.size = self.counter.total
 
     @staticmethod
-    def usable(seed_word, n, use_complements):
-        q = len(seed_word)
-        k = int(np.sum(seed_word))
-        spectrum = np.abs(np.fft.fft(np.asarray(seed_word, dtype=float)))
-        if np.any(spectrum[1:] < 1e-9) or k == 0:
-            return False
-        if use_complements and 2 * k == q:
-            return False
-        return True
+    def usable(seed_word, use_complements):
+        """Whether the matrix that `solve` inverts is regular.  It is
+        circulant, so its eigenvalues are the seed's DFT, the DC one
+        lowered by Q/2 when complements take 1/2 off every entry."""
+        spectrum = np.fft.fft(np.asarray(seed_word, dtype=float))
+        if use_complements:
+            spectrum[0] -= len(seed_word) / 2
+        return bool(np.abs(spectrum).min() >= 1e-9)
 
-    def _sums_from_c(self, c):
-        sums = c @ self.shifts.astype(np.int64)
+    def solve(self, sums):
+        """Real-valued component counts (n, q) of sum vectors (n, q)."""
+        s = np.asarray(sums, dtype=np.float64)
+        if self.use_complements:
+            s = s - self.n / 2.0
+        return s @ self._inv
+
+    def sums(self, c):
+        """Sum vectors (n, q) int64 of component counts (n, q)."""
+        sums = c @ self.shifts
         if self.use_complements:
             sums += ((self.n - c.sum(axis=1)) // 2)[:, None]
         return sums
 
+    def nearest(self, c_float):
+        """Valid component counts (n, q) int64 near real-valued ones:
+        rounded, then repaired into the valid set."""
+        c_int = np.rint(c_float).astype(np.int64)
+        _repair_lattice_vector(c_int, c_float, self.n, self.use_complements)
+        return c_int
+
     def codewords(self, indices):
         """Sum vectors (n, q) of the symbol indices (n,)."""
-        return self._sums_from_c(self.counter.unrank(indices))
+        return self.sums(self.counter.unrank(indices))
 
     def indices(self, sums):
         """Symbol indices (n,) of the sum vectors (n, q)."""
         sums = np.asarray(sums, dtype=np.int64)
-        s = sums.astype(float)
-        if self.use_complements:
-            sum_c = (2.0 * s.sum(axis=1) - self.q * self.n) / (2 * self.k - self.q)
-            s = s - ((self.n - sum_c) / 2.0)[:, None]
-        c = np.rint(s @ self._inv).astype(np.int64)
-        if not np.array_equal(self._sums_from_c(c), sums):
+        c = np.rint(self.solve(sums)).astype(np.int64)
+        if not np.array_equal(self.sums(c), sums):
             raise ValueError("not a constellation sum vector")
         return self.counter.rank(c)
+
+
+def _repair_lattice_vector(c_int, c_float, n, use_complements):
+    """Clamp rounded component-count vectors (rows) into the valid set, in
+    place.
+
+    With complements: sum|c| <= N with the parity of N; without: c >= 0 with
+    sum exactly N.  Each repair step moves, in every row still invalid, the
+    entry whose rounding cost is smallest (the first such entry, and -1
+    before +1).
+    """
+    c_int = c_int.reshape(-1, c_int.shape[-1])
+    c_float = c_float.reshape(c_int.shape)
+    if not use_complements:
+        np.maximum(c_int, 0, out=c_int)
+        while True:
+            total = c_int.sum(axis=1)
+            up, down = np.flatnonzero(total < n), np.flatnonzero(total > n)
+            if not (up.size or down.size):
+                return
+            err = c_float - c_int
+            c_int[up, np.argmax(err[up], axis=1)] += 1
+            masked = np.where(c_int[down] > 0, err[down], np.inf)
+            c_int[down, np.argmin(masked, axis=1)] -= 1
+    # past the ball only steps toward zero shorten sum|c|, at most one per
+    # entry at a time.  Taking the first cheapest such step sum|c| - N
+    # times takes each entry's steps in runs that start at a new maximum of
+    # its step costs, so it takes the sum|c| - N first steps in the order
+    # (running maximum of the entry's costs, entry, step)
+    rows = np.flatnonzero(np.abs(c_int).sum(axis=1) > n)
+    if rows.size:
+        old, f = c_int[rows], c_float[rows, :, None]
+        sign = np.sign(old)[:, :, None]
+        t = np.arange(np.abs(old).max())
+        x = old[:, :, None] - sign * t          # entry before its step t
+        cost = np.where(t < np.abs(old)[:, :, None],
+                        np.abs(x - sign - f) - np.abs(x - f), np.inf)
+        key = np.maximum.accumulate(cost, axis=2).reshape(rows.size, -1)
+        order = np.argsort(key, axis=1, kind="stable")
+        excess = np.abs(old).sum(axis=1) - n
+        taken = np.empty(key.shape, dtype=bool)
+        np.put_along_axis(taken, order,
+                          np.arange(key.shape[1]) < excess[:, None], axis=1)
+        c_int[rows] = old - sign[:, :, 0] * taken.reshape(cost.shape).sum(axis=2)
+    # inside the ball with the wrong parity every single step is admissible
+    rows = np.flatnonzero((n - np.abs(c_int).sum(axis=1)) % 2)
+    if not rows.size:
+        return
+    old, f = c_int[rows], c_float[rows]
+    steps = np.stack([old - 1, old + 1], axis=2)   # (rows, j, direction)
+    cost = np.abs(steps - f[:, :, None]) - np.abs(old - f)[:, :, None]
+    best = np.argmin(cost.reshape(rows.size, 2 * old.shape[1]), axis=1)
+    c_int[rows, best // 2] += 2 * (best % 2) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +397,10 @@ class Constellation:
             idx = self._lattice.indices(rows)
         return int(idx[0]) if cw.ndim == 1 else idx
 
-    def components_base(self):
-        """The Q cyclic shifts underlying an EPPM/MEPPM constellation
-        (read-only, built once)."""
-        return self._components[: self.q]
-
+    @functools.cached_property
     def components(self):
         """Decoder component list: shifts, then complements when enabled
         (read-only, built once)."""
-        return self._components
-
-    @functools.cached_property
-    def _components(self):
         if self.seed_positions is None:
             raise ParameterError("constellation has no cyclic seed")
         seed = _positions_to_word(self.q, self.seed_positions)
@@ -479,14 +538,13 @@ def build_meppm(q, k, n, use_complements=False, seed_positions=None,
     """
     check_pulse_scheme(MEPPM, q, k, n)
     eppm = build_eppm(q, k, seed_positions)
-    base = eppm.components_base()
-    seed = base[0]
-    lattice_ok = _MeppmLattice.usable(seed, n, use_complements)
+    base = eppm.symbols
     lattice = (
-        _MeppmLattice(base, n, use_complements) if lattice_ok else None
+        _MeppmLattice(base, n, use_complements)
+        if _MeppmLattice.usable(base[0], use_complements) else None
     )
 
-    if lattice_ok and lattice.size > max_table_size:
+    if lattice is not None and lattice.size > max_table_size:
         return Constellation(MEPPM, q, k, n, use_complements,
                              seed_positions=eppm.seed_positions,
                              lattice=lattice, size=lattice.size)
@@ -507,11 +565,11 @@ def build_meppm(q, k, n, use_complements=False, seed_positions=None,
             seen[key] = len(rows)
             rows.append(s)
     symbols = np.stack(rows)
-    if lattice_ok and len(rows) != lattice.size:
+    if lattice is not None and len(rows) != lattice.size:
         raise AssertionError("lattice count disagrees with enumeration")
     return Constellation(MEPPM, q, k, n, use_complements, symbols=symbols,
                          seed_positions=eppm.seed_positions,
-                         lattice=lattice if lattice_ok else None)
+                         lattice=lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -571,19 +629,13 @@ def _implicit_min_l1(c, radius=6):
     which holds for every case cross-checked against enumeration.
     """
     lat = c._lattice
-    shifts = lat.shifts.astype(np.int64)
-    best = None
-    for dv in _l1_ball_vectors(c.q, radius):
-        d = np.array(dv, dtype=np.int64)
-        if not lat.use_complements and d.sum() != 0:
-            continue
-        if lat.use_complements and (d.sum() % 2) != 0:
-            continue
-        diff = d @ shifts - (d.sum() // 2 if lat.use_complements else 0)
-        dist = int(np.abs(diff).sum())
-        if dist > 0 and (best is None or dist < best):
-            best = dist
-    return best
+    d = np.array(_l1_ball_vectors(c.q, radius), dtype=np.int64)
+    total = d.sum(axis=1)
+    # differences of two valid counts: an even total with complements,
+    # a zero one without
+    d = d[total % 2 == 0 if lat.use_complements else total == 0]
+    dist = np.abs(lat.sums(d) - lat.sums(np.zeros_like(d[:1]))).sum(axis=1)
+    return int(dist[dist > 0].min())
 
 
 def code_stats(c):

@@ -129,31 +129,21 @@ class MeppmComponentDecoder:
     energy-corrected residual correlation and subtract its expected
     contribution; the recovered multiset maps to its canonical symbol.
     Because complement mixtures can defeat the greedy peeling, a second
-    candidate is formed by rounding the component-count solve to the
-    nearest valid symbol, and whichever candidate reconstructs the observed
-    statistics more closely wins.  Statistics are unit-scaled amplitudes.
+    candidate comes from the constellation's lattice, when it has one: the
+    nearest valid component counts of its real-valued solve.  Whichever
+    candidate reconstructs the observed statistics more closely wins.
+    Statistics are unit-scaled amplitudes.
     """
 
     def __init__(self, c):
         if c.scheme != con.MEPPM:
             raise ParameterError("component decoding is MEPPM-only")
         self.constellation = c
-        self.templates = c.components().astype(np.float64)
+        self.templates = c.components.astype(np.float64)
         self._half_energy = 0.5 * (self.templates ** 2).sum(axis=1)
         # template inner products: peeling a component lowers every score
         # by its row, so the greedy rounds need no residual matmul
         self._gram = self.templates @ self.templates.T
-        self._base = c.components_base().astype(np.float64)
-        # linear solve for the nearest-valid-symbol candidate, available
-        # whenever the shift matrix is invertible for this (seed, N)
-        if con._MeppmLattice.usable(self._base[0], c.n, c.use_complements):
-            if c.use_complements:
-                mat = self._base - 0.5
-            else:
-                mat = self._base
-            self._solve = np.linalg.inv(mat)
-        else:
-            self._solve = None
 
     def _greedy(self, calibrated):
         scores = calibrated @ self.templates.T - self._half_energy
@@ -168,25 +158,6 @@ class MeppmComponentDecoder:
         return np.bincount(picks.ravel(), minlength=rows * n_comp).reshape(
             rows, n_comp)
 
-    def _reconstruct(self, c_rows):
-        c_rows = np.asarray(c_rows, dtype=np.float64)
-        if self.constellation.use_complements:
-            bias = (self.constellation.n - c_rows.sum(axis=1)) / 2.0
-            return c_rows @ self._base + bias[:, None]
-        return c_rows @ self._base
-
-    def _round_candidates(self, stats_2d):
-        """Nearest valid component-count vectors by rounding the solve."""
-        cst = self.constellation
-        if cst.use_complements:
-            target = stats_2d - cst.n / 2.0
-        else:
-            target = stats_2d
-        c_float = target @ self._solve
-        c_int = np.rint(c_float).astype(np.int64)
-        _repair_lattice_vector(c_int, c_float, cst.n, cst.use_complements)
-        return c_int
-
     def decode_block(self, stats_2d):
         return self.constellation.index_of(self.decide_block(stats_2d))
 
@@ -195,8 +166,9 @@ class MeppmComponentDecoder:
         stats_2d = np.asarray(stats_2d, dtype=np.float64)
         # both candidates' sums are small integers, so exact in float64
         best = self._greedy(stats_2d) @ self.templates
-        if self._solve is not None:
-            r_round = self._reconstruct(self._round_candidates(stats_2d))
+        lat = self.constellation._lattice
+        if lat is not None:
+            r_round = lat.sums(lat.nearest(lat.solve(stats_2d)))
             d_greedy = ((stats_2d - best) ** 2).sum(axis=1)
             d_round = ((stats_2d - r_round) ** 2).sum(axis=1)
             best = np.where((d_round < d_greedy)[:, None], r_round, best)
@@ -205,59 +177,6 @@ class MeppmComponentDecoder:
 
 _DECODER_CLASSES = dict(zip(DECODERS, (CorrelationDecoder, MlDecoder,
                                        MeppmComponentDecoder)))
-
-
-def _repair_lattice_vector(c_int, c_float, n, use_complements):
-    """Clamp rounded component-count vectors (rows) into the valid set, in
-    place.
-
-    With complements: sum|c| <= N with the parity of N; without: c >= 0 with
-    sum exactly N.  Each repair step moves, in every row still invalid, the
-    entry whose rounding cost is smallest (the first such entry, and -1
-    before +1).
-    """
-    c_int = c_int.reshape(-1, c_int.shape[-1])
-    c_float = c_float.reshape(c_int.shape)
-    if not use_complements:
-        np.maximum(c_int, 0, out=c_int)
-        while True:
-            total = c_int.sum(axis=1)
-            up, down = np.flatnonzero(total < n), np.flatnonzero(total > n)
-            if not (up.size or down.size):
-                return
-            err = c_float - c_int
-            c_int[up, np.argmax(err[up], axis=1)] += 1
-            masked = np.where(c_int[down] > 0, err[down], np.inf)
-            c_int[down, np.argmin(masked, axis=1)] -= 1
-    # past the ball only steps toward zero shorten sum|c|, at most one per
-    # entry at a time.  Taking the first cheapest such step sum|c| - N
-    # times takes each entry's steps in runs that start at a new maximum of
-    # its step costs, so it takes the sum|c| - N first steps in the order
-    # (running maximum of the entry's costs, entry, step)
-    rows = np.flatnonzero(np.abs(c_int).sum(axis=1) > n)
-    if rows.size:
-        old, f = c_int[rows], c_float[rows, :, None]
-        sign = np.sign(old)[:, :, None]
-        t = np.arange(np.abs(old).max())
-        x = old[:, :, None] - sign * t          # entry before its step t
-        cost = np.where(t < np.abs(old)[:, :, None],
-                        np.abs(x - sign - f) - np.abs(x - f), np.inf)
-        key = np.maximum.accumulate(cost, axis=2).reshape(rows.size, -1)
-        order = np.argsort(key, axis=1, kind="stable")
-        excess = np.abs(old).sum(axis=1) - n
-        taken = np.empty(key.shape, dtype=bool)
-        np.put_along_axis(taken, order,
-                          np.arange(key.shape[1]) < excess[:, None], axis=1)
-        c_int[rows] = old - sign[:, :, 0] * taken.reshape(cost.shape).sum(axis=2)
-    # inside the ball with the wrong parity every single step is admissible
-    rows = np.flatnonzero((n - np.abs(c_int).sum(axis=1)) % 2)
-    if not rows.size:
-        return
-    old, f = c_int[rows], c_float[rows]
-    steps = np.stack([old - 1, old + 1], axis=2)   # (rows, j, direction)
-    cost = np.abs(steps - f[:, :, None]) - np.abs(old - f)[:, :, None]
-    best = np.argmin(cost.reshape(rows.size, 2 * old.shape[1]), axis=1)
-    c_int[rows, best // 2] += 2 * (best % 2) - 1
 
 
 class StreamReceiver:

@@ -400,6 +400,12 @@ class _PulseChain:
         parts = wf.array_split(words, n_leds) if n_leds else [words]
         return [wf.synthesize(p, self.geometry, peak) for p in parts]
 
+    def transmit(self, words):
+        """Optical samples of a codeword stream, or of each frame of a
+        stack: the drive at the link's peak, through the LEDs."""
+        return _led_output(self.drive(words, self.peak), self.config.device,
+                           self.fs)
+
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
         c = self.constellation
@@ -422,8 +428,7 @@ class _PulseChain:
         # interleaver blocks never straddle two frames
         words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
-        light = _led_output(self.drive(words, self.peak), cfg.device, self.fs)
-        y = _apply_channel(light, cfg, self.fs, rngs)
+        y = _apply_channel(self.transmit(words), cfg, self.fs, rngs)
         return bits, idx.reshape(len(rngs), n_sym), rx.slot_statistics(
             y, self.geometry)
 
@@ -742,6 +747,17 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
+
+def random_light(config, n_symbols):
+    """Optical samples of `n_symbols` random symbols drawn from the config
+    seed, sent as a pulse trial sends them: the constellation that
+    `dimming_target` leaves, at the trial's drive level, through its LEDs."""
+    chain = _PulseChain(config)
+    c = chain.constellation
+    idx = np.random.default_rng(config.seed).integers(0, c.used_size,
+                                                      size=n_symbols)
+    return chain.transmit(c.encode_indices(idx))
+
 
 def flicker_metric(samples, sample_rate, window_seconds):
     """Worst relative deviation of tiled window means from the global mean.

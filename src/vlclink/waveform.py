@@ -104,7 +104,6 @@ class DimmingResult:
     constellation: object
     power_scale: float
     achieved_ratio: float
-    mode: str  # "rebuild" or "scale"
 
 
 def apply_dimming(c, target_fraction):
@@ -124,7 +123,7 @@ def apply_dimming(c, target_fraction):
             )
         builder = con.build_mppm if c.scheme == con.MPPM else con.build_eppm
         rebuilt = builder(c.q, k_new)
-        return DimmingResult(rebuilt, 1.0, k_new / c.q, "rebuild")
+        return DimmingResult(rebuilt, 1.0, k_new / c.q)
     # PPM / MEPPM: scale the per-unit drive against the device full-scale
     if c.is_materialized:
         base_ratio = float(c.symbols.mean() / c.symbols.max())
@@ -138,7 +137,7 @@ def apply_dimming(c, target_fraction):
             f"target {target_fraction} exceeds the code's natural "
             f"average-to-peak ratio {base_ratio:.4g}"
         )
-    return DimmingResult(c, scale, target_fraction, "scale")
+    return DimmingResult(c, scale, target_fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def count_distinct_sums_dp(q, k, n, use_complements=True):
     the total and a complement q - k, so with q != 2k the slices are the
     numbers of shift components."""
     assert n < 32 and q * 5 <= 60
-    base = con.build_eppm(q, k).components_base()
+    base = con.build_eppm(q, k).symbols
     comps = np.concatenate([base, 1 - base]) if use_complements else base
     mask = (1 << (5 * q)) - 1
     packed = np.array(

@@ -8,7 +8,9 @@ symbols, symbol errors) were measured on the per-frame receiver that the
 lockstep one replaced; the `nonlin-compare` counts on the per-frame
 DCO-OFDM modulator and the per-iteration calibration pilot; the
 `eppm-awgn-2w` counts and the F=1 ML trial on the receiver that took a
-`gain` beside its kernel.  Any change to these fails here.
+`gain` beside its kernel; the F=1 complement-code pin on the decoder that
+kept its own copy of the lattice's component-count solve.  Any change to
+these fails here.
 """
 
 import importlib.util
@@ -102,3 +104,26 @@ def test_f1_ml_physical_counts():
     report = sk.run_trials(sk.config_from_document(doc))
     assert (report.bits_sent, report.bit_errors, report.symbols_sent,
             report.symbol_errors) == (73728, 6345, 12288, 2131)
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (1, (40960, 593, 4096, 121)),
+    (2, (40960, 629, 4096, 137)),
+])
+def test_f1_meppm_complements_components_counts(seed, counts):
+    """The component decoder on a materialized complement code, where both
+    of its candidates win rows: greedy peeling alone gives SER 0.32 on
+    seed 1, the lattice rounding alone 0.077, the better of the two 0.030."""
+    doc = {
+        "scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 4,
+                   "use_complements": True},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+        "channel": {"mode": "awgn", "slot_snr_db": 12.0},
+        "run": {"batch_symbols": 512, "max_bits": 40000,
+                "min_errors": WORKLOADS.UNREACHABLE_ERRORS},
+        "decoder": "components",
+        "seed": seed,
+    }
+    report = sk.run_trials(sk.config_from_document(doc))
+    assert (report.bits_sent, report.bit_errors, report.symbols_sent,
+            report.symbol_errors) == counts

@@ -162,6 +162,20 @@ class TestErrors:
         assert len(res.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("verb", ["construct", "rate", "flicker"])
+    def test_pulse_verb_on_ofdm_names_scheme_kind(self, tmp_path, capsys,
+                                                  verb):
+        doc = dict(BASE_EPPM, scheme={"kind": "dco_ofdm"})
+        out_dir = tmp_path / "out"
+        code = cli.main([verb, "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: config: scheme.kind: not a pulse "
+                                "scheme: 'dco_ofdm'\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_zero_workers_flag_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, dict(BASE_EPPM, sweep={"points": [6.0, 9.0]}))
         out_dir = tmp_path / "out"
@@ -311,3 +325,48 @@ class TestFlickerCommand:
         assert res.returncode == 0
         assert "window_symbols=1 flicker=0" in res.stdout
         assert (out_dir / "flicker.csv").exists()
+
+    @pytest.mark.parametrize("windows, n_symbols", [
+        ([1, -1], 200),
+        ([0.01], 200),      # 0.28 of a sample at Q=7, 4 samples per slot
+        ([1, 300], 200),    # longer than the stream
+    ], ids=["negative", "below-one-sample", "longer-than-stream"])
+    def test_bad_window_exit_3_before_any_output(self, tmp_path, capsys,
+                                                 windows, n_symbols):
+        doc = {
+            "scheme": {"kind": "eppm", "q": 7, "k": 3},
+            "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+            "flicker": {"n_symbols": n_symbols, "window_symbols": windows},
+        }
+        out_dir = tmp_path / "out"
+        code = cli.main(["flicker", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "error: config: flicker.window_symbols: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_dimming_target_measures_the_rebuilt_code(self, tmp_path, capsys):
+        # MPPM(8,4) dimmed to 0.25 is sent as MPPM(8,2): two pulses can
+        # fill a quarter-symbol window at 4x the mean light of K=2
+        def flicker_csv(name, scheme, **extra):
+            doc = {
+                "scheme": scheme,
+                "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+                "flicker": {"n_symbols": 500,
+                            "window_symbols": [0.25, 0.5, 1]},
+                "seed": 2, **extra,
+            }
+            out_dir = tmp_path / name
+            assert cli.main(["flicker", "--config",
+                             write_config(tmp_path, doc, f"{name}.json"),
+                             "--output-dir", str(out_dir)]) == 0
+            return (out_dir / "flicker.csv").read_text()
+
+        dimmed = flicker_csv("dimmed", {"kind": "mppm", "q": 8, "k": 4},
+                             dimming_target=0.25)
+        assert "window_symbols=0.25 flicker=3\n" in capsys.readouterr().out
+        assert dimmed == flicker_csv("k2", {"kind": "mppm", "q": 8, "k": 2})

@@ -20,8 +20,7 @@ def brute_min_l1(symbols):
 
 def enumerate_meppm_sums(q, k, n, use_complements):
     """Independent oracle: all distinct sums by direct multiset enumeration."""
-    eppm = con.build_eppm(q, k)
-    comps = eppm.components_base()
+    comps = con.build_eppm(q, k).symbols
     if use_complements:
         comps = np.concatenate([comps, 1 - comps])
     sums = set()

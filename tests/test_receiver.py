@@ -136,7 +136,7 @@ class TestMeppmComponents:
         dec = rx.MeppmComponentDecoder(c)
         words = np.stack([c.codeword_at(i) for i in range(c.size)])
         counts = dec._greedy(words.astype(float))
-        assert np.array_equal(counts @ c.components(), words)
+        assert np.array_equal(counts @ c.components, words)
 
     def test_n1_equals_correlation_on_eppm(self):
         meppm = con.build_meppm(7, 3, 1)
@@ -182,7 +182,7 @@ class TestMeppmComponents:
         counts = dec._greedy(noisy)
         assert np.array_equal(counts, residual_greedy(dec, noisy))
         # the noise is strong enough to make the peeling miss on some rows
-        assert not np.array_equal(counts @ c.components(), c.encode_indices(idx))
+        assert not np.array_equal(counts @ c.components, c.encode_indices(idx))
 
 
     @pytest.mark.parametrize("n, use_complements", [(21, True), (5, False)])
@@ -444,7 +444,7 @@ class TestRestoration:
             n = int(rng.integers(1, 22))
             c_float = rng.normal(scale=n / 2, size=7)
             c_int = np.rint(c_float).astype(np.int64)
-            rx._repair_lattice_vector(c_int, c_float, n, True)
+            con._repair_lattice_vector(c_int, c_float, n, True)
             norm = int(np.abs(c_int).sum())
             assert norm <= n and (n - norm) % 2 == 0
 
@@ -463,7 +463,7 @@ class TestRestoration:
         expected = c_int.copy()
         for row, f in zip(expected, c_float):
             stepwise_repair(row, f, n, use_complements)
-        rx._repair_lattice_vector(c_int, c_float, n, use_complements)
+        con._repair_lattice_vector(c_int, c_float, n, use_complements)
         assert np.array_equal(c_int, expected)
 
     def test_repair_float_ties_keep_entry_order(self):
@@ -474,7 +474,7 @@ class TestRestoration:
         c_int = np.array([3, 8, 0, 0, 0, 0, 0])
         steps = np.abs(np.arange(7, 0, -1) + 9.6) - np.abs(np.arange(8, 1, -1) + 9.6)
         assert steps.min() < -1.0
-        rx._repair_lattice_vector(c_int, c_float, 10, True)
+        con._repair_lattice_vector(c_int, c_float, 10, True)
         assert c_int.tolist() == [2, 8, 0, 0, 0, 0, 0]
 
     def test_repair_simplex_vector_valid(self):
@@ -483,7 +483,7 @@ class TestRestoration:
             n = int(rng.integers(1, 22))
             a_float = rng.normal(loc=n / 7, scale=1.0, size=7)
             a_int = np.rint(a_float).astype(np.int64)
-            rx._repair_lattice_vector(a_int, a_float, n, False)
+            con._repair_lattice_vector(a_int, a_float, n, False)
             assert a_int.min() >= 0 and int(a_int.sum()) == n
 
 

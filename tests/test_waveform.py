@@ -144,7 +144,6 @@ class TestDimming:
     def test_eppm_exact_ratio(self):
         c = con.build_eppm(7, 3)
         res = wf.apply_dimming(c, 3 / 7)
-        assert res.mode == "rebuild"
         assert res.achieved_ratio == pytest.approx(3 / 7)
         assert res.constellation.k == 3
 
@@ -167,13 +166,13 @@ class TestDimming:
     def test_ppm_scales(self):
         c = con.build_ppm(8)
         res = wf.apply_dimming(c, 1 / 16)
-        assert res.mode == "scale"
+        assert res.constellation is c
         assert res.power_scale == pytest.approx(0.5)
 
     def test_meppm_scales(self):
         c = con.build_meppm(7, 3, 4, use_complements=True)
         res = wf.apply_dimming(c, 0.25)
-        assert res.mode == "scale"
+        assert res.constellation is c
         assert 0 < res.power_scale <= 1
 
     def test_waveform_mean_ratio_matches(self):
