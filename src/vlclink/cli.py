@@ -7,24 +7,24 @@ files are reproducible from the config alone.  All outputs land inside
 """
 
 import argparse
-import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import __version__
 from . import constellations as con
 from . import simkit as sk
 from . import waveform as wf
 from .errors import ConfigError, ParameterError
+from .schema import section
 
 CONFIG_SCHEMA_VERSION = 1
 
 
 def _load(args):
-    if not os.path.isfile(args.config):
-        raise ConfigError("$", f"config file not found: {args.config}")
-    config, doc = sk.load_config(args.config)
+    doc = sk.read_document(args.config)
+    config = sk.config_from_document(doc)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.workers is not None:
@@ -50,19 +50,46 @@ def _pulse_constellation(config):
     return config.scheme.build_constellation()
 
 
+@dataclass(frozen=True)
+class CodeRecord:
+    """The document `construct` writes to constellation.json: a config's
+    scheme block, and what the code built from it must regenerate."""
+    scheme: sk.SchemeSpec
+    seed_word: list[int] | None
+    symbol_count: int
+    bits_per_symbol: int
+
+
+def _regenerated(c):
+    """The recorded fields of `CodeRecord` that the code `c` gives."""
+    return {
+        "seed_word": (None if c.seed_positions is None
+                      else [int(p) for p in c.seed_positions]),
+        "symbol_count": c.size,
+        "bits_per_symbol": c.bits_per_symbol,
+    }
+
+
 def cmd_construct(args):
     config, _ = _load(args)
     c = _pulse_constellation(config)
     print(_stats_line(c))
+    s = config.scheme
+    scheme = {"kind": s.kind, "q": s.q, "k": s.k, "n": s.n,
+              "use_complements": s.use_complements}
     os.makedirs(args.output_dir, exist_ok=True)
-    con.save_constellation(c, os.path.join(args.output_dir, "constellation.json"))
+    sk.write_json(os.path.join(args.output_dir, "constellation.json"),
+                  {"scheme": scheme, **_regenerated(c)})
     return 0
 
 
 def cmd_stats(args):
-    if not os.path.isfile(args.config):
-        raise ConfigError("$", f"config file not found: {args.config}")
-    c = con.load_constellation(args.config)
+    record = section(CodeRecord, sk.read_document(args.config), "$")
+    c = _pulse_constellation(record)
+    for name, value in _regenerated(c).items():
+        if getattr(record, name) != value:
+            raise ConfigError(f"$.{name}", "does not regenerate: the "
+                              f"scheme block gives {value}")
     print(_stats_line(c))
     return 0
 
@@ -142,31 +169,34 @@ def cmd_nonlin_compare(args):
 def cmd_rate(args):
     config, doc = _load(args)
     rate = sk.cli_block(doc, "rate")
-    acc = sk.rate_accounting(
-        _pulse_constellation(config), config.geometry, config.device,
-        rate.n_colors, bits_per_symbol=rate.bits_per_symbol,
-    )
+    c = _pulse_constellation(config)
+    if math.isinf(config.device.bandwidth_3db):
+        raise ConfigError("device.bandwidth_3db",
+                          "rate needs a finite LED bandwidth")
+    acc = sk.rate_accounting(c, config.geometry, config.device,
+                             rate.n_colors,
+                             bits_per_symbol=rate.bits_per_symbol)
     print(f"bits_per_slot={acc.bits_per_slot:.6g}")
     print(f"slot_rate_hz={acc.slot_rate:.6g}")
     print(f"per_color_mbps={acc.per_color_rate / 1e6:.0f}")
     print(f"aggregate_gbps={acc.aggregate_rate / 1e9:.1f}")
     os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, "rate.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({
-            "bits_per_slot": acc.bits_per_slot,
-            "slot_rate_hz": acc.slot_rate,
-            "per_color_bps": acc.per_color_rate,
-            "n_colors": acc.n_colors,
-            "aggregate_bps": acc.aggregate_rate,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sk.write_json(os.path.join(args.output_dir, "rate.json"), {
+        "bits_per_slot": acc.bits_per_slot,
+        "slot_rate_hz": acc.slot_rate,
+        "per_color_bps": acc.per_color_rate,
+        "n_colors": acc.n_colors,
+        "aggregate_bps": acc.aggregate_rate,
+    })
     return 0
 
 
 def cmd_flicker(args):
     config, doc = _load(args)
     flicker = sk.cli_block(doc, "flicker")
+    if not flicker.window_symbols:
+        raise ConfigError("flicker.window_symbols",
+                          "need a nonempty list of windows")
     _pulse_constellation(config)  # DCO-OFDM sends no pulses to measure
     light = sk.random_light(config, flicker.n_symbols)
     g = config.geometry

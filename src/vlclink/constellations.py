@@ -14,7 +14,6 @@ Every constellation carries a deterministic, invertible bit mapping:
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -174,13 +173,8 @@ def search_eppm_seed(q, k):
     return positions
 
 
-def resolve_eppm_seed(q, k, seed_positions=None):
-    """Pick the EPPM seed support: explicit > catalog > search."""
-    if seed_positions is not None:
-        positions = tuple(sorted(int(p) % q for p in seed_positions))
-        if len(positions) != k or len(set(positions)) != k:
-            raise ParameterError("seed_positions must be k distinct slots")
-        return positions
+def resolve_eppm_seed(q, k):
+    """Pick the EPPM seed support: catalog > search."""
     known = known_difference_set(q, k)
     if known is not None:
         return tuple(sorted(known))
@@ -425,58 +419,6 @@ class Constellation:
             return self._symbols[indices]
         return self._lattice.codewords(indices)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        doc = {
-            "scheme": self.scheme,
-            "Q": self.q,
-            "K": self.k,
-            "N": self.n,
-            "use_complements": self.use_complements,
-            "seed_word": (
-                None
-                if self.seed_positions is None
-                else [int(p) for p in self.seed_positions]
-            ),
-            "symbol_count": self.size,
-            "bits_per_symbol": self.bits_per_symbol,
-        }
-        return doc
-
-
-def constellation_from_json(doc):
-    """Regenerate a constellation from its exported description."""
-    scheme = doc["scheme"]
-    if scheme == PPM:
-        c = build_ppm(doc["Q"])
-    elif scheme == MPPM:
-        c = build_mppm(doc["Q"], doc["K"])
-    elif scheme == EPPM:
-        c = build_eppm(doc["Q"], doc["K"], seed_positions=doc.get("seed_word"))
-    elif scheme == MEPPM:
-        c = build_meppm(
-            doc["Q"], doc["K"], doc["N"],
-            use_complements=doc.get("use_complements", False),
-            seed_positions=doc.get("seed_word"),
-        )
-    else:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    if c.size != doc["symbol_count"] or c.bits_per_symbol != doc["bits_per_symbol"]:
-        raise ParameterError("exported constellation does not regenerate")
-    return c
-
-
-def save_constellation(c, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(c.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_constellation(path):
-    with open(path, encoding="utf-8") as fh:
-        return constellation_from_json(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -509,7 +451,7 @@ def build_mppm(q, k):
     return Constellation(MPPM, q, k, 1, False, symbols=symbols)
 
 
-def build_eppm(q, k, seed_positions=None):
+def build_eppm(q, k):
     """The Q cyclic shifts of a weight-K seed word.
 
     The seed is a known (Q,K,lambda) cyclic difference set when one exists,
@@ -517,16 +459,14 @@ def build_eppm(q, k, seed_positions=None):
     seed every symbol pair sits at Hamming distance exactly 2(K - lambda).
     """
     check_pulse_scheme(EPPM, q, k)
-    positions = resolve_eppm_seed(q, k, seed_positions)
+    positions = resolve_eppm_seed(q, k)
     seed = _positions_to_word(q, positions)
-    if min_cyclic_distance(seed) == 0:
-        raise ParameterError("seed word is periodic; shifts would collide")
     symbols = np.stack([np.roll(seed, i) for i in range(q)])
     return Constellation(EPPM, q, k, 1, False, symbols=symbols,
                          seed_positions=positions)
 
 
-def build_meppm(q, k, n, use_complements=False, seed_positions=None,
+def build_meppm(q, k, n, use_complements=False,
                 max_table_size=DEFAULT_MAX_TABLE):
     """All distinct slot-wise sums of N EPPM codewords (and complements).
 
@@ -537,7 +477,7 @@ def build_meppm(q, k, n, use_complements=False, seed_positions=None,
     collide only through the counted representation.
     """
     check_pulse_scheme(MEPPM, q, k, n)
-    eppm = build_eppm(q, k, seed_positions)
+    eppm = build_eppm(q, k)
     base = eppm.symbols
     lattice = (
         _MeppmLattice(base, n, use_complements)

@@ -11,6 +11,7 @@ simulator, the flicker metric, and rate accounting.
 import contextlib
 import functools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -377,9 +378,7 @@ class _PulseChain:
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        y = _apply_channel_deterministic(
-            _led_output(self.drive(words, self.peak), cfg.device, self.fs),
-            cfg, self.fs)
+        y = _apply_channel_deterministic(self.transmit(words), cfg, self.fs)
         stats = rx.slot_statistics(y, g)
         peak = np.abs(stats).max()
         if peak <= 0:
@@ -675,8 +674,6 @@ def sweep_rows(points, reports):
 
 
 def write_sweep_outputs(config, axis, points, reports, output_dir, label=None):
-    import os
-
     label = label or config.scheme.kind
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, f"{label}_{axis}.csv")
@@ -689,10 +686,17 @@ def write_sweep_outputs(config, axis, points, reports, output_dir, label=None):
         "results": [vars(r) for r in reports],
     }
     manifest_path = os.path.join(output_dir, f"{label}_{axis}_manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return csv_path, manifest_path
+
+
+def write_json(path, doc):
+    """Write a result document as strict JSON: a NaN or infinity raises
+    ValueError instead of being spelled in a form JSON has no word for."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=str,
+                  allow_nan=False)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +847,12 @@ class RateBlock:
     n_colors: int = 1
     bits_per_symbol: int | None = None  # None: the constellation's own
 
+    def __post_init__(self):
+        if self.n_colors < 1:
+            raise ParameterError("n_colors must be >= 1")
+        if self.bits_per_symbol is not None and self.bits_per_symbol < 1:
+            raise ParameterError("bits_per_symbol must be >= 1")
+
 
 @dataclass(frozen=True)
 class FlickerBlock:
@@ -872,10 +882,13 @@ def cli_block(doc, name):
     return section(CLI_BLOCKS[name], doc.get(name, {}), name)
 
 
-def load_config(path):
+def read_document(path):
+    """The JSON document in the file at `path`; a missing file or one that
+    is not JSON is a ConfigError at `$`."""
+    if not os.path.isfile(path):
+        raise ConfigError("$", f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    return config_from_document(doc), doc

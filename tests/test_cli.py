@@ -9,6 +9,8 @@ import pytest
 
 import vlclink
 from vlclink import cli
+from vlclink import simkit as sk
+from vlclink.schema import section
 
 BASE_EPPM = {
     "scheme": {"kind": "eppm", "q": 7, "k": 3},
@@ -60,6 +62,96 @@ class TestConstruct:
         assert res.returncode == 0
         assert "size=7" in res.stdout
 
+    @pytest.mark.parametrize("scheme, line", [
+        ({"kind": "ppm", "q": 8},
+         "scheme=ppm Q=8 K=1 N=1 complements=false size=8 bits_per_symbol=3 "
+         "papr=8 min_distance=2"),
+        ({"kind": "mppm", "q": 7, "k": 3},
+         "scheme=mppm Q=7 K=3 N=1 complements=false size=35 "
+         "bits_per_symbol=5 papr=2.33333 min_distance=2"),
+        ({"kind": "eppm", "q": 7, "k": 3},
+         "scheme=eppm Q=7 K=3 N=1 complements=false size=7 "
+         "bits_per_symbol=2 papr=2.33333 min_distance=4"),
+        ({"kind": "meppm", "q": 7, "k": 3, "n": 2, "use_complements": True},
+         "scheme=meppm Q=7 K=3 N=2 complements=true size=99 "
+         "bits_per_symbol=6 papr=2 min_distance=2"),
+        ({"kind": "meppm", "q": 7, "k": 3, "n": 21, "use_complements": True},
+         "scheme=meppm Q=7 K=3 N=21 complements=true size=32826266 "
+         "bits_per_symbol=24 papr=2 min_distance=2"),
+    ], ids=["ppm8", "mppm73", "eppm73", "meppm732c", "meppm7321c-implicit"])
+    def test_construct_stats_round_trip(self, tmp_path, capsys, scheme,
+                                        line):
+        cfg = write_config(tmp_path, dict(BASE_EPPM, scheme=scheme))
+        out_dir = tmp_path / "out"
+        assert cli.main(["construct", "--config", cfg,
+                         "--output-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        path = out_dir / "constellation.json"
+        assert cli.main(["stats", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        block = json.loads(path.read_text())["scheme"]
+        assert (section(sk.SchemeSpec, block, "scheme")
+                == section(sk.SchemeSpec, scheme, "scheme"))
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "symbol_count"},
+         "$.symbol_count"),
+        (lambda doc: '{"scheme": ', "$"),
+        (lambda doc: [doc], "$"),
+        (lambda doc: dict(doc, comment="x"), "$.comment"),
+        (lambda doc: dict(doc, scheme=dict(doc["scheme"],
+                                           use_complements="yes")),
+         "scheme.use_complements"),
+        (lambda doc: dict(doc, seed_word=[0, 1, 9]), "$.seed_word"),
+        (lambda doc: dict(doc, symbol_count=8), "$.symbol_count"),
+        (lambda doc: dict(doc, scheme=dict(doc["scheme"], kind="dco_ofdm")),
+         "scheme.kind"),
+        (lambda doc: {"K": 3, "N": 1, "Q": 7, "bits_per_symbol": 2,
+                      "scheme": "eppm", "seed_word": [1, 2, 4],
+                      "symbol_count": 7, "use_complements": False}, "$.K"),
+    ], ids=["missing-key", "invalid-json", "non-object", "unknown-key",
+            "wrong-type", "seed-word-mismatch", "symbol-count-mismatch",
+            "not-a-pulse-scheme", "old-format"])
+    def test_stats_rejects_with_json_path(self, tmp_path, capsys, edit,
+                                          path):
+        out_dir = tmp_path / "out"
+        assert cli.main(["construct", "--config",
+                         write_config(tmp_path, BASE_EPPM),
+                         "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        target = out_dir / "constellation.json"
+        edited = edit(json.loads(target.read_text()))
+        target.write_text(edited if isinstance(edited, str)
+                          else json.dumps(edited))
+        code = cli.main(["stats", "--config", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: config: {path}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_result_files_are_strict_json(self, tmp_path, capsys):
+        # NaN and Infinity are not JSON; Python writes and reads them
+        # unless told otherwise.  The default saturation_power is infinite,
+        # so the manifest holds an infinity
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = dict(BASE_EPPM, device={"bandwidth_3db": 1e6},
+                   sweep={"points": [6.0, 9.0]})
+        cfg = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        for verb in ("construct", "rate", "ber-sweep"):
+            assert cli.main([verb, "--config", cfg,
+                             "--output-dir", str(out_dir)]) == 0
+        written = sorted(out_dir.glob("*.json"))
+        assert [p.name for p in written] == [
+            "constellation.json", "eppm_snr_manifest.json", "rate.json"]
+        for path in written:
+            json.loads(path.read_text(), parse_constant=refuse)
+        with pytest.raises(ValueError):
+            sk.write_json(str(tmp_path / "nan.json"), {"ber": float("nan")})
+
 
 class TestRate:
     def test_gigabit_preset(self, tmp_path):
@@ -78,6 +170,25 @@ class TestRate:
         assert "per_color_mbps=333" in res.stdout
         assert "aggregate_gbps=1.0" in res.stdout
         assert (out_dir / "rate.json").exists()
+
+    @pytest.mark.parametrize("patch, path", [
+        ({"rate": {"n_colors": 0}}, "rate"),
+        ({"rate": {"n_colors": -3}}, "rate"),
+        ({"rate": {"bits_per_symbol": -2}}, "rate"),
+        ({"device": {"preset": "ideal"}}, "device.bandwidth_3db"),
+    ], ids=["zero-colors", "negative-colors", "negative-bits-per-symbol",
+            "ideal-led"])
+    def test_rejected_rate_exit_3(self, tmp_path, capsys, patch, path):
+        doc = {**BASE_EPPM, "device": {"bandwidth_3db": 1e6}, **patch}
+        out_dir = tmp_path / "out"
+        code = cli.main(["rate", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: config: {path}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 class TestErrors:
@@ -330,7 +441,8 @@ class TestFlickerCommand:
         ([1, -1], 200),
         ([0.01], 200),      # 0.28 of a sample at Q=7, 4 samples per slot
         ([1, 300], 200),    # longer than the stream
-    ], ids=["negative", "below-one-sample", "longer-than-stream"])
+        ([], 200),
+    ], ids=["negative", "below-one-sample", "longer-than-stream", "empty"])
     def test_bad_window_exit_3_before_any_output(self, tmp_path, capsys,
                                                  windows, n_symbols):
         doc = {

@@ -146,14 +146,6 @@ class TestEppm:
                 for j in range(i + 1, q):
                     assert int(np.sum(c.symbols[i] != c.symbols[j])) == target
 
-    def test_explicit_seed_roundtrip(self):
-        c = con.build_eppm(7, 3, seed_positions=(0, 1, 3))
-        assert c.seed_positions == (0, 1, 3)
-
-    def test_periodic_explicit_seed_rejected(self):
-        with pytest.raises(ParameterError):
-            con.build_eppm(4, 2, seed_positions=(0, 2))
-
     def test_hill_climb_search_above_exhaustive_range(self):
         # (24, 3) has no catalog set and Q > 20, so the randomized search runs
         c = con.build_eppm(24, 3)
@@ -296,23 +288,3 @@ class TestBitMapping:
         c = con.build_meppm(7, 3, 21, use_complements=True)
         with pytest.raises(CapacityError):
             _ = c.symbols
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        for c in [con.build_ppm(8), con.build_mppm(7, 3), con.build_eppm(7, 3),
-                  con.build_meppm(7, 3, 2, use_complements=True)]:
-            path = tmp_path / f"{c.scheme}.json"
-            con.save_constellation(c, path)
-            back = con.load_constellation(path)
-            assert back.scheme == c.scheme
-            assert back.size == c.size
-            assert back.bits_per_symbol == c.bits_per_symbol
-            if c.is_materialized:
-                assert np.array_equal(back.symbols, c.symbols)
-
-    def test_seed_word_respected(self, tmp_path):
-        c = con.build_eppm(7, 3, seed_positions=(0, 2, 3))
-        path = tmp_path / "e.json"
-        con.save_constellation(c, path)
-        assert con.load_constellation(path).seed_positions == (0, 2, 3)
