@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Config-file-first: every verb reads one JSON experiment document; flags
-only override the seed, worker count, and output directory, so result
-files are reproducible from the config alone.  All outputs land inside
---output-dir.  Exit codes: 0 success, 2 usage, 3 invalid config.
+only override the seed and worker count (not for `stats`) and the output
+directory, so results are reproducible from the config alone.  All outputs
+land inside --output-dir.  Exit codes: 0 success, 2 usage, 3 invalid config.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -233,6 +234,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once: building costs 25x a parse
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vlclink",
@@ -248,14 +250,14 @@ def build_parser():
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--output-dir", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        if verb != "stats":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--workers", type=int, default=None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except ConfigError as exc:

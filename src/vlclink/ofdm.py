@@ -118,13 +118,14 @@ def hermitian_frame(data_symbols, n):
 
 
 def dco_modulate(bits, cfg):
-    """Bits -> nonnegative DCO-OFDM intensity samples, one frame after another.
+    """Bits -> nonnegative DCO-OFDM intensity samples, one frame after
+    another; a stack of bursts (rows, bits) gives one row of samples each.
 
     The DC bias is dc_bias_sigma times the pre-clipping signal standard
-    deviation (measured over the whole burst); negatives are clipped to 0.
+    deviation (measured over each whole burst); negatives are clipped to 0.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    if bits.size == 0 or bits.size % cfg.bits_per_frame:
+    bits = np.atleast_1d(np.asarray(bits, dtype=np.int64))
+    if bits.size == 0 or bits.shape[-1] % cfg.bits_per_frame:
         raise InputError(
             f"bit count must be a positive multiple of {cfg.bits_per_frame}"
         )
@@ -139,9 +140,9 @@ def dco_modulate(bits, cfg):
     out = np.empty((frames.shape[0], cfg.frame_samples))
     out[:, cp:] = time.real
     out[:, :cp] = time.real[:, n - cp:]
-    flat = out.reshape(-1)
-    bias = cfg.dc_bias_sigma * flat.std()
-    return np.maximum(flat + bias, 0.0)
+    bursts = out.reshape(bits.shape[:-1] + (-1,))
+    bias = cfg.dc_bias_sigma * bursts.std(axis=-1, keepdims=True)
+    return np.maximum(bursts + bias, 0.0)
 
 
 def dco_demodulate(y, cfg, channel_response=None):

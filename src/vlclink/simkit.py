@@ -10,6 +10,7 @@ simulator, the flicker metric, and rate accounting.
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,10 @@ from .errors import ConfigError, ParameterError
 from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
+# samples per stack of F=1 or DCO-OFDM batches: on EPPM(7,3) at 4 samples
+# per slot (2 vCPUs), 2^15 beat 2^14 at 256 and 512 symbols per batch, and
+# 2^16 (two 1024-symbol batches a stack) slowed one worker by about 20%
+STACK_SAMPLES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +436,23 @@ class _PulseChain:
         return bits, idx.reshape(len(rngs), n_sym), rx.slot_statistics(
             y, self.geometry)
 
-    def _counts(self, bits, idx, decoded):
-        rx_bits = con.indices_to_bits(decoded, self.constellation.bits_per_symbol)
-        return (bits.size, int(np.sum(rx_bits != bits)), idx.size,
-                int(np.sum(decoded != idx)))
-
-    def run_batch(self, batch_index):
-        """Counts of one batch decoded on its own."""
-        bits, idx, stats = self.receive([batch_index])
-        return self._counts(bits[0], idx[0],
-                            self.receiver.decode_stats(stats[0]))
-
-    def run_wave(self, jobs, indices):
-        """Counts of a wave's batches, with `jobs` mapping a function over
-        them (`map`, or a thread pool's).  F=1 batches run one per job (no
-        feedback); overlapped frames are received as one stack and decoded
-        together, in lockstep, in this thread."""
-        if self.geometry.overlap_factor == 1:
-            return jobs(self.run_batch, indices)
+    def run_stack(self, indices):
+        """Counts of each batch of a stack, received as one stack and
+        decoded in one call (at F>1 in lockstep)."""
         bits, idx, stats = self.receive(indices)
         decoded = self.receiver.decode_stats(stats)
-        return [self._counts(*row) for row in zip(bits, idx, decoded)]
+        rx_bits = con.indices_to_bits(decoded.ravel(),
+                                      self.constellation.bits_per_symbol)
+        return _row_counts(rx_bits.reshape(bits.shape) != bits,
+                           decoded != idx)
+
+    def stacks(self, indices):
+        """A wave's batch indices in `run_stack`'s stacks: overlapped frames
+        all in one (lockstep), F=1 batches (no feedback) split by size."""
+        if self.geometry.overlap_factor > 1:
+            return [indices]
+        return _stacks(indices, self.batch_symbols() * self.constellation.q
+                       * self.geometry.samples_per_slot)
 
 
 class _OfdmChain:
@@ -491,21 +492,36 @@ class _OfdmChain:
         """Transmit input of a calibration pilot: 64 random frames."""
         return rng.integers(0, 2, size=64 * self.ofdm.bits_per_frame)
 
-    def run_batch(self, batch_index):
+    def run_stack(self, indices):
+        """Counts of each batch of a stack, its frames being the symbols."""
         cfg = self.config
-        rng = np.random.default_rng([cfg.seed, batch_index])
+        rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
         n_frames = cfg.run.batch_symbols
-        bits = rng.integers(0, 2, size=n_frames * self.ofdm.bits_per_frame)
+        n_bits = n_frames * self.ofdm.bits_per_frame
+        bits = np.stack([rng.integers(0, 2, size=n_bits) for rng in rngs])
         light = _led_output(self.drive(bits, self.peak), cfg.device, self.fs)
-        y = _apply_channel(light, cfg, self.fs, [rng])
-        rx_bits = ofdm_mod.dco_demodulate(y, self.ofdm, self.equalizer_ir)
-        bit_errors = int(np.sum(rx_bits != bits))
-        frames = rx_bits.reshape(n_frames, -1) != bits.reshape(n_frames, -1)
-        frame_errors = int(np.sum(frames.any(axis=1)))
-        return bits.size, bit_errors, n_frames, frame_errors
+        y = _apply_channel(light, cfg, self.fs, rngs)
+        wrong = ofdm_mod.dco_demodulate(
+            y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
+        return _row_counts(wrong, wrong.reshape(len(rngs), n_frames, -1)
+                           .any(axis=2))
 
-    def run_wave(self, jobs, indices):
-        return jobs(self.run_batch, indices)
+    def stacks(self, indices):
+        return _stacks(indices,
+                       self.config.run.batch_symbols * self.ofdm.frame_samples)
+
+
+def _row_counts(bit_wrong, symbol_wrong):
+    """(bits, bit errors, symbols, symbol errors) of each row of a stack."""
+    return [(bit_wrong.shape[1], b, symbol_wrong.shape[1], s) for b, s in zip(
+        bit_wrong.sum(axis=1).tolist(), symbol_wrong.sum(axis=1).tolist())]
+
+
+def _stacks(indices, batch_samples):
+    """Consecutive batch indices in stacks of at most STACK_SAMPLES samples;
+    a batch at or above the cap is its own stack, and empty batches share."""
+    per = max(1, STACK_SAMPLES // max(1, batch_samples))
+    return [indices[i:i + per] for i in range(0, len(indices), per)]
 
 
 def _led_output(drives, device, fs):
@@ -532,7 +548,7 @@ def _apply_channel_deterministic(x, cfg, fs):
 
 def _apply_channel(x, cfg, fs, rngs):
     """The channel and its noise: row i of a stack of signals draws its
-    noise from rngs[i] (a single signal from the one rng in rngs)."""
+    noise from rngs[i]."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
@@ -550,7 +566,7 @@ def _apply_channel(x, cfg, fs, rngs):
                    else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        for row, rng in zip(np.atleast_2d(y), rngs):
+        for row, rng in zip(y, rngs):
             noise = rng.standard_normal(row.size)
             noise *= sigma
             row += noise
@@ -566,24 +582,23 @@ def _build_chain(config):
 def run_trials(config):
     """Run the chain until the stop rule (max_bits or min_errors) is met.
 
-    Batches are scheduled in fixed waves of WAVE_BATCHES; each batch's RNG
-    derives from (seed, batch_index), so the totals do not depend on the
-    worker count.
+    Batches are scheduled in fixed waves of WAVE_BATCHES, one job per
+    `chain.stacks` stack; each batch's RNG derives from (seed, batch_index),
+    so the totals depend on neither the stacks nor the worker count.
     """
     chain = _build_chain(config)
     totals = np.zeros(4, dtype=np.int64)
-    next_batch = 0
     run = config.run
-    with contextlib.ExitStack() as stack:
-        # one worker runs the batches in this thread: a pool would only
-        # add hand-offs
-        jobs = (stack.enter_context(ThreadPoolExecutor(run.workers)).map
-                if run.workers > 1 else map)
-        while True:
-            indices = range(next_batch, next_batch + WAVE_BATCHES)
-            next_batch += WAVE_BATCHES
-            for result in chain.run_wave(jobs, indices):
-                totals += np.asarray(result, dtype=np.int64)
+    with contextlib.ExitStack() as scope:
+        pool = (scope.enter_context(ThreadPoolExecutor(run.workers))
+                if run.workers > 1 else None)
+        for first in itertools.count(0, WAVE_BATCHES):
+            stacks = chain.stacks(range(first, first + WAVE_BATCHES))
+            # one worker, or a lone stack, runs in this thread: a pool
+            # would only add hand-offs
+            jobs = pool.map if pool is not None and len(stacks) > 1 else map
+            for rows in jobs(chain.run_stack, stacks):
+                totals += np.sum(rows, axis=0)
             if totals[1] >= run.min_errors or totals[0] >= run.max_bits:
                 break
     return TrialReport.from_counts(config, *(int(t) for t in totals))

@@ -9,10 +9,12 @@ lockstep one replaced; the `nonlin-compare` counts on the per-frame
 DCO-OFDM modulator and the per-iteration calibration pilot; the
 `eppm-awgn-2w` counts and the F=1 ML trial on the receiver that took a
 `gain` beside its kernel; the F=1 complement-code pin on the decoder that
-kept its own copy of the lattice's component-count solve.  Any change to
-these fails here.
+kept its own copy of the lattice's component-count solve; the
+`nonlin-compare` result-file digests on the receiver that ran and decoded
+each F=1 and DCO-OFDM batch on its own.  Any change to these fails here.
 """
 
+import hashlib
 import importlib.util
 import os
 from dataclasses import replace
@@ -20,6 +22,7 @@ from dataclasses import replace
 import pytest
 
 import vlclink
+from vlclink import cli
 from vlclink import simkit as sk
 
 WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -66,6 +69,32 @@ def test_nonlin_compare_counts(tmp_path, seed, counts):
         compare.saturation_points, mean_power=compare.mean_power)
     assert {name: [(r.bits_sent, r.bit_errors) for r in reports]
             for name, reports in results.items()} == counts
+
+
+NONLIN_FILES = ("dco_ofdm_saturation.csv", "dco_ofdm_saturation_manifest.json",
+                "meppm_saturation.csv", "meppm_saturation_manifest.json")
+
+
+@pytest.mark.parametrize("seed, digests", [
+    (1, ("917ed4cd417cede1bac76f704a17b0cb9feb7d8e621e6ac3e0b7a4dfbdc5bcf6",
+         "11e3b1f36c4cf9cce418d7dd48023fb28bde7882fa5de87cd6ec3853d3105a9d",
+         "e03319a7c7cc34317cd71f0e8464ae8539ea03f7e6ec1b537a89ef6d7774ff2c",
+         "666865117e339d1fa3429352bb9cea1c3c4f8f54b6a1cee838047af17950917b")),
+    (2, ("71299c254e21ef987766af44aa3481f2e7514d1880c3982420d97a050410ab28",
+         "99a44a55c23f90e9dec21b0a2ed4c481c088bf767c8b70d00ec02d992feaf662",
+         "235e381f723ba5b00c0732f3d5a71e7cb4031f96df74f5c9c2ac8c0d7e6d004c",
+         "6908567a4f7c4a79b45b19d679ba6674c9117521c56808484620763fb873b028")),
+])
+def test_nonlin_compare_result_files(tmp_path, capsys, seed, digests):
+    """sha256 of each result file of the `nonlin-compare` verb, run in
+    process as the benchmark's operation runs it."""
+    workload = WORKLOADS.NonlinCompareCli(vlclink, str(tmp_path))
+    out_dir = tmp_path / "out"
+    assert cli.main(["nonlin-compare", "--config", workload.config_path,
+                     "--seed", str(seed), "--output-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == list(NONLIN_FILES)
+    assert tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in NONLIN_FILES) == digests
 
 
 @pytest.mark.parametrize("seed, counts", [

@@ -130,6 +130,27 @@ class TestConstruct:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_stats_rejects_run_flags(self, tmp_path, capsys, flag):
+        # stats reads a recorded code: there is no trial to seed or spread
+        out_dir = tmp_path / "out"
+        assert cli.main(["construct", "--config",
+                         write_config(tmp_path, BASE_EPPM),
+                         "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stats", "--config", str(out_dir / "constellation.json"),
+                      flag, "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.err.startswith("usage: vlclink")
+        assert captured.err.endswith(
+            f"error: unrecognized arguments: {flag} 2\n")
+        assert captured.out == ""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_result_files_are_strict_json(self, tmp_path, capsys):
         # NaN and Infinity are not JSON; Python writes and reads them
         # unless told otherwise.  The default saturation_power is infinite,

@@ -104,6 +104,18 @@ class TestModulate:
         for row, frame in zip(data, stack):
             assert np.array_equal(ofdm.hermitian_frame(row, 64), frame)
 
+    @pytest.mark.parametrize("n_frames", [1, 3, 16])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_stack_rows_equal_bursts_alone(self, rows, n_frames):
+        # each row is its own burst, with its own DC bias
+        c = cfg(n=64, qam=16, cp=8, sigma=3.5)
+        rng = np.random.default_rng([rows, n_frames])
+        bits = rng.integers(0, 2, size=(rows, c.bits_per_frame * n_frames))
+        stack = ofdm.dco_modulate(bits, c)
+        assert stack.shape == (rows, c.frame_samples * n_frames)
+        for row, burst in zip(stack, bits):
+            assert row.tobytes() == ofdm.dco_modulate(burst, c).tobytes()
+
     def test_bit_length_mismatch(self):
         with pytest.raises(InputError):
             ofdm.dco_modulate([0, 1, 1], cfg())

@@ -431,6 +431,66 @@ class TestStackedReceive:
                                                         (2, f - 1))
 
 
+STACKED_RUNS = {
+    "f1-awgn-eppm-interleaved": RECEIVED["f1-awgn-eppm-interleaved"],
+    "f1-meppm-split-4-saturating": replace(
+        CALIBRATED["meppm-split-4-saturating"],
+        run=sk.RunSpec(batch_symbols=40)),
+    "dco-ofdm-saturating": replace(
+        CALIBRATED["dco-ofdm-saturating"],
+        channel=sk.ChannelSpec(mode="awgn", slot_snr_db=14.0),
+        run=sk.RunSpec(batch_symbols=3)),
+}
+
+
+class TestRunStack:
+    @pytest.mark.parametrize("name", list(STACKED_RUNS))
+    def test_rows_equal_single_batches(self, name):
+        chain = sk._build_chain(STACKED_RUNS[name])
+        indices = [5, 0, 3, 6]
+        stacked = chain.run_stack(indices)
+        assert stacked == [chain.run_stack([i])[0] for i in indices]
+        assert sum(counts[1] for counts in stacked) > 0
+
+    @pytest.mark.parametrize("batch_samples", [
+        0, 1, 224, 1152, sk.STACK_SAMPLES // 3, sk.STACK_SAMPLES // 2,
+        sk.STACK_SAMPLES - 1, sk.STACK_SAMPLES, sk.STACK_SAMPLES + 1,
+        114_688])
+    def test_split_rule(self, batch_samples):
+        stacks = sk._stacks(range(sk.WAVE_BATCHES), batch_samples)
+        assert [i for stack in stacks for i in stack] == list(
+            range(sk.WAVE_BATCHES))
+        for stack in stacks:
+            if len(stack) > 1:
+                assert len(stack) * batch_samples <= sk.STACK_SAMPLES
+            if batch_samples >= sk.STACK_SAMPLES:
+                assert len(stack) == 1
+        # every stack but the last is full: one more batch would not fit
+        for stack in stacks[:-1]:
+            assert (len(stack) + 1) * batch_samples > sk.STACK_SAMPLES
+
+    @pytest.mark.parametrize("kind", ["eppm", "dco_ofdm"])
+    def test_uneven_stacks_worker_count_invariance(self, kind):
+        # three batches per stack, so each wave of 8 splits 3 + 3 + 2
+        if kind == "eppm":
+            base = awgn_config(snr_db=8.0, seed=9)
+            frame = base.scheme.q * base.geometry.samples_per_slot
+        else:
+            base = STACKED_RUNS["dco-ofdm-saturating"]
+            frame = base.scheme.build_ofdm().frame_samples
+        n = sk.STACK_SAMPLES // (3 * frame)
+        chain = sk._build_chain(replace(
+            base, run=sk.RunSpec(batch_symbols=n)))
+        assert [len(s) for s in sk._stacks(range(8), n * frame)] == [3, 3, 2]
+        bits_per_batch = chain.run_stack([0])[0][0]
+        reports = [sk.run_trials(replace(base, run=sk.RunSpec(
+            max_bits=9 * bits_per_batch, min_errors=10 ** 9,
+            batch_symbols=n, workers=workers))) for workers in (1, 2, 4)]
+        assert reports[0].bits_sent == 16 * bits_per_batch
+        assert reports[0].bit_errors > 0
+        assert reports[0] == reports[1] == reports[2]
+
+
 class TestFlicker:
     def test_constant_waveform(self):
         assert sk.flicker_metric(np.full(1000, 2.0), 1e6, 1e-5) == 0.0
