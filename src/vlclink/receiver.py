@@ -79,6 +79,19 @@ def _candidate_codewords(c):
     return c.encode_indices(np.arange(c.size)).astype(np.int64)
 
 
+def _best_rows(stats_2d, templates, offsets=0.0):
+    """Per row, the index of the template that maximizes `row @ template -
+    offset`, ties to the lowest index.  Rows are scored in chunks of at
+    most ML_SIZE_LIMIT scores, so a large code never needs a (rows, size)
+    array; a stack that fits one chunk is scored in one call."""
+    stats_2d = np.asarray(stats_2d, dtype=np.float64)
+    rows_per_chunk = max(1, ML_SIZE_LIMIT // len(templates))
+    n_chunks = max(1, -(-len(stats_2d) // rows_per_chunk))
+    return np.concatenate([
+        np.argmax(chunk @ templates.T - offsets, axis=1)
+        for chunk in np.array_split(stats_2d, n_chunks)])
+
+
 class CorrelationDecoder:
     """Argmax of the inner product with mean-removed symbol vectors.
 
@@ -92,8 +105,7 @@ class CorrelationDecoder:
         self.scoring = self.codewords - self.codewords.mean(axis=1, keepdims=True)
 
     def decode_block(self, stats_2d):
-        scores = np.asarray(stats_2d, dtype=np.float64) @ self.scoring.T
-        return np.argmax(scores, axis=1)
+        return _best_rows(stats_2d, self.scoring)
 
     def decide_block(self, stats_2d):
         """The decided codewords (n, Q) int64 of the rows."""
@@ -111,11 +123,10 @@ class MlDecoder:
             )
         self.constellation = c
         self.codewords = _candidate_codewords(c)
+        self._half_energy = 0.5 * (self.codewords ** 2).sum(axis=1)
 
     def decode_block(self, stats_2d):
-        cross = np.asarray(stats_2d, dtype=np.float64) @ self.codewords.T
-        energy = (self.codewords ** 2).sum(axis=1)
-        return np.argmax(cross - 0.5 * energy, axis=1)
+        return _best_rows(stats_2d, self.codewords, self._half_energy)
 
     def decide_block(self, stats_2d):
         """The decided codewords (n, Q) int64 of the rows."""
@@ -244,22 +255,12 @@ class StreamReceiver:
         q = c.q
         res = frames.copy()
         words = np.empty((len(frames), n_sym, q), dtype=np.int64)
-        soft_limit = 0.5 * q
-        amp_ceiling = float(c.n)  # peak slot amplitude
         for m in range(n_sym):
             lo, hi = m * q, (m + 1) * q
             amps = res[:, lo:hi] @ self._restore.T
             words[:, m] = self._decoder.decide_block(amps)
-            decided = words[:, m].astype(np.float64)
-            # feedback: the decided symbol normally (kills noise carryover);
-            # when the decision badly mismatches the restored amplitudes,
-            # cancel the soft estimate instead so one bad decision cannot
-            # avalanche through the following blocks
-            soft = np.abs(amps - decided).sum(axis=1) > soft_limit
-            if soft.any():
-                decided[soft] = np.clip(amps[soft], 0.0, amp_ceiling)
             end = min(hi + self._tails.shape[1], res.shape[1])
-            res[:, hi:end] -= (decided @ self._tails)[:, : end - hi]
+            res[:, hi:end] -= (words[:, m] @ self._tails)[:, : end - hi]
         return c.index_of(words.reshape(-1, q)).reshape(len(frames), n_sym)
 
     def decode_waveform(self, y):

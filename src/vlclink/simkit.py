@@ -191,6 +191,8 @@ class RunSpec:
             raise ParameterError("max_bits must be >= 1")
         if self.min_errors < 0:
             raise ParameterError("min_errors must be >= 0")
+        if self.batch_symbols < 0:
+            raise ParameterError("batch_symbols must be >= 0")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
 

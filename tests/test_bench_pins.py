@@ -4,14 +4,15 @@ The benchmark holds `meppm21-overlap` only to a wide pooled BER window and
 `nonlin-compare-cli` only to C8's pooled ordering, so a change to the
 receiver's decisions, the transmitted waveform or the drive calibration
 would pass it unseen.  The `meppm21-overlap` counts (bits, bit errors,
-symbols, symbol errors) were measured on the per-frame receiver that the
-lockstep one replaced; the `nonlin-compare` counts on the per-frame
-DCO-OFDM modulator and the per-iteration calibration pilot; the
-`eppm-awgn-2w` counts and the F=1 ML trial on the receiver that took a
-`gain` beside its kernel; the F=1 complement-code pin on the decoder that
-kept its own copy of the lattice's component-count solve; the
-`nonlin-compare` result-file digests on the receiver that ran and decoded
-each F=1 and DCO-OFDM batch on its own.  Any change to these fails here.
+symbols, symbol errors) and the F=2 correlation pin were measured on the
+receiver that cancels every decided codeword, with no soft fallback; the
+`nonlin-compare` counts on the per-frame DCO-OFDM modulator and the
+per-iteration calibration pilot; the `eppm-awgn-2w` counts and the F=1 ML
+trial on the receiver that took a `gain` beside its kernel; the F=1
+complement-code pin on the decoder that kept its own copy of the
+lattice's component-count solve; the `nonlin-compare` result-file digests
+on the receiver that ran and decoded each F=1 and DCO-OFDM batch on its
+own.  Any change to these fails here.
 """
 
 import hashlib
@@ -42,9 +43,9 @@ WORKLOADS = load_workloads()
 
 @pytest.mark.parametrize("seed, counts", [
     (1, (6144, 0, 256, 0)),
-    (2, (6144, 226, 256, 18)),
-    (12, (6144, 321, 256, 27)),
-    (30, (6144, 46, 256, 5)),
+    (2, (6144, 212, 256, 18)),
+    (12, (6144, 317, 256, 27)),
+    (30, (6144, 42, 256, 5)),
 ])
 def test_meppm21_overlap_counts(seed, counts):
     workload = WORKLOADS.Meppm21Overlap(vlclink, workdir=None)
@@ -151,6 +152,29 @@ def test_f1_meppm_complements_components_counts(seed, counts):
         "run": {"batch_symbols": 512, "max_bits": 40000,
                 "min_errors": WORKLOADS.UNREACHABLE_ERRORS},
         "decoder": "components",
+        "seed": seed,
+    }
+    report = sk.run_trials(sk.config_from_document(doc))
+    assert (report.bits_sent, report.bit_errors, report.symbols_sent,
+            report.symbol_errors) == counts
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (1, (40960, 804, 20480, 907)),
+    (2, (40960, 930, 20480, 957)),
+])
+def test_f2_eppm_correlation_counts(seed, counts):
+    """The overlapped correlation path: EPPM(7,3) at F=2 over AWGN, where
+    decision feedback cancels every decided codeword (the soft fallback it
+    replaced gave 1575 and 1695 symbol errors)."""
+    doc = {
+        "scheme": {"kind": "eppm", "q": 7, "k": 3},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 10,
+                     "overlap_factor": 2},
+        "channel": {"mode": "awgn", "slot_snr_db": 24.0},
+        "run": {"batch_symbols": 512, "max_bits": 40000,
+                "min_errors": WORKLOADS.UNREACHABLE_ERRORS},
+        "decoder": "correlation",
         "seed": seed,
     }
     report = sk.run_trials(sk.config_from_document(doc))

@@ -317,6 +317,17 @@ class TestErrors:
         assert res.stderr == "error: parameter: workers must be >= 1\n"
         assert not out_dir.exists()
 
+    def test_negative_batch_symbols_exit_3(self, tmp_path):
+        doc = dict(BASE_EPPM, sweep={"points": [6.0, 9.0]},
+                   run=dict(BASE_EPPM["run"], batch_symbols=-1))
+        out_dir = tmp_path / "out"
+        res = run_cli("ber-sweep", "--config", write_config(tmp_path, doc),
+                      "--output-dir", str(out_dir))
+        assert res.returncode == 3
+        assert res.stderr == ("error: config: run: batch_symbols must be "
+                              ">= 0\n")
+        assert not out_dir.exists()
+
     def test_unknown_verb_exit_2(self):
         res = run_cli("frobnicate", "--config", "x.json")
         assert res.returncode == 2

@@ -254,6 +254,22 @@ class TestDecideBlock:
         assert np.any(out != idx)
 
 
+    @pytest.mark.parametrize("decoder", [rx.CorrelationDecoder,
+                                         rx.MlDecoder])
+    def test_chunked_scoring_matches_one_call(self, monkeypatch, decoder):
+        c = con.build_mppm(7, 3)
+        dec = decoder(c)
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, c.used_size, size=500)
+        noisy = c.encode_indices(idx) + rng.normal(scale=0.6, size=(500, 7))
+        one_call = dec.decode_block(noisy)
+        # three rows of 35 scores a chunk: 167 chunks, the last of two rows
+        monkeypatch.setattr(rx, "ML_SIZE_LIMIT", 3 * c.size)
+        assert np.array_equal(dec.decode_block(noisy), one_call)
+        assert np.array_equal(dec.decode_block(noisy[:0]), one_call[:0])
+        assert np.any(one_call != idx)
+
+
 def index_feedback_decode(receiver, frames):
     """The decision-feedback loop that ranks every decision to an index
     and unranks it back to the codeword it cancels."""
@@ -267,8 +283,6 @@ def index_feedback_decode(receiver, frames):
         amps = res[:, lo:hi] @ receiver._restore.T
         out[:, m] = receiver._decoder.decode_block(amps)
         decided = c.encode_indices(out[:, m]).astype(np.float64)
-        soft = np.abs(amps - decided).sum(axis=1) > 0.5 * q
-        decided[soft] = np.clip(amps[soft], 0.0, float(c.n))
         end = min(hi + receiver._tails.shape[1], res.shape[1])
         res[:, hi:end] -= (decided @ receiver._tails)[:, : end - hi]
     return out
@@ -340,8 +354,8 @@ class TestStreamReceiver:
             frames.append(clean + rng.normal(scale=0.1, size=clean.size))
         frames = np.stack(frames)
         # frame 2 opens with a block far below every codeword: its restored
-        # amplitudes miss the decision by more than Q/2, so the receiver
-        # cancels the soft estimate instead of the decided symbol
+        # amplitudes miss the decision by far, and the receiver still
+        # cancels the decided codeword's tail from the later blocks
         frames[2, :7] = -40.0
         first = np.linalg.solve(rx.restoration_matrix(rx.pulse_kernel(10), 7),
                                 frames[2, :7])
