@@ -72,9 +72,18 @@ class ChannelModel:
     def total_gain(self):
         return (0.0 if self.shadowed else self.los_gain) + self.nlos_gain
 
+    @property
+    def flat(self):
+        """No NLOS tail, LOS delay or shadow: the channel only scales."""
+        return self.nlos_gain == 0 and self.los_delay == 0 and not self.shadowed
+
+    def delay_samples(self, sample_rate):
+        """The LOS delay in whole samples, rounded half to even."""
+        return int(round(self.los_delay * sample_rate))
+
     def response_length(self, sample_rate):
         """Samples of impulse response that cover los_delay + 5 x nlos_decay."""
-        return int(round(self.los_delay * sample_rate)) + int(
+        return self.delay_samples(sample_rate) + int(
             np.ceil(5.0 * self.nlos_decay * sample_rate)
         ) + 1
 
@@ -152,7 +161,7 @@ def channel_impulse_response(cm, sample_rate, length=None):
 
     `length` defaults to the shortest one allowed, `cm.response_length`.
     """
-    delay_idx = int(round(cm.los_delay * sample_rate))
+    delay_idx = cm.delay_samples(sample_rate)
     needed = cm.response_length(sample_rate)
     if length is None:
         length = needed
@@ -176,7 +185,7 @@ def propagate(x, cm, sample_rate):
     by the LOS gain, or convolved with `channel_impulse_response` when the
     channel delays, disperses or shadows."""
     x = np.asarray(x, dtype=np.float64)
-    if cm.nlos_gain == 0 and cm.los_delay == 0 and not cm.shadowed:
+    if cm.flat:
         return cm.los_gain * x
     h = channel_impulse_response(cm, sample_rate)
     y = np.empty_like(x)

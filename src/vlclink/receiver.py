@@ -195,21 +195,15 @@ class StreamReceiver:
 
     `kernel` is the slot response of one unit pulse (default: the unit-gain
     `pulse_kernel`); its first value is the link's scale.  F=1 streams
-    decode fully vectorized, after deinterleaving blocks of
-    `interleaver_depth` symbols.  Overlapped streams decode causally:
-    restore each block's amplitudes, decide, then cancel the decided
-    pulses' tails from later statistics.
+    decode fully vectorized; statistics arrive in symbol order, so an
+    interleaving link deinterleaves them first.  Overlapped streams decode
+    causally: restore each block's amplitudes, decide, then cancel the
+    decided pulses' tails from later statistics.
     """
 
-    def __init__(self, c, g, decoder="correlation", interleaver_depth=1,
-                 kernel=None):
+    def __init__(self, c, g, decoder="correlation", kernel=None):
         self.constellation = c
         self.geometry = g
-        self.interleaver_depth = interleaver_depth
-        if interleaver_depth < 1:
-            raise ParameterError("interleaver_depth must be >= 1")
-        if interleaver_depth != 1 and g.overlap_factor != 1:
-            raise ParameterError("interleaving requires overlap_factor 1")
         if decoder not in _DECODER_CLASSES:
             raise ParameterError(f"unknown decoder {decoder!r}")
         self._decoder = _DECODER_CLASSES[decoder](c)
@@ -238,14 +232,12 @@ class StreamReceiver:
         values = np.asarray(stats, dtype=np.float64)
         frames = np.atleast_2d(values)
         n_signal = frames.shape[1] - (f - 1)
-        if n_signal % (q * self.interleaver_depth):
-            raise InputError("statistics do not cover whole symbols or "
-                             "interleaver blocks")
+        if n_signal % q:
+            raise InputError("statistics do not cover whole symbols")
         n_sym = n_signal // q
         if f == 1:
-            amps = wf.deinterleave_values(frames, self.interleaver_depth, q)
             out = self._decoder.decode_block(
-                amps.reshape(-1, q) / self._kernel[0])
+                frames.reshape(-1, q) / self._kernel[0])
         else:
             out = self._decode_overlapped(frames, n_sym)
         return out.reshape(values.shape[:-1] + (n_sym,))

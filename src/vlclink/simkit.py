@@ -169,14 +169,26 @@ class ChannelSpec:
     detector: ac.DetectorModel = field(default_factory=ac.DetectorModel)
 
     def __post_init__(self):
+        modes = self.__dataclass_fields__["mode"].metadata["choices"]
+        if self.mode not in modes:
+            raise ParameterError(f"mode must be one of {modes}")
         if self.sample_noise_sigma < 0:
             raise ParameterError("sample_noise_sigma must be >= 0")
-        if self.mode != "identity" and self.model.total_gain == 0:
+        if self.link.total_gain == 0:
             raise ParameterError("model.total_gain is 0: the channel "
                                  "passes no light")
 
-    def dispersive(self):
-        return self.model.nlos_gain > 0 or self.model.los_delay > 0
+    @property
+    def link(self):
+        """The channel model the light passes through: an identity channel
+        passes it on unchanged, whatever `model` says."""
+        return ac.IDENTITY_CHANNEL if self.mode == "identity" else self.model
+
+    @property
+    def responsivity(self):
+        """Electrical units per optical unit: the detector's responsivity
+        on a physical channel; the other modes see the light itself."""
+        return self.detector.responsivity if self.mode == "physical" else 1.0
 
 
 @dataclass(frozen=True)
@@ -249,8 +261,8 @@ class TrialConfig:
             except ParameterError as exc:
                 raise ParameterError(f"dimming_target: {exc}") from None
         g = self.geometry
-        delay = int(round(self.channel.model.los_delay * g.sample_rate))
-        if self.channel.mode != "identity" and delay >= g.samples_per_slot:
+        delay = self.channel.link.delay_samples(g.sample_rate)
+        if delay >= g.samples_per_slot:
             raise ParameterError(
                 f"channel.model.los_delay is {delay} samples, a slot "
                 f"({g.samples_per_slot} samples) or more; the receiver "
@@ -345,26 +357,25 @@ class _PulseChain:
             if config.geometry.overlap_factor > 1
             else [self._linear_gain()]
         )
-        return rx.StreamReceiver(
-            c, config.geometry, decoder=decoder,
-            interleaver_depth=config.interleaver_depth, kernel=kernel,
-        )
+        return rx.StreamReceiver(c, config.geometry, decoder=decoder,
+                                 kernel=kernel)
 
+    # not the measured kernel's first tap, which counts only the part of a
+    # pulse left in its own slot: MEPPM(7,3,4)+c, components, 16 dB, 4
+    # samples a slot, seeds 1-2 x 100k bits, SER here -> with that tap:
+    # quarter-slot LOS delay 0.624 -> 0.913, trichromatic LED at 30 ns
+    # slots 4.7e-3 -> 0.179, NLOS 0.1 of 200 ns 5.2e-4 -> 1.3e-3; only an
+    # unsplit saturating LED gains (saturation 5: 0.307 -> 0.232)
     def _linear_gain(self):
         """Statistic level of one unit pulse at F=1: the drive through the
-        LED curve, then the channel's gain and responsivity (an identity
-        channel passes the light on unchanged)."""
+        LED curve, then the channel's gain and responsivity."""
         cfg = self.config
-        if cfg.array_split_leds and np.isfinite(cfg.device.saturation_power):
+        if cfg.array_split_leds:
             # per-LED binary drive: the on-level compression is exactly known
             gain = ac.memoryless_response(self.peak, cfg.device)
         else:
             gain = self.peak * cfg.device.linear_gain
-        if cfg.channel.mode != "identity":
-            gain *= cfg.channel.model.total_gain
-        if cfg.channel.mode == "physical":
-            gain *= cfg.channel.detector.responsivity
-        return gain
+        return gain * cfg.channel.link.total_gain * cfg.channel.responsivity
 
     def _effective_kernel(self):
         """Measured slot response of one unit pulse through the noiseless
@@ -374,18 +385,14 @@ class _PulseChain:
         cfg = self.config
         g = cfg.geometry
         q = self.constellation.q
-        decay_slots = 0
-        if cfg.channel.mode != "identity" and (
-            cfg.channel.dispersive() or cfg.channel.model.shadowed
-        ):
-            decay_slots = int(np.ceil(
-                5.0 * cfg.channel.model.nlos_decay / g.slot_duration
-            ))
+        link = cfg.channel.link
+        decay_slots = 0 if link.flat else int(np.ceil(
+            5.0 * link.nlos_decay / g.slot_duration))
         guard_slots = 6 * g.overlap_factor + decay_slots
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        y = _apply_channel_deterministic(self.transmit(words), cfg, self.fs)
+        y = _apply_channel(self.transmit(words), cfg, self.fs)
         stats = rx.slot_statistics(y, g)
         peak = np.abs(stats).max()
         if peak <= 0:
@@ -419,7 +426,8 @@ class _PulseChain:
 
     def receive(self, indices):
         """Batches from their bit draws to their slot statistics, one row
-        per batch index: (bits, sent symbol indices, statistics).
+        per batch index: (bits, sent symbol indices, statistics), the
+        statistics back in symbol order when the chain interleaves.
 
         Each batch draws from its own (seed, batch_index) stream, first its
         bits and then its channel noise, so a row does not depend on the
@@ -435,8 +443,10 @@ class _PulseChain:
         words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
         y = _apply_channel(self.transmit(words), cfg, self.fs, rngs)
-        return bits, idx.reshape(len(rngs), n_sym), rx.slot_statistics(
-            y, self.geometry)
+        stats = rx.slot_statistics(y, self.geometry)
+        if cfg.interleaver_depth > 1:
+            stats = wf.deinterleave_values(stats, cfg.interleaver_depth, c.q)
+        return bits, idx.reshape(len(rngs), n_sym), stats
 
     def run_stack(self, indices):
         """Counts of each batch of a stack, received as one stack and
@@ -467,22 +477,19 @@ class _OfdmChain:
         self.fs = fs
         self.peak = config.peak_power_per_unit
         # composite linear response for the one-tap equalizer: drive scale,
-        # LED small-signal gain, LED pole, channel taps (an identity channel
-        # passes the light on unchanged), responsivity
+        # LED small-signal gain, LED pole, channel taps, responsivity
         ir = ac.lowpass_impulse_response(config.device, fs, 256)
-        model = (ac.IDENTITY_CHANNEL if config.channel.mode == "identity"
-                 else config.channel.model)
-        if model.nlos_gain > 0 or model.los_delay > 0 or model.shadowed:
+        model = config.channel.link
+        if model.flat:
+            ir = ir * model.total_gain
+        else:
             cir = ac.channel_impulse_response(
                 model, fs, max(256, model.response_length(fs))
             )
             ir = np.convolve(ir, cir)
-        else:
-            ir = ir * model.total_gain
-        gain = config.peak_power_per_unit * config.device.linear_gain
-        if config.channel.mode == "physical":
-            gain *= config.channel.detector.responsivity
-        self.equalizer_ir = ir * gain
+        self.equalizer_ir = ir * (config.peak_power_per_unit
+                                  * config.device.linear_gain
+                                  * config.channel.responsivity)
 
     def drive(self, bits, peak=1.0):
         """Drive samples of a whole number of frames, at `peak`."""
@@ -535,30 +542,19 @@ def _led_output(drives, device, fs):
     return light
 
 
-def _apply_channel_deterministic(x, cfg, fs):
-    """Noise-free part of the channel (propagation, gains, responsivity)."""
+def _apply_channel(x, cfg, fs, rngs=None):
+    """The channel and, unless `rngs` is None, its noise: row i of a stack
+    of signals draws its noise from rngs[i]."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
-    if spec.mode not in ("physical", "awgn"):
-        raise ParameterError(f"unknown channel mode {spec.mode!r}")
-    y = ac.propagate(x, spec.model, fs)
-    if spec.mode == "physical":
-        return spec.detector.responsivity * y
-    return y
-
-
-def _apply_channel(x, cfg, fs, rngs):
-    """The channel and its noise: row i of a stack of signals draws its
-    noise from rngs[i]."""
-    spec = cfg.channel
-    if spec.mode == "identity":
-        return x
+    if rngs is None:
+        return spec.responsivity * ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
         seeds = [rng.integers(0, 2 ** 63 - 1) for rng in rngs]
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
                                        seeds)
-    y = _apply_channel_deterministic(x, cfg, fs)
+    y = ac.propagate(x, spec.model, fs)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
         # the SNR of a unit-amplitude slot statistic, which averages a
@@ -643,8 +639,7 @@ def check_sweep(config, axis, points):
     if axis == "snr" and (spec.mode != "awgn" or spec.sample_noise_sigma):
         raise ParameterError("the snr axis needs channel.mode \"awgn\" with "
                              "sample_noise_sigma 0")
-    if axis == "delay_spread" and (spec.mode == "identity"
-                                   or spec.model.nlos_gain == 0):
+    if axis == "delay_spread" and spec.link.nlos_gain == 0:
         raise ParameterError("the delay_spread axis needs a non-identity "
                              "channel with model.nlos_gain > 0")
     for p in points:

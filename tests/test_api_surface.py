@@ -1,4 +1,5 @@
-"""Every function, class and method of the package has a reader.
+"""Every function, class and method of the package has a reader, and
+each link decision has one owner.
 
 A definition in `src/vlclink` must be referenced from the package itself,
 from the benchmark harness in `perfbench/` (which wraps functions by name)
@@ -90,6 +91,43 @@ def test_every_definition_has_a_reader():
         and name not in readers and name not in KEPT
     ]
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+# the only functions that tell an identity or physical channel from the
+# others: `ChannelSpec` resolves the model and responsivity that a mode
+# implies, and `_apply_channel` draws the mode's noise
+MODE_OWNERS = {"ChannelSpec.link", "ChannelSpec.responsivity",
+               "_apply_channel"}
+
+
+def mode_tests(node, scope=""):
+    """(scope, line) of each comparison of a `.mode` attribute with
+    "identity" or "physical"; the scope is the dotted name of the
+    enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Compare):
+            operands = [child.left, *child.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "mode"
+                   for o in operands) and any(
+                    isinstance(c, ast.Constant)
+                    and c.value in ("identity", "physical")
+                    for o in operands for c in ast.walk(o)):
+                yield scope, child.lineno
+        yield from mode_tests(child, inner)
+
+
+def test_channel_modes_resolved_in_one_place():
+    found = [(os.path.basename(path), line, scope)
+             for path in python_files(PACKAGE)
+             for scope, line in mode_tests(parse(path))]
+    stray = [f"{name}:{line} {scope or '<module>'}"
+             for name, line, scope in found if scope not in MODE_OWNERS]
+    assert not stray, ("compares channel.mode outside ChannelSpec: "
+                       + ", ".join(stray))
+    assert {scope for _, _, scope in found} == MODE_OWNERS
 
 
 def test_kept_names_exist():

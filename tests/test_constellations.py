@@ -181,9 +181,10 @@ class TestMeppm:
         assert c.symbols.max() <= 3
 
     def test_lattice_matches_explicit(self):
-        for comp in (False, True):
-            explicit = con.build_meppm(7, 3, 3, use_complements=comp)
-            implicit = con.build_meppm(7, 3, 3, use_complements=comp,
+        for q, k, n, comp in [(7, 3, 3, False), (7, 3, 3, True),
+                              (7, 3, 4, False), (13, 4, 3, False)]:
+            explicit = con.build_meppm(q, k, n, use_complements=comp)
+            implicit = con.build_meppm(q, k, n, use_complements=comp,
                                        max_table_size=1)
             assert not implicit.is_materialized
             assert implicit.size == explicit.size
@@ -195,6 +196,12 @@ class TestMeppm:
             assert set_e == set_i
             for i in range(implicit.size):
                 assert implicit.index_of(implicit.codeword_at(i)) == i
+            # without complements the table is in lattice rank order, so
+            # a code's bit mapping does not depend on DEFAULT_MAX_TABLE;
+            # a complement code's first-seen order differs (README)
+            if not comp:
+                assert np.array_equal(explicit.symbols, implicit.encode_indices(
+                    np.arange(implicit.size)))
 
     def test_implicit_min_distance_matches_brute(self):
         for comp in (False, True):

@@ -51,6 +51,30 @@ class TestLinkBudget:
         assert 1e-6 < sk.PRACTICAL_RECEIVED_POWER < 1e-5
 
 
+# identity-channel links whose LED alone causes errors: a pole at 30 ns
+# slots, or a saturating curve
+IMPAIRED_IDENTITY = {
+    "f1-eppm": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=4, slot=3e-8),
+        device=ac.LED_PRESETS["phosphor"],
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(max_bits=6_000, min_errors=10 ** 9,
+                       batch_symbols=256)),
+    "f2-meppm": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", n=3, use_complements=True),
+        geometry=geo(sps=4, f=2), device=ac.LedModel(saturation_power=3.0),
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(max_bits=6_000, min_errors=10 ** 9,
+                       batch_symbols=24)),
+    "dco-ofdm": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="dco_ofdm"), geometry=geo(),
+        device=ac.LedModel(saturation_power=1.2),
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(max_bits=6_000, min_errors=10 ** 9,
+                       batch_symbols=8)),
+}
+
+
 class TestRunTrials:
     def test_noiseless_zero_ber(self):
         cfg = sk.TrialConfig(
@@ -141,6 +165,20 @@ class TestRunTrials:
         report = sk.run_trials(cfg)
         assert report.bits_sent >= 20_000
         assert report.bit_errors == 0
+
+    @pytest.mark.parametrize("model", [
+        ac.ChannelModel(los_gain=0.6, nlos_gain=0.4, nlos_decay=2e-7),
+        ac.ChannelModel(los_delay=0.4e-6),
+        ac.ChannelModel(shadowed=True, nlos_gain=0.3),
+    ], ids=["dispersive", "delayed", "shadowed"])
+    @pytest.mark.parametrize("name", list(IMPAIRED_IDENTITY))
+    def test_identity_channel_ignores_an_impaired_model(self, name, model):
+        # the LED impairs each link, so the counts compared are not zero
+        cfg = IMPAIRED_IDENTITY[name]
+        report = sk.run_trials(cfg)
+        assert report.symbol_errors > 0
+        assert sk.run_trials(replace(cfg, channel=sk.ChannelSpec(
+            mode="identity", model=model))) == report
 
     def test_ofdm_awgn_noise_ignores_slot_geometry(self):
         # an OFDM link has no slots: its slot_snr_db is the SNR of one
@@ -731,6 +769,30 @@ class TestConfigDocuments:
             "ofdm-equalizes-delay"])
     def test_accepted_los_delays(self, patch):
         sk.config_from_document(dict(MINIMAL_DOC, **patch))
+
+    @pytest.mark.parametrize("samples, tap", [(2.5, 2), (3.5, 4)])
+    def test_los_delay_rounds_half_to_even_once(self, samples, tap):
+        # at 4 samples per second the delays are exact binary fractions
+        model = ac.ChannelModel(los_delay=samples / 4)
+        assert np.flatnonzero(ac.channel_impulse_response(model, 4.0)) == [tap]
+        assert model.response_length(4.0) == tap + int(
+            np.ceil(5.0 * model.nlos_decay * 4.0)) + 1
+
+        def config(sps):
+            return sk.TrialConfig(scheme=sk.SchemeSpec(kind="ppm", q=2),
+                                  geometry=wf.SlotGeometry(sps / 4, sps),
+                                  channel=sk.ChannelSpec(model=model))
+
+        # the delay must end before the first slot does
+        config(tap + 1)
+        with pytest.raises(ParameterError, match=f"{tap} samples"):
+            config(tap)
+
+    def test_unknown_channel_mode_rejected_in_python(self):
+        # documents meet the mode's choices in the schema; a spec built in
+        # Python must not run a misspelled mode as some other channel
+        with pytest.raises(ParameterError, match="mode"):
+            sk.ChannelSpec(mode="awgnn")
 
     def test_ofdm_scheme_skips_pulse_ranges(self):
         spec = sk.SchemeSpec(kind="dco_ofdm", q=1, k=0, n=0)
