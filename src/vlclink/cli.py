@@ -95,15 +95,21 @@ def cmd_stats(args):
     return 0
 
 
-def _sweep_points(doc, config, axis):
-    """The sweep's points, each checked against the config and the axis
-    before any point runs."""
-    points = [float(p) for p in sk.cli_block(doc, "sweep").points]
+def _checked_points(points, config, axis, path):
+    """The points of a sweep over `axis`, each checked against the config
+    and the axis before any point runs; a bad one is a ConfigError at the
+    JSON path `path`."""
+    points = [float(p) for p in points]
     try:
         sk.check_sweep(config, axis, points)
     except ParameterError as exc:
-        raise ConfigError("sweep.points", str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
     return points
+
+
+def _sweep_points(doc, config, axis):
+    return _checked_points(sk.cli_block(doc, "sweep").points, config, axis,
+                           "sweep.points")
 
 
 def cmd_ber_sweep(args):
@@ -152,10 +158,15 @@ def cmd_isi_sweep(args):
 def cmd_nonlin_compare(args):
     config, doc = _load(args)
     compare = sk.cli_block(doc, "compare")
-    points = [float(p) for p in compare.saturation_points]
+    points = _checked_points(compare.saturation_points, config, "saturation",
+                             "compare.saturation_points")
+    try:
+        ofdm_config = replace(config, scheme=compare.ofdm_scheme)
+    except ParameterError as exc:
+        raise ConfigError("compare.ofdm_scheme", str(exc)) from None
     results = sk.nonlin_compare(
-        config, replace(config, scheme=compare.ofdm_scheme), points,
-        mean_power=float(compare.mean_power), output_dir=args.output_dir,
+        config, ofdm_config, points, mean_power=float(compare.mean_power),
+        output_dir=args.output_dir,
     )
     ordering_holds = True
     for p, rm, ro in zip(points, results["meppm"], results["dco_ofdm"]):

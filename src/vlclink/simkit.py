@@ -3,7 +3,8 @@
 Runs the end-to-end chain (encode, interleave, synthesize, LED, channel,
 detect, slot statistics, deinterleave, decode) in fixed-size batches whose
 RNG streams derive from (master_seed, batch_index), scheduled in fixed
-waves so results are bit-identical for any worker count.  Also houses the
+waves so results are bit-identical for any worker count; the points of a
+sweep that draw alike share each batch's draws.  Also houses the
 link budget arithmetic, the analytic SER oracles used to validate the
 simulator, the flicker metric, and rate accounting.
 """
@@ -326,6 +327,69 @@ class TrialReport:
 # the end-to-end chain
 # ---------------------------------------------------------------------------
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Noise:
+    """The channel noise of a stack of batches, row i drawn from rngs[i]
+    after its bits.  The first of its `readers` (the links that run the
+    stack) draws it; the readers share it read-only, and it is dropped
+    after the last, so a one-point run holds it no longer than its link
+    needs it.  `_apply_channel` picks what its mode reads."""
+
+    def __init__(self, rngs, readers):
+        self._rngs = rngs
+        self._readers = readers
+        self._drawn = None
+
+    def normals(self, n_samples):
+        """(rows, n_samples) standard normals: an AWGN link's noise."""
+        def draw():
+            z = np.empty((len(self._rngs), n_samples))
+            for rng, row in zip(self._rngs, z):
+                rng.standard_normal(out=row)
+            return z
+
+        return self._share(draw)
+
+    def seeds(self):
+        """One seed per row for the detector noise of a physical link."""
+        return self._share(lambda: np.array(
+            [rng.integers(0, 2 ** 63 - 1) for rng in self._rngs]))
+
+    def _share(self, draw):
+        if not self._readers:
+            # a redraw would continue the generators: other numbers
+            raise RuntimeError("noise read by more links than drew it")
+        if self._drawn is None:
+            self._drawn = _read_only(draw())
+        drawn = self._drawn
+        self._readers -= 1
+        if not self._readers:
+            self._drawn = None
+        return drawn
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """The point-independent part of a stack of batches, read-only, so
+    that every point whose chain has the same `draw_key` runs its own link
+    on it: the bits, the sent symbol indices (pulse schemes; None for
+    DCO-OFDM), the unit-peak drive from `modulate` and the noise."""
+
+    bits: np.ndarray
+    sent: np.ndarray | None
+    modulated: list
+    noise: _Noise
+
+    def __post_init__(self):
+        for a in (self.bits, self.sent, *self.modulated):
+            if a is not None:
+                _read_only(a)
+
+
 class _PulseChain:
     """Precomputed objects shared by every batch of one trial."""
 
@@ -404,34 +468,45 @@ class _PulseChain:
         n = self.config.run.batch_symbols
         return n + (-n) % self.config.interleaver_depth
 
-    def drive(self, words, peak=1.0):
-        """Drive samples, at `peak` per unit of slot amplitude, of a
-        codeword stream or of each frame of a stack: one for the whole
-        stream, or one per LED when split over `array_split_leds` binary
-        LEDs."""
+    def draw_key(self):
+        """What a batch's draws depend on: chains with equal keys draw the
+        same bits, drive and noise from each (seed, batch_index)."""
+        c = self.constellation
+        cfg = self.config
+        return (c.scheme, c.q, c.k, c.n, c.use_complements, cfg.geometry,
+                cfg.run.batch_symbols, cfg.interleaver_depth,
+                cfg.array_split_leds, cfg.seed, cfg.channel.mode)
+
+    def modulate(self, words):
+        """The unit-peak drive of a codeword stream, or of each frame of a
+        stack, at slot rate: the codewords themselves, or one binary part
+        per LED when split over `array_split_leds` LEDs."""
         n_leds = self.config.array_split_leds
-        parts = wf.array_split(words, n_leds) if n_leds else [words]
-        return [wf.synthesize(p, self.geometry, peak) for p in parts]
+        return wf.array_split(words, n_leds) if n_leds else [words]
+
+    def drive(self, modulated, peak=1.0):
+        """Drive samples of each part of `modulate`'s output, at `peak`
+        per unit of slot amplitude."""
+        return [wf.synthesize(p, self.geometry, peak) for p in modulated]
 
     def transmit(self, words):
         """Optical samples of a codeword stream, or of each frame of a
         stack: the drive at the link's peak, through the LEDs."""
-        return _led_output(self.drive(words, self.peak), self.config.device,
-                           self.fs)
+        return _led_output(self.drive(self.modulate(words), self.peak),
+                           self.config.device, self.fs)
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
         c = self.constellation
         return c.encode_indices(rng.integers(0, c.used_size, size=256))
 
-    def receive(self, indices):
-        """Batches from their bit draws to their slot statistics, one row
-        per batch index: (bits, sent symbol indices, statistics), the
-        statistics back in symbol order when the chain interleaves.
+    def draw(self, indices, readers=1):
+        """The draws of a stack of batches, one row per batch index, for
+        `readers` links to run.
 
         Each batch draws from its own (seed, batch_index) stream, first its
         bits and then its channel noise, so a row does not depend on the
-        other batches received with it."""
+        other batches drawn with it."""
         cfg = self.config
         c = self.constellation
         n_sym = self.batch_symbols()
@@ -442,25 +517,35 @@ class _PulseChain:
         # interleaver blocks never straddle two frames
         words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
-        y = _apply_channel(self.transmit(words), cfg, self.fs, rngs)
+        return _Draws(bits, idx.reshape(len(rngs), n_sym),
+                      self.modulate(words), _Noise(rngs, readers))
+
+    def statistics(self, draws):
+        """Slot statistics of each row of a stack's draws through this
+        chain's link, back in symbol order when the chain interleaves."""
+        cfg = self.config
+        y = _apply_channel(
+            _led_output(self.drive(draws.modulated, self.peak), cfg.device,
+                        self.fs), cfg, self.fs, draws.noise)
         stats = rx.slot_statistics(y, self.geometry)
         if cfg.interleaver_depth > 1:
-            stats = wf.deinterleave_values(stats, cfg.interleaver_depth, c.q)
-        return bits, idx.reshape(len(rngs), n_sym), stats
+            stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
+                                           self.constellation.q)
+        return stats
 
-    def run_stack(self, indices):
-        """Counts of each batch of a stack, received as one stack and
-        decoded in one call (at F>1 in lockstep)."""
-        bits, idx, stats = self.receive(indices)
-        decoded = self.receiver.decode_stats(stats)
+    def counts(self, draws):
+        """Counts of each row of a stack's draws, decoded in one call (at
+        F>1 in lockstep)."""
+        decoded = self.receiver.decode_stats(self.statistics(draws))
         rx_bits = con.indices_to_bits(decoded.ravel(),
                                       self.constellation.bits_per_symbol)
-        return _row_counts(rx_bits.reshape(bits.shape) != bits,
-                           decoded != idx)
+        return _row_counts(rx_bits.reshape(draws.bits.shape) != draws.bits,
+                           decoded != draws.sent)
 
     def stacks(self, indices):
-        """A wave's batch indices in `run_stack`'s stacks: overlapped frames
-        all in one (lockstep), F=1 batches (no feedback) split by size."""
+        """A wave's batch indices in stacks drawn and decoded as one:
+        overlapped frames all in one (lockstep), F=1 batches (no feedback)
+        split by size."""
         if self.geometry.overlap_factor > 1:
             return [indices]
         return _stacks(indices, self.batch_symbols() * self.constellation.q
@@ -491,29 +576,42 @@ class _OfdmChain:
                                   * config.device.linear_gain
                                   * config.channel.responsivity)
 
-    def drive(self, bits, peak=1.0):
-        """Drive samples of a whole number of frames, at `peak`."""
-        x = ofdm_mod.dco_modulate(bits, self.ofdm)
-        x *= peak
-        return [x]
+    def draw_key(self):
+        """What a batch's draws depend on, as `_PulseChain.draw_key`."""
+        cfg = self.config
+        return (cfg.scheme, cfg.run.batch_symbols, cfg.seed,
+                cfg.channel.mode)
+
+    def modulate(self, bits):
+        """The unit-peak drive samples of a whole number of frames."""
+        return [ofdm_mod.dco_modulate(bits, self.ofdm)]
+
+    def drive(self, modulated, peak=1.0):
+        """Drive samples of `modulate`'s output at `peak`."""
+        return [peak * x for x in modulated]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
         return rng.integers(0, 2, size=64 * self.ofdm.bits_per_frame)
 
-    def run_stack(self, indices):
-        """Counts of each batch of a stack, its frames being the symbols."""
+    def draw(self, indices, readers=1):
+        """The draws of a stack of batches, its frames being the symbols."""
         cfg = self.config
         rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
-        n_frames = cfg.run.batch_symbols
-        n_bits = n_frames * self.ofdm.bits_per_frame
+        n_bits = cfg.run.batch_symbols * self.ofdm.bits_per_frame
         bits = np.stack([rng.integers(0, 2, size=n_bits) for rng in rngs])
-        light = _led_output(self.drive(bits, self.peak), cfg.device, self.fs)
-        y = _apply_channel(light, cfg, self.fs, rngs)
+        return _Draws(bits, None, self.modulate(bits), _Noise(rngs, readers))
+
+    def counts(self, draws):
+        cfg = self.config
+        bits = draws.bits
+        y = _apply_channel(
+            _led_output(self.drive(draws.modulated, self.peak), cfg.device,
+                        self.fs), cfg, self.fs, draws.noise)
         wrong = ofdm_mod.dco_demodulate(
             y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
-        return _row_counts(wrong, wrong.reshape(len(rngs), n_frames, -1)
-                           .any(axis=2))
+        frames = wrong.reshape(len(bits), cfg.run.batch_symbols, -1)
+        return _row_counts(wrong, frames.any(axis=2))
 
     def stacks(self, indices):
         return _stacks(indices,
@@ -542,18 +640,18 @@ def _led_output(drives, device, fs):
     return light
 
 
-def _apply_channel(x, cfg, fs, rngs=None):
-    """The channel and, unless `rngs` is None, its noise: row i of a stack
-    of signals draws its noise from rngs[i]."""
+def _apply_channel(x, cfg, fs, noise=None):
+    """The channel and, unless `noise` is None, its noise: row i of a stack
+    of signals takes row i of the `_Noise` draws.  A noisy AWGN link
+    scales its noise into `x`'s buffer, so `x` is spent."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
-    if rngs is None:
+    if noise is None:
         return spec.responsivity * ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
-        seeds = [rng.integers(0, 2 ** 63 - 1) for rng in rngs]
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
-                                       seeds)
+                                       noise.seeds())
     y = ac.propagate(x, spec.model, fs)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
@@ -564,10 +662,8 @@ def _apply_channel(x, cfg, fs, rngs=None):
                    else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        for row, rng in zip(y, rngs):
-            noise = rng.standard_normal(row.size)
-            noise *= sigma
-            row += noise
+        # propagate returned a new array, so the light's buffer is free
+        y += np.multiply(noise.normals(y.shape[-1]), sigma, out=x)
     return y
 
 
@@ -577,6 +673,14 @@ def _build_chain(config):
     return _PulseChain(config)
 
 
+def _draw_groups(chains):
+    """Positions of `chains` grouped by `draw_key`, in first-seen order."""
+    groups = {}
+    for i, chain in enumerate(chains):
+        groups.setdefault(chain.draw_key(), []).append(i)
+    return list(groups.values())
+
+
 def run_trials(config):
     """Run the chain until the stop rule (max_bits or min_errors) is met.
 
@@ -584,22 +688,52 @@ def run_trials(config):
     `chain.stacks` stack; each batch's RNG derives from (seed, batch_index),
     so the totals depend on neither the stacks nor the worker count.
     """
-    chain = _build_chain(config)
-    totals = np.zeros(4, dtype=np.int64)
-    run = config.run
+    return _run_points([config])[0]
+
+
+def _run_points(configs):
+    """The `run_trials` report of each config.  Points that draw alike
+    run together: each stack of a wave is drawn once, and every point of
+    the group that is still running takes its own link through the draws.
+    A point leaves at the wave where its own stop rule fires, so its
+    report is the one `run_trials` gives it alone."""
+    chains = [_build_chain(c) for c in configs]
+    totals = np.zeros((len(chains), 4), dtype=np.int64)
+    workers = max(c.run.workers for c in configs)
     with contextlib.ExitStack() as scope:
-        pool = (scope.enter_context(ThreadPoolExecutor(run.workers))
-                if run.workers > 1 else None)
-        for first in itertools.count(0, WAVE_BATCHES):
-            stacks = chain.stacks(range(first, first + WAVE_BATCHES))
-            # one worker, or a lone stack, runs in this thread: a pool
-            # would only add hand-offs
-            jobs = pool.map if pool is not None and len(stacks) > 1 else map
-            for rows in jobs(chain.run_stack, stacks):
-                totals += np.sum(rows, axis=0)
-            if totals[1] >= run.min_errors or totals[0] >= run.max_bits:
-                break
-    return TrialReport.from_counts(config, *(int(t) for t in totals))
+        pool = (scope.enter_context(ThreadPoolExecutor(workers))
+                if workers > 1 else None)
+        for group in _draw_groups(chains):
+            totals[group] = _run_group([chains[i] for i in group], pool)
+    return [TrialReport.from_counts(c, *(int(t) for t in row))
+            for c, row in zip(configs, totals)]
+
+
+def _run_group(chains, pool):
+    """Counts of chains with one `draw_key`, a row each, run wave by wave
+    until every chain's stop rule has fired."""
+    totals = np.zeros((len(chains), 4), dtype=np.int64)
+    running = list(range(len(chains)))
+    for first in itertools.count(0, WAVE_BATCHES):
+        stacks = chains[0].stacks(range(first, first + WAVE_BATCHES))
+        job = functools.partial(_run_stack, [chains[i] for i in running])
+        # one worker, or a lone stack, runs in this thread: a pool
+        # would only add hand-offs
+        jobs = pool.map if pool is not None and len(stacks) > 1 else map
+        for per_chain in jobs(job, stacks):
+            for i, rows in zip(running, per_chain):
+                totals[i] += np.sum(rows, axis=0)
+        running = [i for i in running
+                   if totals[i, 1] < chains[i].config.run.min_errors
+                   and totals[i, 0] < chains[i].config.run.max_bits]
+        if not running:
+            return totals
+
+
+def _run_stack(chains, indices):
+    """Counts of each chain on one stack of batches, drawn once."""
+    draws = chains[0].draw(indices, readers=len(chains))
+    return [chain.counts(draws) for chain in chains]
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +787,18 @@ def check_sweep(config, axis, points):
 
 
 def sweep(config, axis, points, output_dir=None, label=None):
-    """One run_trials per axis point under a shared master seed.
+    """The `run_trials` report of each axis point under a shared master
+    seed.
 
-    Returns the reports; when output_dir is given, writes
-    `<label>_<axis>.csv` plus a JSON manifest, byte-identical on reruns.
+    The points run together: those that draw alike (every axis but an
+    EPPM or MPPM dimming target that changes K') share each batch's bits,
+    drive and noise, and each point still stops by its own rule.  Returns
+    the reports; when output_dir is given, writes `<label>_<axis>.csv`
+    plus a JSON manifest, byte-identical on reruns.
     """
     points = list(points)
     check_sweep(config, axis, points)
-    reports = [run_trials(_config_at(config, axis, p)) for p in points]
+    reports = _run_points([_config_at(config, axis, p) for p in points])
     if output_dir is not None:
         write_sweep_outputs(config, axis, points, reports, output_dir, label)
     return reports
@@ -720,20 +858,36 @@ def calibrate_drive(config, target_mean_power, iterations=3):
 
     Fixed-point iteration on one noiseless pilot batch, drawn once from
     the config seed: the unit-peak drive does not depend on the peak, so
-    each iteration only rescales it through the LED.
+    each iteration only rescales it through the LED.  `nonlin_compare`
+    calibrates all its points at once, one pilot drive per scheme.
     """
-    chain = _build_chain(replace(config, channel=ChannelSpec(mode="identity")))
-    drives = chain.drive(chain.pilot(np.random.default_rng([config.seed, 0])))
-    peak = config.peak_power_per_unit
-    for _ in range(iterations):
-        scale = peak * chain.drive_scale
-        light = _led_output([scale * d for d in drives], config.device,
-                            chain.fs)
-        measured = float(light.mean())
-        if measured <= 0:
-            raise ParameterError("pilot produced no optical power")
-        peak = peak * (target_mean_power / measured)
-    return replace(config, peak_power_per_unit=peak)
+    return _calibrated([config], target_mean_power, iterations)[0]
+
+
+def _calibrated(configs, target_mean_power, iterations=3):
+    """`calibrate_drive` of each config: configs that draw alike share one
+    pilot and its unit-peak drive, and each runs only its own fixed
+    point through its own LED."""
+    chains = [_build_chain(replace(c, channel=ChannelSpec(mode="identity")))
+              for c in configs]
+    calibrated = list(configs)
+    for group in _draw_groups(chains):
+        lead = chains[group[0]]
+        pilot = lead.pilot(np.random.default_rng([lead.config.seed, 0]))
+        drives = [_read_only(d) for d in lead.drive(lead.modulate(pilot))]
+        for i in group:
+            chain = chains[i]
+            peak = configs[i].peak_power_per_unit
+            for _ in range(iterations):
+                scale = peak * chain.drive_scale
+                light = _led_output([scale * d for d in drives],
+                                    chain.config.device, chain.fs)
+                measured = float(light.mean())
+                if measured <= 0:
+                    raise ParameterError("pilot produced no optical power")
+                peak = peak * (target_mean_power / measured)
+            calibrated[i] = replace(configs[i], peak_power_per_unit=peak)
+    return calibrated
 
 
 def nonlin_compare(meppm_config, ofdm_config, saturation_points,
@@ -742,19 +896,22 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
 
     Both chains are recalibrated to the same post-LED mean optical power at
     every saturation point; saturation values are absolute (same units as
-    the drive).  Returns {"meppm": [...], "dco_ofdm": [...]} reports.
+    the drive).  Each scheme's points share its calibration pilot and, as
+    in `sweep`, each batch's draws; every report equals the `run_trials`
+    of its calibrated point.  Returns {"meppm": [...], "dco_ofdm": [...]}
+    reports.
     """
     points = list(saturation_points)
-    if len(points) < 2:
-        raise ParameterError("saturation sweep needs at least 2 points")
-    results = {"meppm": [], "dco_ofdm": []}
-    for sat in points:
-        for name, base in (("meppm", meppm_config), ("dco_ofdm", ofdm_config)):
-            cfg = calibrate_drive(_config_at(base, "saturation", sat),
-                                  mean_power)
-            results[name].append(run_trials(cfg))
+    bases = {"meppm": meppm_config, "dco_ofdm": ofdm_config}
+    for base in bases.values():
+        check_sweep(base, "saturation", points)
+    reports = _run_points(_calibrated(
+        [_config_at(base, "saturation", sat)
+         for base in bases.values() for sat in points], mean_power))
+    results = {name: reports[i * len(points):(i + 1) * len(points)]
+               for i, name in enumerate(bases)}
     if output_dir is not None:
-        for name, base in (("meppm", meppm_config), ("dco_ofdm", ofdm_config)):
+        for name, base in bases.items():
             write_sweep_outputs(base, "saturation", points, results[name],
                                 output_dir, label=name)
     return results

@@ -60,12 +60,16 @@ def synthesize(codewords, g, peak=1.0):
     """
     amps = slot_amplitudes(codewords).astype(np.float64)
     f = g.overlap_factor
-    # pulses start and end on slot boundaries, so per-slot coverage is the
-    # F-wide running sum of the amplitude stream (exact: integer amplitudes)
-    n = amps.shape[-1]
-    coverage = np.zeros(amps.shape[:-1] + (n + f - 1,))
-    for lag in range(f):
-        coverage[..., lag:lag + n] += amps
+    coverage = amps
+    if f > 1:
+        # pulses start and end on slot boundaries, so per-slot coverage is
+        # the F-wide running sum of the amplitude stream (exact: integer
+        # amplitudes); at F=1 it is the amplitude stream itself
+        n = amps.shape[-1]
+        coverage = np.zeros(amps.shape[:-1] + (n + f - 1,))
+        for lag in range(f):
+            coverage[..., lag:lag + n] += amps
+    # a new array: the codewords may be a drive that sweep points share
     samples = np.repeat(coverage, g.samples_per_slot, axis=-1)
     samples *= peak
     return samples

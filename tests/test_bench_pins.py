@@ -12,11 +12,14 @@ trial on the receiver that took a `gain` beside its kernel; the F=1
 complement-code pin on the decoder that kept its own copy of the
 lattice's component-count solve; the `nonlin-compare` result-file digests
 on the receiver that ran and decoded each F=1 and DCO-OFDM batch on its
-own.  Any change to these fails here.
+own; the sweep verbs' result-file digests on the engine that ran each
+sweep point as its own `run_trials`, drawing its own bits and noise.  Any
+change to these fails here.
 """
 
 import hashlib
 import importlib.util
+import json
 import os
 from dataclasses import replace
 
@@ -180,3 +183,86 @@ def test_f2_eppm_correlation_counts(seed, counts):
     report = sk.run_trials(sk.config_from_document(doc))
     assert (report.bits_sent, report.bit_errors, report.symbols_sent,
             report.symbol_errors) == counts
+
+
+# sweep verbs, each of whose points stops at its own wave: where points
+# share each batch's draws (same code, geometry and seed) and where they
+# cannot (EPPM dimming changes K')
+SWEEP_DOCS = {
+    "ber-sweep": {
+        "scheme": {"kind": "eppm", "q": 7, "k": 3},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
+        "channel": {"mode": "awgn"},
+        "run": {"max_bits": 40000, "min_errors": 150, "batch_symbols": 256,
+                "workers": 2},
+        "sweep": {"points": [3.0, 6.0, 9.0]},
+        "seed": 3,
+    },
+    "dimming-sweep-eppm": {
+        "scheme": {"kind": "eppm", "q": 13, "k": 4},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
+        "channel": {"mode": "awgn", "slot_snr_db": 7.0},
+        "run": {"max_bits": 12000, "min_errors": 60, "batch_symbols": 128},
+        "sweep": {"points": [0.23, 0.31]},
+        "seed": 4,
+    },
+    "dimming-sweep-meppm": {
+        "scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 2,
+                   "use_complements": True},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 2},
+        "channel": {"mode": "awgn", "slot_snr_db": 12.0},
+        "run": {"max_bits": 12000, "min_errors": 60, "batch_symbols": 128},
+        "sweep": {"points": [0.3, 0.45]},
+        "seed": 5,
+    },
+    "isi-sweep": {
+        "scheme": {"kind": "eppm", "q": 7, "k": 3},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+        "channel": {"mode": "physical",
+                    "model": {"los_gain": 0.6, "nlos_gain": 0.4},
+                    "detector": {"responsivity": 0.5,
+                                 "background_power": 5e-7}},
+        "peak_power_per_unit": 3e-9,
+        "run": {"max_bits": 12000, "min_errors": 300, "batch_symbols": 128},
+        "sweep": {"points": [0.5, 2.0], "depths": [1, 8]},
+        "seed": 6,
+    },
+}
+
+
+@pytest.mark.parametrize("name, digests", [
+    ("ber-sweep", {
+        "eppm_snr.csv": "c4dfb58b8610dd2edcd0d8e368f365e4"
+                        "ab72dd2fb162cc82a4679ca03f9672ba",
+        "eppm_snr_manifest.json": "269240452e2011e2655432a3794ce375"
+                                  "0353970f74c43b7b3799eb86f40979c6"}),
+    ("dimming-sweep-eppm", {
+        "eppm_dimming.csv": "770d22ae4c94c588ace18dd6c9822145"
+                            "ca61010879de1d33978560f3f4eeba5a",
+        "eppm_dimming_manifest.json": "61cc984a5e7bbcab60ee9577f48617ee"
+                                      "320670357b613c05ac8f9593c58816ec"}),
+    ("dimming-sweep-meppm", {
+        "meppm_dimming.csv": "160a5b8805600301a1c6649c83dd3899"
+                             "a8db44b042ad461d4c164b3cc9b6a5d8",
+        "meppm_dimming_manifest.json": "21e5eaf613bb1976024f34337cbfe517"
+                                       "a01239bf326a656b8cf93666ba64a981"}),
+    ("isi-sweep", {
+        "eppm_d1_delay_spread.csv": "66349237749d5b5d8ea5fe24e6efe768"
+                                    "790237b879f9b5e0a487556edf975477",
+        "eppm_d1_delay_spread_manifest.json":
+            "6ea43e5f6424ec623f7b4e4fa642aa9fb775b6d05cbe095df63f585920ed6eff",
+        "eppm_d8_delay_spread.csv": "3c8eae3be24d1b864e1a0b0575f5327a"
+                                    "20c28b9024b880a393f358469f05f1cc",
+        "eppm_d8_delay_spread_manifest.json":
+            "8f9f875a7bf67394a43bca4b92955b2fb9408b04779b4f23b2a96c1b5a1b04f6"}),
+])
+def test_sweep_result_files(tmp_path, capsys, name, digests):
+    """sha256 of each result file of a sweep verb, run in process."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SWEEP_DOCS[name]))
+    out_dir = tmp_path / "out"
+    verb = name.removesuffix("-eppm").removesuffix("-meppm")
+    assert cli.main([verb, "--config", str(config_path),
+                     "--output-dir", str(out_dir)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out_dir.iterdir()} == digests

@@ -275,6 +275,37 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("compare, patch, path, message", [
+        ({"saturation_points": [1.5, -1]}, {}, "compare.saturation_points",
+         "-1: saturation_power must be positive"),
+        ({"saturation_points": [1.5, 0]}, {}, "compare.saturation_points",
+         "0: saturation_power must be positive"),
+        ({"saturation_points": [2.0]}, {}, "compare.saturation_points",
+         "a sweep needs at least 2 points"),
+        ({"saturation_points": [1.5, 4.0]}, {"dimming_target": 0.3},
+         "compare.ofdm_scheme", "dimming_target needs a pulse scheme"),
+    ], ids=["negative-saturation", "zero-saturation", "one-point",
+            "dimming-on-ofdm"])
+    def test_nonlin_compare_checked_before_any_point_runs(
+            self, tmp_path, capsys, monkeypatch, compare, patch, path,
+            message):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("a point was calibrated")
+
+        monkeypatch.setattr(sk, "_calibrated", no_calibration)
+        doc = dict(BASE_EPPM, scheme={"kind": "meppm", "q": 7, "k": 3,
+                                      "n": 4},
+                   array_split_leds=4, compare=compare, **patch)
+        out_dir = tmp_path / "out"
+        code = cli.main(["nonlin-compare", "--config",
+                         write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: config: {path}: {message}")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("patch", [
         {"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 21,
                     "use_complements": True}, "decoder": "ml"},

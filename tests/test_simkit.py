@@ -317,10 +317,10 @@ class TestSweep:
             "delay-spread-no-nlos", "delay-spread-identity"])
     def test_axis_the_config_ignores(self, axis, channel, monkeypatch):
         # every point would run the same link and write the same row
-        def no_trials(config):
+        def no_trials(configs):
             raise AssertionError("a point ran")
 
-        monkeypatch.setattr(sk, "run_trials", no_trials)
+        monkeypatch.setattr(sk, "_run_points", no_trials)
         with pytest.raises(ParameterError, match=axis):
             sk.sweep(replace(awgn_config(), channel=channel), axis,
                      [0.5, 1.0])
@@ -444,15 +444,27 @@ RECEIVED = {
 }
 
 
+def receive(chain, indices):
+    """(bits, sent symbol indices, slot statistics) of a stack of batches
+    drawn and received by one pulse chain."""
+    draws = chain.draw(indices)
+    return draws.bits, draws.sent, chain.statistics(draws)
+
+
+def run_stack(chain, indices):
+    """Counts of each batch of a stack drawn and decoded by one chain."""
+    return chain.counts(chain.draw(indices))
+
+
 class TestStackedReceive:
     @pytest.mark.parametrize("name", list(RECEIVED))
     def test_rows_equal_single_batches(self, name):
         chain = sk._build_chain(RECEIVED[name])
         indices = [5, 0, 3, 6]
-        stacked = chain.receive(indices)
+        stacked = receive(chain, indices)
         assert [a.shape[0] for a in stacked] == [len(indices)] * 3
         for row, i in enumerate(indices):
-            for whole, single in zip(stacked, chain.receive([i])):
+            for whole, single in zip(stacked, receive(chain, [i])):
                 assert single.shape[0] == 1
                 assert whole[row].dtype == single.dtype
                 assert whole[row].tobytes() == single[0].tobytes()
@@ -463,7 +475,7 @@ class TestStackedReceive:
     def test_empty_frames(self, name):
         config = RECEIVED[name]
         config = replace(config, run=replace(config.run, batch_symbols=0))
-        bits, idx, stats = sk._build_chain(config).receive([0, 1])
+        bits, idx, stats = receive(sk._build_chain(config), [0, 1])
         f = config.geometry.overlap_factor
         assert (bits.shape, idx.shape, stats.shape) == ((2, 0), (2, 0),
                                                         (2, f - 1))
@@ -486,8 +498,8 @@ class TestRunStack:
     def test_rows_equal_single_batches(self, name):
         chain = sk._build_chain(STACKED_RUNS[name])
         indices = [5, 0, 3, 6]
-        stacked = chain.run_stack(indices)
-        assert stacked == [chain.run_stack([i])[0] for i in indices]
+        stacked = run_stack(chain, indices)
+        assert stacked == [run_stack(chain, [i])[0] for i in indices]
         assert sum(counts[1] for counts in stacked) > 0
 
     @pytest.mark.parametrize("batch_samples", [
@@ -520,13 +532,145 @@ class TestRunStack:
         chain = sk._build_chain(replace(
             base, run=sk.RunSpec(batch_symbols=n)))
         assert [len(s) for s in sk._stacks(range(8), n * frame)] == [3, 3, 2]
-        bits_per_batch = chain.run_stack([0])[0][0]
+        bits_per_batch = run_stack(chain, [0])[0][0]
         reports = [sk.run_trials(replace(base, run=sk.RunSpec(
             max_bits=9 * bits_per_batch, min_errors=10 ** 9,
             batch_symbols=n, workers=workers))) for workers in (1, 2, 4)]
         assert reports[0].bits_sent == 16 * bits_per_batch
         assert reports[0].bit_errors > 0
         assert reports[0] == reports[1] == reports[2]
+
+
+# sweeps whose points stop at different waves; each runs its points
+# together, sharing each batch's draws within a group of equal draw keys
+SHARED_SWEEPS = {
+    "snr-f1-eppm-interleaved": (awgn_config(
+        seed=3, interleaver_depth=4, run=sk.RunSpec(
+            max_bits=40_000, min_errors=150, batch_symbols=256)),
+        "snr", [3.0, 6.0, 9.0]),
+    "snr-f2-eppm": (awgn_config(
+        seed=4, geometry=geo(sps=4, f=2), run=sk.RunSpec(
+            max_bits=12_000, min_errors=60, batch_symbols=64)),
+        "snr", [12.0, 18.0, 24.0]),
+    "saturation-f1-meppm-split-4": (replace(
+        CALIBRATED["meppm-split-4-saturating"],
+        channel=sk.ChannelSpec(mode="awgn", sample_noise_sigma=0.5),
+        run=sk.RunSpec(max_bits=6_000, min_errors=40, batch_symbols=16)),
+        "saturation", [1.5, 2.5, 4.0]),
+    "saturation-dco-ofdm": (replace(
+        STACKED_RUNS["dco-ofdm-saturating"],
+        run=sk.RunSpec(max_bits=40_000, min_errors=4_000, batch_symbols=3)),
+        "saturation", [1.2, 2.0, 4.0]),
+    "delay-spread-f1-physical": (sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=4),
+        channel=sk.ChannelSpec(
+            mode="physical",
+            model=ac.ChannelModel(los_gain=0.6, nlos_gain=0.4),
+            detector=ac.DetectorModel(background_power=5e-7)),
+        peak_power_per_unit=3e-9, interleaver_depth=8,
+        run=sk.RunSpec(max_bits=12_000, min_errors=300, batch_symbols=128),
+        seed=6), "delay_spread", [0.5, 2.0]),
+    "delay-spread-f2-physical": (replace(
+        RECEIVED["f2-awgn-dispersive-delayed"], scheme=sk.SchemeSpec("eppm"),
+        channel=sk.ChannelSpec(
+            mode="physical",
+            model=ac.ChannelModel(los_gain=0.8, nlos_gain=0.2),
+            detector=ac.DetectorModel(background_power=5e-7)),
+        peak_power_per_unit=2e-8,
+        run=sk.RunSpec(max_bits=6_000, min_errors=40, batch_symbols=24)),
+        "delay_spread", [0.2, 1.0]),
+    "dimming-f2-meppm": (awgn_config(
+        kind="meppm", n=2, use_complements=True, snr_db=20.0, seed=5,
+        geometry=geo(sps=4, f=2), run=sk.RunSpec(
+            max_bits=6_000, min_errors=400, batch_symbols=24)),
+        "dimming", [0.3, 0.45]),
+    # K' = 3, 4, 4: the first point draws apart from the other two
+    "dimming-f1-eppm-split-group": (awgn_config(
+        q=13, k=4, snr_db=7.0, seed=4, run=sk.RunSpec(
+            max_bits=12_000, min_errors=60, batch_symbols=128)),
+        "dimming", [0.23, 0.3, 0.31]),
+}
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(SHARED_SWEEPS))
+    def test_points_equal_one_point_runs(self, name, workers):
+        config, axis, points = SHARED_SWEEPS[name]
+        config = replace(config, run=replace(config.run, workers=workers))
+        alone = [sk.run_trials(sk._config_at(config, axis, p))
+                 for p in points]
+        assert sk.sweep(config, axis, points) == alone
+        # the stop rules fire at different waves
+        assert len({r.bits_sent for r in alone}) > 1
+
+    def test_groups_split_by_draw_inputs(self):
+        config, axis, points = SHARED_SWEEPS["dimming-f1-eppm-split-group"]
+        chains = [sk._build_chain(sk._config_at(config, axis, p))
+                  for p in points]
+        assert sk._draw_groups(chains) == [[0], [1, 2]]
+        config, axis, points = SHARED_SWEEPS["dimming-f2-meppm"]
+        chains = [sk._build_chain(sk._config_at(config, axis, p))
+                  for p in points]
+        assert sk._draw_groups(chains) == [[0, 1]]
+
+    def test_a_group_draws_each_stack_once(self, monkeypatch):
+        config, axis, points = SHARED_SWEEPS["snr-f2-eppm"]
+        drawn = []
+        draw = sk._PulseChain.draw
+
+        def counted(chain, indices, readers=1):
+            drawn.append(list(indices))
+            return draw(chain, indices, readers)
+
+        monkeypatch.setattr(sk._PulseChain, "draw", counted)
+        reports = sk.sweep(config, axis, points)
+        waves = max(r.bits_sent for r in reports) // (
+            sk.WAVE_BATCHES * config.run.batch_symbols * 2)
+        # F>1 runs a wave as one stack, once for all the points
+        assert drawn == [list(range(w * sk.WAVE_BATCHES,
+                                    (w + 1) * sk.WAVE_BATCHES))
+                         for w in range(waves)]
+
+    def test_nonlin_compare_equals_one_point_runs(self):
+        meppm = SHARED_SWEEPS["saturation-f1-meppm-split-4"][0]
+        ofdm_config = replace(meppm, scheme=SHARED_SWEEPS[
+            "saturation-dco-ofdm"][0].scheme, run=sk.RunSpec(
+                max_bits=6_000, min_errors=10 ** 9, batch_symbols=3))
+        points = [1.5, 2.5, 4.0]
+        results = sk.nonlin_compare(meppm, ofdm_config, points)
+        for name, base in (("meppm", meppm), ("dco_ofdm", ofdm_config)):
+            assert results[name] == [sk.run_trials(sk.calibrate_drive(
+                sk._config_at(base, "saturation", p), 1.0)) for p in points]
+
+    @pytest.mark.parametrize("name", ["snr-f1-eppm-interleaved",
+                                      "saturation-f1-meppm-split-4",
+                                      "saturation-dco-ofdm",
+                                      "delay-spread-f2-physical"])
+    def test_draws_are_read_only(self, name):
+        config = SHARED_SWEEPS[name][0]
+        chain = sk._build_chain(config)
+        draws = chain.draw([0, 1], readers=2)
+        noise = (draws.noise.seeds() if config.channel.mode == "physical"
+                 else draws.noise.normals(5))
+        arrays = [draws.bits, *draws.modulated, noise]
+        if draws.sent is not None:
+            arrays.append(draws.sent)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_noise_is_shared_then_dropped(self):
+        rngs = [np.random.default_rng([1, b]) for b in (0, 1)]
+        noise = sk._Noise(rngs, readers=2)
+        first = noise.normals(8)
+        assert noise.normals(8) is first
+        assert first.tobytes() == np.stack([
+            np.random.default_rng([1, b]).standard_normal(8)
+            for b in (0, 1)]).tobytes()
+        with pytest.raises(RuntimeError):
+            noise.normals(8)
 
 
 class TestFlicker:

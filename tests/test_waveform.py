@@ -80,6 +80,18 @@ class TestSynthesize:
         with pytest.raises(InputError):
             wf.synthesize(np.zeros(4), geo())
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_samples_never_alias_read_only_codewords(self, dtype, f):
+        # a sweep's points synthesize from one shared, read-only drive
+        words = np.array([[[2, 0, 1], [0, 1, 1]]], dtype=dtype)
+        words.flags.writeable = False
+        w = wf.synthesize(words, geo(sps=2 * f, f=f), peak=3.0)
+        assert w.flags.writeable and not np.shares_memory(w, words)
+        w *= 2.0  # the caller owns the samples
+        assert w.reshape(-1, 2 * f)[:, 0].tolist()[:6] == (
+            [12, 0, 6, 0, 6, 6] if f == 1 else [12, 12, 6, 6, 6, 12])
+
 
 class TestInterleaver:
     def test_depth_1_identity(self):
