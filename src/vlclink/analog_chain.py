@@ -115,13 +115,19 @@ NOISELESS_DETECTOR = DetectorModel(
 # LED
 # ---------------------------------------------------------------------------
 
-def memoryless_response(drive, m):
-    """Soft-saturation drive-to-power curve; strictly increasing, bounded."""
-    x = m.linear_gain * np.asarray(drive, dtype=np.float64)
+def memoryless_response(drive, m, out=None):
+    """Soft-saturation drive-to-power curve; strictly increasing, bounded.
+    `out` receives the power and may be `drive` itself."""
+    x = np.multiply(m.linear_gain, np.asarray(drive, dtype=np.float64),
+                    out=out)
     if not np.isfinite(m.saturation_power):
         return x
     s2 = 2.0 * m.knee_sharpness
-    return x / (1.0 + (x / m.saturation_power) ** s2) ** (1.0 / s2)
+    knee = x / m.saturation_power
+    knee **= s2
+    knee += 1.0
+    knee **= 1.0 / s2
+    return np.divide(x, knee, out=out)
 
 
 def lowpass_coefficient(m, sample_rate):
@@ -140,10 +146,11 @@ def lowpass_impulse_response(m, sample_rate, length):
     return (1.0 - a) * a ** np.arange(length)
 
 
-def led_transfer(x, m, sample_rate):
+def led_transfer(x, m, sample_rate, out=None):
     """Drive samples (or each row of a stack) through the LED: saturation
-    curve, then the pole."""
-    y = memoryless_response(x, m)
+    curve, then the pole.  `out` receives the curve's output, and may be
+    `x` itself; it is the result unless the LED has a pole."""
+    y = memoryless_response(x, m, out)
     a = lowpass_coefficient(m, sample_rate)
     if a > 0.0:
         from scipy.signal import lfilter  # only a pole needs scipy
@@ -180,17 +187,19 @@ def channel_impulse_response(cm, sample_rate, length=None):
     return h
 
 
-def propagate(x, cm, sample_rate):
+def propagate(x, cm, sample_rate, out=None):
     """Optical samples (or each row of a stack) through the channel: scaled
     by the LOS gain, or convolved with `channel_impulse_response` when the
-    channel delays, disperses or shadows."""
+    channel delays, disperses or shadows.  `out` receives the result and
+    may be `x` itself."""
     x = np.asarray(x, dtype=np.float64)
     if cm.flat:
-        return cm.los_gain * x
+        return np.multiply(cm.los_gain, x, out=out)
     h = channel_impulse_response(cm, sample_rate)
-    y = np.empty_like(x)
-    for out, row in zip(np.atleast_2d(y), np.atleast_2d(x)):
-        out[:] = np.convolve(row, h)[: row.size]
+    y = np.empty_like(x) if out is None else out
+    # each row is convolved whole before it is written back
+    for y_row, row in zip(np.atleast_2d(y), np.atleast_2d(x)):
+        y_row[:] = np.convolve(row, h)[: row.size]
     return y
 
 
@@ -198,7 +207,7 @@ def propagate(x, cm, sample_rate):
 # detection
 # ---------------------------------------------------------------------------
 
-def propagate_and_detect(x, cm, dm, sample_rate, rng_seed):
+def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None):
     """Optical samples -> electrical samples with signal-dependent noise.
 
     y = responsivity * (h conv x) + n, where n is white Gaussian with
@@ -206,9 +215,10 @@ def propagate_and_detect(x, cm, dm, sample_rate, rng_seed):
         [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2).
     A stack of signals takes one rng_seed per row, and each row's noise
     is what its seed gives the row alone.  Deterministic in the seeds.
+    `out` receives the electrical samples and may be `x` itself.
     """
     received = propagate(x, cm, sample_rate)
-    current = dm.responsivity * received
+    current = np.multiply(dm.responsivity, received, out=out)
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
     if dm.background_power > 0 or dm.thermal_noise_density > 0:

@@ -83,13 +83,19 @@ def _best_rows(stats_2d, templates, offsets=0.0):
     """Per row, the index of the template that maximizes `row @ template -
     offset`, ties to the lowest index.  Rows are scored in chunks of at
     most ML_SIZE_LIMIT scores, so a large code never needs a (rows, size)
-    array; a stack that fits one chunk is scored in one call."""
+    array; a stack that fits one chunk is scored in one call, and the
+    offsets come off its scores in place."""
     stats_2d = np.asarray(stats_2d, dtype=np.float64)
     rows_per_chunk = max(1, ML_SIZE_LIMIT // len(templates))
     n_chunks = max(1, -(-len(stats_2d) // rows_per_chunk))
-    return np.concatenate([
-        np.argmax(chunk @ templates.T - offsets, axis=1)
-        for chunk in np.array_split(stats_2d, n_chunks)])
+
+    def best(chunk):
+        scores = chunk @ templates.T
+        scores -= offsets
+        return np.argmax(scores, axis=1)
+
+    return np.concatenate([best(chunk)
+                           for chunk in np.array_split(stats_2d, n_chunks)])
 
 
 class CorrelationDecoder:
@@ -157,7 +163,8 @@ class MeppmComponentDecoder:
         self._gram = self.templates @ self.templates.T
 
     def _greedy(self, calibrated):
-        scores = calibrated @ self.templates.T - self._half_energy
+        scores = calibrated @ self.templates.T
+        scores -= self._half_energy
         rows, n_comp = scores.shape
         picks = np.empty((self.constellation.n, rows), dtype=np.intp)
         peeled = np.empty_like(scores)

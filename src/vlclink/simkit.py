@@ -13,7 +13,9 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -29,8 +31,10 @@ from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # samples per stack of F=1 or DCO-OFDM batches: on EPPM(7,3) at 4 samples
-# per slot (2 vCPUs), 2^15 beat 2^14 at 256 and 512 symbols per batch, and
-# 2^16 (two 1024-symbol batches a stack) slowed one worker by about 20%
+# per slot (2 vCPUs), 2^15 beat 2^14 at 256 and 512 symbols per batch.
+# The 20% that 2^16 (two 1024-symbol batches a stack) once cost one worker
+# was re-faulting new sample buffers: with the thread workspaces 2^16 is
+# 8% faster at one worker and 18% at two (BENCH_19.json, stack_samples)
 STACK_SAMPLES = 1 << 15
 
 
@@ -332,22 +336,48 @@ def _read_only(a):
     return a
 
 
+class _Workspace(threading.local):
+    """The sample-length buffers of the stacks that one `_run_points` call
+    runs, each thread its own (a thread's first use makes them): the drive
+    of each LED, which the LED curve, the channel and the detector then
+    overwrite, the scaled noise, and the AWGN normals.  Every stack that a
+    thread runs reuses them, so their pages are faulted in once per call
+    and not once per stack, which glibc would hand back to the kernel in
+    between.  Nothing a link returns aliases them, and they are dropped
+    with the call."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, key, shape):
+        """Buffer `key` as an uninitialised float64 array of `shape`, in
+        the memory of the last one under that key when that is big
+        enough."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[key] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
 class _Noise:
     """The channel noise of a stack of batches, row i drawn from rngs[i]
-    after its bits.  The first of its `readers` (the links that run the
-    stack) draws it; the readers share it read-only, and it is dropped
-    after the last, so a one-point run holds it no longer than its link
-    needs it.  `_apply_channel` picks what its mode reads."""
+    after its bits, into the workspace of the thread that runs the stack
+    (by default a new one).  The first of its `readers` (the links that
+    run the stack) draws it; the readers share it read-only, and it is
+    dropped after the last, so a one-point run holds it no longer than its
+    link needs it.  `_apply_channel` picks what its mode reads."""
 
-    def __init__(self, rngs, readers):
+    def __init__(self, rngs, readers, workspace=None):
         self._rngs = rngs
         self._readers = readers
+        self.workspace = _Workspace() if workspace is None else workspace
         self._drawn = None
 
     def normals(self, n_samples):
         """(rows, n_samples) standard normals: an AWGN link's noise."""
         def draw():
-            z = np.empty((len(self._rngs), n_samples))
+            z = self.workspace.take("normals", (len(self._rngs), n_samples))
             for rng, row in zip(self._rngs, z):
                 rng.standard_normal(out=row)
             return z
@@ -388,6 +418,12 @@ class _Draws:
         for a in (self.bits, self.sent, *self.modulated):
             if a is not None:
                 _read_only(a)
+
+    @property
+    def workspace(self):
+        """The buffers that the links which read the draws write into:
+        those of the thread that drew them, which runs them."""
+        return self.noise.workspace
 
 
 class _PulseChain:
@@ -468,6 +504,13 @@ class _PulseChain:
         n = self.config.run.batch_symbols
         return n + (-n) % self.config.interleaver_depth
 
+    def _samples(self, n_symbols):
+        """Drive samples of `n_symbols` symbols: their slots and the F-1
+        pad slots."""
+        g = self.geometry
+        return ((n_symbols * self.constellation.q + g.overlap_factor - 1)
+                * g.samples_per_slot)
+
     def draw_key(self):
         """What a batch's draws depend on: chains with equal keys draw the
         same bits, drive and noise from each (seed, batch_index)."""
@@ -484,10 +527,14 @@ class _PulseChain:
         n_leds = self.config.array_split_leds
         return wf.array_split(words, n_leds) if n_leds else [words]
 
-    def drive(self, modulated, peak=1.0):
+    def drive(self, modulated, peak=1.0, workspace=None):
         """Drive samples of each part of `modulate`'s output, at `peak`
-        per unit of slot amplitude."""
-        return [wf.synthesize(p, self.geometry, peak) for p in modulated]
+        per unit of slot amplitude, each part in its own buffer of the
+        workspace (by default a new one, so in new arrays)."""
+        workspace = _Workspace() if workspace is None else workspace
+        return [wf.synthesize(p, self.geometry, peak, workspace.take(
+            ("drive", i), p.shape[:-2] + (self._samples(p.shape[-2]),)))
+            for i, p in enumerate(modulated)]
 
     def transmit(self, words):
         """Optical samples of a codeword stream, or of each frame of a
@@ -500,9 +547,9 @@ class _PulseChain:
         c = self.constellation
         return c.encode_indices(rng.integers(0, c.used_size, size=256))
 
-    def draw(self, indices, readers=1):
+    def draw(self, indices, readers=1, workspace=None):
         """The draws of a stack of batches, one row per batch index, for
-        `readers` links to run.
+        `readers` links to run in this thread's `workspace`.
 
         Each batch draws from its own (seed, batch_index) stream, first its
         bits and then its channel noise, so a row does not depend on the
@@ -518,15 +565,16 @@ class _PulseChain:
         words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
         words = words.reshape(len(rngs), n_sym, c.q)
         return _Draws(bits, idx.reshape(len(rngs), n_sym),
-                      self.modulate(words), _Noise(rngs, readers))
+                      self.modulate(words), _Noise(rngs, readers, workspace))
 
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
-        chain's link, back in symbol order when the chain interleaves."""
+        chain's link, back in symbol order when the chain interleaves.
+        The link runs in the draws' workspace; the statistics are new."""
         cfg = self.config
-        y = _apply_channel(
-            _led_output(self.drive(draws.modulated, self.peak), cfg.device,
-                        self.fs), cfg, self.fs, draws.noise)
+        drives = self.drive(draws.modulated, self.peak, draws.workspace)
+        y = _apply_channel(_led_output(drives, cfg.device, self.fs), cfg,
+                           self.fs, draws)
         stats = rx.slot_statistics(y, self.geometry)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
@@ -548,8 +596,7 @@ class _PulseChain:
         split by size."""
         if self.geometry.overlap_factor > 1:
             return [indices]
-        return _stacks(indices, self.batch_symbols() * self.constellation.q
-                       * self.geometry.samples_per_slot)
+        return _stacks(indices, self._samples(self.batch_symbols()))
 
 
 class _OfdmChain:
@@ -594,20 +641,21 @@ class _OfdmChain:
         """Transmit input of a calibration pilot: 64 random frames."""
         return rng.integers(0, 2, size=64 * self.ofdm.bits_per_frame)
 
-    def draw(self, indices, readers=1):
+    def draw(self, indices, readers=1, workspace=None):
         """The draws of a stack of batches, its frames being the symbols."""
         cfg = self.config
         rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
         n_bits = cfg.run.batch_symbols * self.ofdm.bits_per_frame
         bits = np.stack([rng.integers(0, 2, size=n_bits) for rng in rngs])
-        return _Draws(bits, None, self.modulate(bits), _Noise(rngs, readers))
+        return _Draws(bits, None, self.modulate(bits),
+                      _Noise(rngs, readers, workspace))
 
     def counts(self, draws):
         cfg = self.config
         bits = draws.bits
         y = _apply_channel(
             _led_output(self.drive(draws.modulated, self.peak), cfg.device,
-                        self.fs), cfg, self.fs, draws.noise)
+                        self.fs), cfg, self.fs, draws)
         wrong = ofdm_mod.dco_demodulate(
             y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
         frames = wrong.reshape(len(bits), cfg.run.batch_symbols, -1)
@@ -633,26 +681,28 @@ def _stacks(indices, batch_samples):
 
 def _led_output(drives, device, fs):
     """Optical samples after the LEDs: each drive passes through its own
-    LED, and the outputs add up."""
-    light = ac.led_transfer(drives[0], device, fs)
+    LED, its curve in the drive's buffer, and the outputs add up in the
+    first LED's; the drives are spent."""
+    light = ac.led_transfer(drives[0], device, fs, out=drives[0])
     for d in drives[1:]:
-        light += ac.led_transfer(d, device, fs)
+        light += ac.led_transfer(d, device, fs, out=d)
     return light
 
 
-def _apply_channel(x, cfg, fs, noise=None):
-    """The channel and, unless `noise` is None, its noise: row i of a stack
-    of signals takes row i of the `_Noise` draws.  A noisy AWGN link
-    scales its noise into `x`'s buffer, so `x` is spent."""
+def _apply_channel(x, cfg, fs, draws=None):
+    """The channel and, unless `draws` is None, the noise of a stack's
+    draws: row i of a stack of signals takes row i of their `_Noise`.  A
+    noisy link writes its output into `x`'s buffer, so `x` is spent; an
+    AWGN link scales its noise in the draws' workspace."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
-    if noise is None:
+    if draws is None:
         return spec.responsivity * ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
-                                       noise.seeds())
-    y = ac.propagate(x, spec.model, fs)
+                                       draws.noise.seeds(), out=x)
+    y = ac.propagate(x, spec.model, fs, out=x)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
         # the SNR of a unit-amplitude slot statistic, which averages a
@@ -662,8 +712,8 @@ def _apply_channel(x, cfg, fs, noise=None):
                    else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        # propagate returned a new array, so the light's buffer is free
-        y += np.multiply(noise.normals(y.shape[-1]), sigma, out=x)
+        y += np.multiply(draws.noise.normals(y.shape[-1]), sigma,
+                         out=draws.workspace.take("noise", y.shape))
     return y
 
 
@@ -700,23 +750,27 @@ def _run_points(configs):
     chains = [_build_chain(c) for c in configs]
     totals = np.zeros((len(chains), 4), dtype=np.int64)
     workers = max(c.run.workers for c in configs)
+    workspace = _Workspace()
     with contextlib.ExitStack() as scope:
         pool = (scope.enter_context(ThreadPoolExecutor(workers))
                 if workers > 1 else None)
         for group in _draw_groups(chains):
-            totals[group] = _run_group([chains[i] for i in group], pool)
+            totals[group] = _run_group([chains[i] for i in group], pool,
+                                       workspace)
     return [TrialReport.from_counts(c, *(int(t) for t in row))
             for c, row in zip(configs, totals)]
 
 
-def _run_group(chains, pool):
+def _run_group(chains, pool, workspace):
     """Counts of chains with one `draw_key`, a row each, run wave by wave
-    until every chain's stop rule has fired."""
+    until every chain's stop rule has fired, each stack in the workspace
+    of the thread that runs it."""
     totals = np.zeros((len(chains), 4), dtype=np.int64)
     running = list(range(len(chains)))
     for first in itertools.count(0, WAVE_BATCHES):
         stacks = chains[0].stacks(range(first, first + WAVE_BATCHES))
-        job = functools.partial(_run_stack, [chains[i] for i in running])
+        job = functools.partial(_run_stack, [chains[i] for i in running],
+                                workspace)
         # one worker, or a lone stack, runs in this thread: a pool
         # would only add hand-offs
         jobs = pool.map if pool is not None and len(stacks) > 1 else map
@@ -730,9 +784,9 @@ def _run_group(chains, pool):
             return totals
 
 
-def _run_stack(chains, indices):
+def _run_stack(chains, workspace, indices):
     """Counts of each chain on one stack of batches, drawn once."""
-    draws = chains[0].draw(indices, readers=len(chains))
+    draws = chains[0].draw(indices, len(chains), workspace)
     return [chain.counts(draws) for chain in chains]
 
 

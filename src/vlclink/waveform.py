@@ -49,16 +49,18 @@ def slot_amplitudes(codewords):
     return codewords.reshape(codewords.shape[:-2] + (-1,))
 
 
-def synthesize(codewords, g, peak=1.0):
+def synthesize(codewords, g, peak=1.0, out=None):
     """Render a codeword stream, or each frame of a stack, as an intensity
     waveform: float64 samples at `g.sample_rate`, time along the last axis.
 
     Each unit of slot amplitude contributes one rectangular pulse of width
     F x slot_duration starting at its slot boundary; pulses superpose
     additively and run into following symbols, so each stream is padded by
-    F - 1 trailing slots and no pulse runs into the next frame.
+    F - 1 trailing slots and no pulse runs into the next frame.  `out`, a
+    C-contiguous float64 array of the result's shape, receives the
+    samples; by default they go into a new array.
     """
-    amps = slot_amplitudes(codewords).astype(np.float64)
+    amps = slot_amplitudes(codewords)
     f = g.overlap_factor
     coverage = amps
     if f > 1:
@@ -69,10 +71,13 @@ def synthesize(codewords, g, peak=1.0):
         coverage = np.zeros(amps.shape[:-1] + (n + f - 1,))
         for lag in range(f):
             coverage[..., lag:lag + n] += amps
-    # a new array: the codewords may be a drive that sweep points share
-    samples = np.repeat(coverage, g.samples_per_slot, axis=-1)
-    samples *= peak
-    return samples
+    sps = g.samples_per_slot
+    if out is None:
+        out = np.empty(coverage.shape[:-1] + (coverage.shape[-1] * sps,))
+    # each slot's level fills its samples
+    samples = out.reshape(coverage.shape + (sps,), copy=False)
+    samples[...] = np.multiply(coverage, peak, dtype=np.float64)[..., None]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,33 @@ class TestDetection:
         assert e_closed < e_open
 
 
+class TestInPlace:
+    """Each stage gives the same bytes in its input's buffer as in a new
+    array, so the trial engine can run a stack's link in place."""
+
+    @pytest.mark.parametrize("stage", [
+        lambda x, out: ac.memoryless_response(x, ac.LedModel(
+            saturation_power=1.5, knee_sharpness=1.5, linear_gain=0.8), out),
+        lambda x, out: ac.led_transfer(x, ac.LedModel(
+            saturation_power=2.0), FS, out=out),
+        lambda x, out: ac.propagate(x, ac.ChannelModel(los_gain=0.7), FS,
+                                    out=out),
+        lambda x, out: ac.propagate(x, ac.ChannelModel(
+            los_gain=0.6, los_delay=3e-9, nlos_gain=0.4, nlos_decay=5e-9),
+            FS, out=out),
+        lambda x, out: ac.propagate_and_detect(x, ac.ChannelModel(
+            los_gain=0.6, nlos_gain=0.4, nlos_decay=5e-9), ac.DetectorModel(
+                background_power=5e-7), FS, [3, 4], out=out),
+    ], ids=["curve", "led", "flat", "dispersive", "detect"])
+    def test_in_place_equals_new(self, stage):
+        x = np.random.default_rng(9).random((2, 300)) * 3.0
+        fresh = stage(x, None)
+        assert not np.shares_memory(fresh, x)
+        buffer = x.copy()
+        assert stage(buffer, buffer) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+
+
 class TestArraySplitDistortion:
     def test_split_equals_unsplit_when_linear(self):
         c = con.build_meppm(7, 3, 3, use_complements=True)

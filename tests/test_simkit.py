@@ -1,6 +1,8 @@
 """Monte Carlo engine, link budget, metrics, and sweep tests."""
 
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -619,9 +621,9 @@ class TestSharedDraws:
         drawn = []
         draw = sk._PulseChain.draw
 
-        def counted(chain, indices, readers=1):
+        def counted(chain, indices, *args):
             drawn.append(list(indices))
-            return draw(chain, indices, readers)
+            return draw(chain, indices, *args)
 
         monkeypatch.setattr(sk._PulseChain, "draw", counted)
         reports = sk.sweep(config, axis, points)
@@ -671,6 +673,119 @@ class TestSharedDraws:
             for b in (0, 1)]).tobytes()
         with pytest.raises(RuntimeError):
             noise.normals(8)
+
+
+def unbounded(config, max_bits):
+    """The config run to `max_bits`, whatever its errors."""
+    return replace(config, run=replace(config.run, max_bits=max_bits,
+                                       min_errors=10 ** 9))
+
+
+def sweep_points(name, workers):
+    config, axis, points = SHARED_SWEEPS[name]
+    config = replace(config, run=replace(config.run, workers=workers))
+    return [sk._config_at(config, axis, p) for p in points]
+
+
+# `_run_points` inputs whose threads each run several stacks
+WORKSPACE_RUNS = {
+    "f1-awgn-interleaved": [unbounded(
+        RECEIVED["f1-awgn-eppm-interleaved"], 24 * 60 * 2)],
+    "f1-physical": sweep_points("delay-spread-f1-physical", 1)[:1],
+    "f1-split-4": [unbounded(
+        STACKED_RUNS["f1-meppm-split-4-saturating"], 24 * 40 * 7)],
+    "snr-sweep-w1": sweep_points("snr-f1-eppm-interleaved", 1),
+    "snr-sweep-w2": sweep_points("snr-f1-eppm-interleaved", 2),
+}
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("name", list(WORKSPACE_RUNS))
+    def test_calls_in_one_thread_repeat(self, name, monkeypatch):
+        configs = WORKSPACE_RUNS[name]
+        first = sk._run_points(configs)
+        assert sk._run_points(configs) == first
+        take = sk._Workspace.take
+
+        def poisoned(workspace, key, shape):
+            buffer = take(workspace, key, shape)
+            buffer[...] = np.nan
+            return buffer
+
+        # a stage that read a buffer before writing all of it would see
+        # NaN here, and the last stack's samples in a reused buffer
+        monkeypatch.setattr(sk._Workspace, "take", poisoned)
+        assert sk._run_points(configs) == first
+
+    def test_threads_keep_their_own_buffers(self):
+        # more workers than cores, switching threads often: buffers that
+        # two threads shared would mix their stacks' samples
+        config = awgn_config(snr_db=6.0, geometry=geo(sps=4), run=sk.RunSpec(
+            max_bits=16 * 2048 * 2, min_errors=10 ** 9, batch_symbols=2048))
+        serial = sk.run_trials(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = sk.run_trials(replace(config, run=replace(
+                config.run, workers=4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config", [
+        # 57,344 samples a batch: a stack each, 8 a wave
+        awgn_config(geometry=geo(sps=4), run=sk.RunSpec(
+            max_bits=16 * 2048 * 2, min_errors=10 ** 9, batch_symbols=2048)),
+        # F>1: a stack a wave
+        unbounded(SHARED_SWEEPS["snr-f2-eppm"][0], 3 * 8 * 64 * 2),
+    ], ids=["f1", "f2"])
+    def test_a_thread_reuses_its_buffers(self, config, workers,
+                                         monkeypatch):
+        config = replace(config, run=replace(config.run, workers=workers))
+        taken, returned = [], []
+        take = sk._Workspace.take
+        statistics = sk._PulseChain.statistics
+        counts = sk._PulseChain.counts
+
+        def spy_take(workspace, key, shape):
+            buffer = take(workspace, key, shape)
+            taken.append((workspace, threading.get_ident(), key, buffer))
+            return buffer
+
+        def spy_statistics(chain, draws):
+            returned.append(statistics(chain, draws))
+            return returned[-1]
+
+        def spy_counts(chain, draws):
+            rows = counts(chain, draws)
+            returned.extend(v for row in rows for v in row)
+            return rows
+
+        monkeypatch.setattr(sk._Workspace, "take", spy_take)
+        monkeypatch.setattr(sk._PulseChain, "statistics", spy_statistics)
+        monkeypatch.setattr(sk._PulseChain, "counts", spy_counts)
+        sk._run_points([config])
+        # at F>1 the receiver's kernel is measured in a workspace of its own
+        buffers = {}
+        for *owner, buffer in taken:
+            buffers.setdefault(tuple(owner), []).append(buffer)
+        assert {key for *_, key in buffers} == {("drive", 0), "noise",
+                                                "normals"}
+        # some thread ran two stacks or more, in the same memory
+        assert max(len(same) for same in buffers.values()) > 1
+        for same in buffers.values():
+            assert all(np.shares_memory(b, same[0]) for b in same)
+        # no two threads, and no two keys, share memory
+        firsts = [same[0] for same in buffers.values()]
+        for i, a in enumerate(firsts):
+            assert not any(np.shares_memory(a, b) for b in firsts[i + 1:])
+        # what a link returns is its own
+        for a in returned:
+            if isinstance(a, np.ndarray):
+                assert not any(np.shares_memory(a, b) for b in firsts)
+            else:
+                assert isinstance(a, int)
 
 
 class TestFlicker:

@@ -93,6 +93,19 @@ class TestSynthesize:
             [12, 0, 6, 0, 6, 6] if f == 1 else [12, 12, 6, 6, 6, 12])
 
 
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_out_receives_the_samples(self, f):
+        words = np.array([[[2, 0, 1], [0, 1, 1]], [[1, 1, 0], [0, 0, 2]]],
+                         dtype=np.int16)
+        g = geo(sps=2 * f, f=f)
+        fresh = wf.synthesize(words, g, peak=0.3)
+        out = np.full(fresh.shape, np.nan)
+        assert wf.synthesize(words, g, peak=0.3, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            wf.synthesize(words, g, out=np.empty(fresh.size + 1))
+
+
 class TestInterleaver:
     def test_depth_1_identity(self):
         c = con.build_eppm(7, 3)
