@@ -157,6 +157,7 @@ def cmd_isi_sweep(args):
 
 def cmd_nonlin_compare(args):
     config, doc = _load(args)
+    _pulse_constellation(config)  # the pulse side of the comparison
     compare = sk.cli_block(doc, "compare")
     points = _checked_points(compare.saturation_points, config, "saturation",
                              "compare.saturation_points")
@@ -210,6 +211,10 @@ def cmd_flicker(args):
         raise ConfigError("flicker.window_symbols",
                           "need a nonempty list of windows")
     _pulse_constellation(config)  # DCO-OFDM sends no pulses to measure
+    depth = config.interleaver_depth
+    if flicker.n_symbols % depth:
+        raise ConfigError("flicker.n_symbols", f"{flicker.n_symbols} is not "
+                          f"a multiple of interleaver_depth {depth}")
     light = sk.random_light(config, flicker.n_symbols)
     g = config.geometry
     symbol_t = config.scheme.q * g.slot_duration

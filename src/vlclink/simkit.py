@@ -360,73 +360,70 @@ class _Workspace(threading.local):
         return buffer[:size].reshape(shape)
 
 
-class _Noise:
-    """The channel noise of a stack of batches, row i drawn from rngs[i]
-    after its bits, into the workspace of the thread that runs the stack
-    (by default a new one).  The first of its `readers` (the links that
-    run the stack) draws it; the readers share it read-only, and it is
-    dropped after the last, so a one-point run holds it no longer than its
-    link needs it.  `_apply_channel` picks what its mode reads."""
-
-    def __init__(self, rngs, readers, workspace=None):
-        self._rngs = rngs
-        self._readers = readers
-        self.workspace = _Workspace() if workspace is None else workspace
-        self._drawn = None
-
-    def normals(self, n_samples):
-        """(rows, n_samples) standard normals: an AWGN link's noise."""
-        def draw():
-            z = self.workspace.take("normals", (len(self._rngs), n_samples))
-            for rng, row in zip(self._rngs, z):
-                rng.standard_normal(out=row)
-            return z
-
-        return self._share(draw)
-
-    def seeds(self):
-        """One seed per row for the detector noise of a physical link."""
-        return self._share(lambda: np.array(
-            [rng.integers(0, 2 ** 63 - 1) for rng in self._rngs]))
-
-    def _share(self, draw):
-        if not self._readers:
-            # a redraw would continue the generators: other numbers
-            raise RuntimeError("noise read by more links than drew it")
-        if self._drawn is None:
-            self._drawn = _read_only(draw())
-        drawn = self._drawn
-        self._readers -= 1
-        if not self._readers:
-            self._drawn = None
-        return drawn
-
-
-@dataclass(frozen=True)
 class _Draws:
     """The point-independent part of a stack of batches, read-only, so
     that every point whose chain has the same `draw_key` runs its own link
     on it: the bits, the sent symbol indices (pulse schemes; None for
-    DCO-OFDM), the unit-peak drive from `modulate` and the noise."""
+    DCO-OFDM), the unit-peak drive from `modulate` and the channel noise.
+    Row i of the noise is drawn from generator i after its bits, on the
+    first read; every later read shares that array, since a redraw would
+    continue the generators (the channel mode is part of the `draw_key`,
+    so every reader reads one kind of noise).  The links write into
+    `workspace`, the buffers of the thread that drew the stack and runs
+    it (by default new ones)."""
 
-    bits: np.ndarray
-    sent: np.ndarray | None
-    modulated: list
-    noise: _Noise
-
-    def __post_init__(self):
-        for a in (self.bits, self.sent, *self.modulated):
+    def __init__(self, rngs, bits, sent, modulated, workspace=None):
+        for a in (bits, sent, *modulated):
             if a is not None:
                 _read_only(a)
+        self.bits, self.sent, self.modulated = bits, sent, modulated
+        self.workspace = _Workspace() if workspace is None else workspace
+        self._rngs = rngs
+        self._noise = None
 
-    @property
-    def workspace(self):
-        """The buffers that the links which read the draws write into:
-        those of the thread that drew them, which runs them."""
-        return self.noise.workspace
+    def normals(self, n_samples):
+        """(rows, n_samples) standard normals: an AWGN link's noise."""
+        if self._noise is None:
+            z = self.workspace.take("normals", (len(self._rngs), n_samples))
+            for rng, row in zip(self._rngs, z):
+                rng.standard_normal(out=row)
+            self._noise = _read_only(z)
+        return self._noise
+
+    def seeds(self):
+        """One seed per row for the detector noise of a physical link."""
+        if self._noise is None:
+            self._noise = _read_only(np.array(
+                [rng.integers(0, 2 ** 63 - 1) for rng in self._rngs]))
+        return self._noise
 
 
-class _PulseChain:
+class _Chain:
+    """What both chains share: the draws of a stack of batches, and the
+    light of a drive."""
+
+    def draw(self, indices, workspace=None):
+        """The draws of a stack of batches, one row per batch index, for
+        the links that run it in this thread's `workspace`.
+
+        Each batch draws from its own (seed, batch_index) stream, first its
+        bits and then its channel noise, so a row does not depend on the
+        other batches drawn with it."""
+        rngs = [np.random.default_rng([self.config.seed, b]) for b in indices]
+        bits = np.stack([rng.integers(0, 2, size=self.batch_bits)
+                         for rng in rngs])
+        return _Draws(rngs, bits, *self.encode(bits), workspace)
+
+    def light(self, modulated, peak, workspace=None):
+        """Optical samples of `modulate`'s output at `peak`: each part's
+        drive through its own LED, in the workspace (by default a new
+        one, so in new arrays)."""
+        workspace = _Workspace() if workspace is None else workspace
+        return _led_output(self.drive(modulated, peak, workspace),
+                           self.config.device, self.fs)
+
+
+class _PulseChain(_Chain):
     """Precomputed objects shared by every batch of one trial."""
 
     def __init__(self, config):
@@ -442,6 +439,7 @@ class _PulseChain:
         self.constellation = c
         self.geometry = config.geometry
         self.fs = config.geometry.sample_rate
+        self.batch_bits = self.batch_symbols() * c.bits_per_symbol
 
     @functools.cached_property
     def receiver(self):
@@ -492,7 +490,8 @@ class _PulseChain:
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        y = _apply_channel(self.transmit(words), cfg, self.fs)
+        y = _apply_channel(self.light(self.modulate(words), self.peak), cfg,
+                           self.fs)
         stats = rx.slot_statistics(y, g)
         peak = np.abs(stats).max()
         if peak <= 0:
@@ -527,54 +526,43 @@ class _PulseChain:
         n_leds = self.config.array_split_leds
         return wf.array_split(words, n_leds) if n_leds else [words]
 
-    def drive(self, modulated, peak=1.0, workspace=None):
+    def drive(self, modulated, peak, workspace):
         """Drive samples of each part of `modulate`'s output, at `peak`
         per unit of slot amplitude, each part in its own buffer of the
-        workspace (by default a new one, so in new arrays)."""
-        workspace = _Workspace() if workspace is None else workspace
+        workspace."""
         return [wf.synthesize(p, self.geometry, peak, workspace.take(
             ("drive", i), p.shape[:-2] + (self._samples(p.shape[-2]),)))
             for i, p in enumerate(modulated)]
-
-    def transmit(self, words):
-        """Optical samples of a codeword stream, or of each frame of a
-        stack: the drive at the link's peak, through the LEDs."""
-        return _led_output(self.drive(self.modulate(words), self.peak),
-                           self.config.device, self.fs)
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
         c = self.constellation
         return c.encode_indices(rng.integers(0, c.used_size, size=256))
 
-    def draw(self, indices, readers=1, workspace=None):
-        """The draws of a stack of batches, one row per batch index, for
-        `readers` links to run in this thread's `workspace`.
-
-        Each batch draws from its own (seed, batch_index) stream, first its
-        bits and then its channel noise, so a row does not depend on the
-        other batches drawn with it."""
-        cfg = self.config
+    def words(self, idx):
+        """The codeword stream that a trial sends for the symbol indices
+        `idx` (one frame, or a stack of frames, each a whole number of
+        interleaver blocks): encoded, then interleaved."""
         c = self.constellation
-        n_sym = self.batch_symbols()
-        rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
-        bits = np.stack([rng.integers(0, 2, size=n_sym * c.bits_per_symbol)
-                         for rng in rngs])
-        idx = con.bits_to_indices(bits, c.bits_per_symbol)
-        # interleaver blocks never straddle two frames
-        words = wf.interleave(c.encode_indices(idx), cfg.interleaver_depth)
-        words = words.reshape(len(rngs), n_sym, c.q)
-        return _Draws(bits, idx.reshape(len(rngs), n_sym),
-                      self.modulate(words), _Noise(rngs, readers, workspace))
+        words = wf.interleave(c.encode_indices(idx.ravel()),
+                              self.config.interleaver_depth)
+        return words.reshape(idx.shape + (c.q,))
+
+    def encode(self, bits):
+        """The sent symbol indices and the unit-peak drive of a stack's
+        bits, a frame per row."""
+        c = self.constellation
+        idx = con.bits_to_indices(bits, c.bits_per_symbol).reshape(
+            len(bits), self.batch_symbols())
+        return idx, self.modulate(self.words(idx))
 
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
         chain's link, back in symbol order when the chain interleaves.
         The link runs in the draws' workspace; the statistics are new."""
         cfg = self.config
-        drives = self.drive(draws.modulated, self.peak, draws.workspace)
-        y = _apply_channel(_led_output(drives, cfg.device, self.fs), cfg,
-                           self.fs, draws)
+        y = _apply_channel(self.light(draws.modulated, self.peak,
+                                      draws.workspace), cfg, self.fs, draws)
         stats = rx.slot_statistics(y, self.geometry)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
@@ -599,7 +587,7 @@ class _PulseChain:
         return _stacks(indices, self._samples(self.batch_symbols()))
 
 
-class _OfdmChain:
+class _OfdmChain(_Chain):
     drive_scale = 1.0
 
     def __init__(self, config):
@@ -608,6 +596,7 @@ class _OfdmChain:
         fs = config.scheme.sample_rate
         self.fs = fs
         self.peak = config.peak_power_per_unit
+        self.batch_bits = config.run.batch_symbols * self.ofdm.bits_per_frame
         # composite linear response for the one-tap equalizer: drive scale,
         # LED small-signal gain, LED pole, channel taps, responsivity
         ir = ac.lowpass_impulse_response(config.device, fs, 256)
@@ -633,29 +622,25 @@ class _OfdmChain:
         """The unit-peak drive samples of a whole number of frames."""
         return [ofdm_mod.dco_modulate(bits, self.ofdm)]
 
-    def drive(self, modulated, peak=1.0):
-        """Drive samples of `modulate`'s output at `peak`."""
-        return [peak * x for x in modulated]
+    def encode(self, bits):
+        """No symbol indices, and the unit-peak drive of a stack's bits."""
+        return None, self.modulate(bits)
+
+    def drive(self, modulated, peak, workspace):
+        """Drive samples of `modulate`'s output at `peak`, in the
+        workspace."""
+        return [np.multiply(x, peak, out=workspace.take(("drive", i), x.shape))
+                for i, x in enumerate(modulated)]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
         return rng.integers(0, 2, size=64 * self.ofdm.bits_per_frame)
 
-    def draw(self, indices, readers=1, workspace=None):
-        """The draws of a stack of batches, its frames being the symbols."""
-        cfg = self.config
-        rngs = [np.random.default_rng([cfg.seed, b]) for b in indices]
-        n_bits = cfg.run.batch_symbols * self.ofdm.bits_per_frame
-        bits = np.stack([rng.integers(0, 2, size=n_bits) for rng in rngs])
-        return _Draws(bits, None, self.modulate(bits),
-                      _Noise(rngs, readers, workspace))
-
     def counts(self, draws):
         cfg = self.config
         bits = draws.bits
-        y = _apply_channel(
-            _led_output(self.drive(draws.modulated, self.peak), cfg.device,
-                        self.fs), cfg, self.fs, draws)
+        y = _apply_channel(self.light(draws.modulated, self.peak,
+                                      draws.workspace), cfg, self.fs, draws)
         wrong = ofdm_mod.dco_demodulate(
             y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
         frames = wrong.reshape(len(bits), cfg.run.batch_symbols, -1)
@@ -691,7 +676,7 @@ def _led_output(drives, device, fs):
 
 def _apply_channel(x, cfg, fs, draws=None):
     """The channel and, unless `draws` is None, the noise of a stack's
-    draws: row i of a stack of signals takes row i of their `_Noise`.  A
+    draws: row i of a stack of signals takes row i of their noise.  A
     noisy link writes its output into `x`'s buffer, so `x` is spent; an
     AWGN link scales its noise in the draws' workspace."""
     spec = cfg.channel
@@ -701,7 +686,7 @@ def _apply_channel(x, cfg, fs, draws=None):
         return spec.responsivity * ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
-                                       draws.noise.seeds(), out=x)
+                                       draws.seeds(), out=x)
     y = ac.propagate(x, spec.model, fs, out=x)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
@@ -712,7 +697,7 @@ def _apply_channel(x, cfg, fs, draws=None):
                    else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        y += np.multiply(draws.noise.normals(y.shape[-1]), sigma,
+        y += np.multiply(draws.normals(y.shape[-1]), sigma,
                          out=draws.workspace.take("noise", y.shape))
     return y
 
@@ -786,7 +771,7 @@ def _run_group(chains, pool, workspace):
 
 def _run_stack(chains, workspace, indices):
     """Counts of each chain on one stack of batches, drawn once."""
-    draws = chains[0].draw(indices, len(chains), workspace)
+    draws = chains[0].draw(indices, workspace)
     return [chain.counts(draws) for chain in chains]
 
 
@@ -928,7 +913,8 @@ def _calibrated(configs, target_mean_power, iterations=3):
     for group in _draw_groups(chains):
         lead = chains[group[0]]
         pilot = lead.pilot(np.random.default_rng([lead.config.seed, 0]))
-        drives = [_read_only(d) for d in lead.drive(lead.modulate(pilot))]
+        drives = [_read_only(d) for d in lead.drive(
+            lead.modulate(pilot), 1.0, _Workspace())]
         for i in group:
             chain = chains[i]
             peak = configs[i].peak_power_per_unit
@@ -978,12 +964,13 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
 def random_light(config, n_symbols):
     """Optical samples of `n_symbols` random symbols drawn from the config
     seed, sent as a pulse trial sends them: the constellation that
-    `dimming_target` leaves, at the trial's drive level, through its LEDs."""
+    `dimming_target` leaves, interleaved, at the trial's drive level,
+    through its LEDs.  `n_symbols` must be a whole number of interleaver
+    blocks."""
     chain = _PulseChain(config)
-    c = chain.constellation
-    idx = np.random.default_rng(config.seed).integers(0, c.used_size,
-                                                      size=n_symbols)
-    return chain.transmit(c.encode_indices(idx))
+    idx = np.random.default_rng(config.seed).integers(
+        0, chain.constellation.used_size, size=n_symbols)
+    return chain.light(chain.modulate(chain.words(idx)), chain.peak)
 
 
 def flicker_metric(samples, sample_rate, window_seconds):

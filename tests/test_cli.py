@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vlclink
 from vlclink import cli
 from vlclink import simkit as sk
+from vlclink import waveform as wf
 from vlclink.schema import section
 
 BASE_EPPM = {
@@ -325,7 +327,8 @@ class TestErrors:
         assert len(res.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("verb", ["construct", "rate", "flicker"])
+    @pytest.mark.parametrize("verb", ["construct", "rate", "flicker",
+                                      "nonlin-compare"])
     def test_pulse_verb_on_ofdm_names_scheme_kind(self, tmp_path, capsys,
                                                   verb):
         doc = dict(BASE_EPPM, scheme={"kind": "dco_ofdm"})
@@ -521,6 +524,51 @@ class TestFlickerCommand:
         assert captured.err.startswith(
             "error: config: flicker.window_symbols: ")
         assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_interleaved_light_is_measured(self, tmp_path):
+        # depth 8 spreads each EPPM(7,3) codeword over a block of 8
+        # symbols, so windows of 1 and 2 symbols hold uneven light
+        doc = {
+            "scheme": {"kind": "eppm", "q": 7, "k": 3},
+            "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+            "interleaver_depth": 8,
+            "flicker": {"n_symbols": 2000, "window_symbols": [1, 2, 8]},
+            "seed": 2,
+        }
+        out_dir = tmp_path / "out"
+        assert cli.main(["flicker", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)]) == 0
+        config = sk.config_from_document(doc)
+        g = config.geometry
+        c = config.scheme.build_constellation()
+        idx = np.random.default_rng(2).integers(0, c.used_size, size=2000)
+        light = wf.synthesize(wf.interleave(c.symbols[idx], 8), g)
+        metrics = [sk.flicker_metric(light, g.sample_rate,
+                                     k * 7 * g.slot_duration)
+                   for k in (1, 2, 8)]
+        assert metrics[0] > 0 and metrics[2] == 0
+        assert (out_dir / "flicker.csv").read_text() == "".join(
+            ["window_symbols,metric\n"] + [
+                f"{k},{sk.format_float(m)}\n"
+                for k, m in zip((1, 2, 8), metrics)])
+
+    def test_symbols_not_whole_interleaver_blocks_exit_3(self, tmp_path,
+                                                         capsys):
+        doc = {
+            "scheme": {"kind": "eppm", "q": 7, "k": 3},
+            "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+            "interleaver_depth": 8,
+            "flicker": {"n_symbols": 2001},
+        }
+        out_dir = tmp_path / "out"
+        code = cli.main(["flicker", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: config: flicker.n_symbols: 2001 is "
+                                "not a multiple of interleaver_depth 8\n")
         assert captured.out == ""
         assert not out_dir.exists()
 

@@ -652,9 +652,9 @@ class TestSharedDraws:
     def test_draws_are_read_only(self, name):
         config = SHARED_SWEEPS[name][0]
         chain = sk._build_chain(config)
-        draws = chain.draw([0, 1], readers=2)
-        noise = (draws.noise.seeds() if config.channel.mode == "physical"
-                 else draws.noise.normals(5))
+        draws = chain.draw([0, 1])
+        noise = (draws.seeds() if config.channel.mode == "physical"
+                 else draws.normals(5))
         arrays = [draws.bits, *draws.modulated, noise]
         if draws.sent is not None:
             arrays.append(draws.sent)
@@ -663,16 +663,26 @@ class TestSharedDraws:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    def test_noise_is_shared_then_dropped(self):
-        rngs = [np.random.default_rng([1, b]) for b in (0, 1)]
-        noise = sk._Noise(rngs, readers=2)
-        first = noise.normals(8)
-        assert noise.normals(8) is first
-        assert first.tobytes() == np.stack([
-            np.random.default_rng([1, b]).standard_normal(8)
-            for b in (0, 1)]).tobytes()
-        with pytest.raises(RuntimeError):
-            noise.normals(8)
+    @pytest.mark.parametrize("name", ["snr-f1-eppm-interleaved",
+                                      "delay-spread-f2-physical"])
+    def test_noise_is_drawn_once_after_the_bits(self, name):
+        config = SHARED_SWEEPS[name][0]
+        indices = [4, 1]
+        draws = sk._build_chain(config).draw(indices)
+        physical = config.channel.mode == "physical"
+
+        def read():
+            return draws.seeds() if physical else draws.normals(8)
+
+        first = read()
+        assert read() is first
+        assert not first.flags.writeable
+        for row, b in zip(first, indices):
+            rng = np.random.default_rng([config.seed, b])
+            rng.integers(0, 2, size=draws.bits.shape[1])
+            expected = (rng.integers(0, 2 ** 63 - 1) if physical
+                        else rng.standard_normal(8))
+            assert row.tobytes() == np.asarray(expected).tobytes()
 
 
 def unbounded(config, max_bits):
@@ -687,6 +697,17 @@ def sweep_points(name, workers):
     return [sk._config_at(config, axis, p) for p in points]
 
 
+def ofdm_stacks_of_three(waves):
+    """The DCO-OFDM config of STACKED_RUNS in batches that fill a stack
+    three at a time, run for `waves` waves."""
+    base = STACKED_RUNS["dco-ofdm-saturating"]
+    frame = base.scheme.build_ofdm()
+    n = sk.STACK_SAMPLES // (3 * frame.frame_samples)
+    return unbounded(replace(base, run=sk.RunSpec(batch_symbols=n)),
+                     (waves - 1) * sk.WAVE_BATCHES * n * frame.bits_per_frame
+                     + 1)
+
+
 # `_run_points` inputs whose threads each run several stacks
 WORKSPACE_RUNS = {
     "f1-awgn-interleaved": [unbounded(
@@ -696,6 +717,7 @@ WORKSPACE_RUNS = {
         STACKED_RUNS["f1-meppm-split-4-saturating"], 24 * 40 * 7)],
     "snr-sweep-w1": sweep_points("snr-f1-eppm-interleaved", 1),
     "snr-sweep-w2": sweep_points("snr-f1-eppm-interleaved", 2),
+    "dco-ofdm": [ofdm_stacks_of_three(waves=3)],
 }
 
 
