@@ -7,9 +7,9 @@ codewords (optionally their complements) slot-wise, so amplitudes run 0..N.
 Every constellation carries a deterministic, invertible bit mapping:
   * PPM/MPPM symbols are ordered by the colex rank of their pulse positions,
   * EPPM symbols are the Q cyclic shifts of a seed word, in shift order,
-  * MEPPM symbols are ordered by the rank of the canonical (first-seen)
-    component multiset when the table is materialized, and by a lattice
-    ranking of the distinct-sum representation when it is not.
+  * MEPPM symbols are ordered by the lattice rank of their component
+    counts whenever the seed has a lattice, tabulated or not; a seed with
+    none is enumerated, each sum at its first-seen component multiset.
 """
 
 import functools
@@ -34,11 +34,11 @@ MEPPM = "meppm"
 
 SCHEMES = (PPM, MPPM, EPPM, MEPPM)
 
-# Above this many distinct symbols, MEPPM constellations are kept implicit
+# Above this many distinct symbols, MEPPM lattice codes are kept implicit
 # (symbols computed on demand instead of materialized).
 DEFAULT_MAX_TABLE = 1 << 16
 
-# Hard guard on explicit multiset enumeration when no implicit path exists.
+# Hard guard on the multiset enumeration of a seed with no lattice.
 _ENUM_GUARD = 2_000_000
 
 
@@ -335,7 +335,7 @@ class Constellation:
         self.n = n
         self.use_complements = use_complements
         self.seed_positions = seed_positions
-        self._lattice = lattice
+        self.lattice = lattice   # the MEPPM rank order, None without one
         if symbols is not None:
             symbols = np.ascontiguousarray(symbols, dtype=np.int16)
             symbols.setflags(write=False)
@@ -374,7 +374,7 @@ class Constellation:
             raise ParameterError(f"symbol index {index} out of range")
         if self._symbols is not None:
             return self._symbols[index]
-        return self._lattice.codewords([index])[0]
+        return self.lattice.codewords([index])[0]
 
     def index_of(self, codeword):
         """Index of one codeword, or the indices (n,) of a stack (n, Q)."""
@@ -388,7 +388,7 @@ class Constellation:
             except KeyError:
                 raise ValueError("codeword not in constellation") from None
         else:
-            idx = self._lattice.indices(rows)
+            idx = self.lattice.indices(rows)
         return int(idx[0]) if cw.ndim == 1 else idx
 
     @functools.cached_property
@@ -417,7 +417,7 @@ class Constellation:
             raise ParameterError("symbol index out of range")
         if self._symbols is not None:
             return self._symbols[indices]
-        return self._lattice.codewords(indices)
+        return self.lattice.codewords(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +470,21 @@ def build_meppm(q, k, n, use_complements=False,
                 max_table_size=DEFAULT_MAX_TABLE):
     """All distinct slot-wise sums of N EPPM codewords (and complements).
 
-    Small constellations are materialized, keeping the first-seen
-    (lexicographically least) component multiset as each sum's canonical
-    preimage.  Large ones switch to implicit lattice indexing, which is
-    available whenever the seed's cyclic structure makes component sums
-    collide only through the counted representation.
+    When the seed's cyclic structure makes component sums collide only
+    through their counts, the symbols are in the lattice's rank order, and
+    a code of at most `max_table_size` symbols caches them in a table; the
+    cap decides no symbol's index.  A seed with no lattice is enumerated
+    and always tabulated, keeping the first-seen (lexicographically least)
+    component multiset as each sum's canonical preimage.
     """
     check_pulse_scheme(MEPPM, q, k, n)
     eppm = build_eppm(q, k)
     base = eppm.symbols
-    lattice = (
-        _MeppmLattice(base, n, use_complements)
-        if _MeppmLattice.usable(base[0], use_complements) else None
-    )
-
-    if lattice is not None and lattice.size > max_table_size:
-        return Constellation(MEPPM, q, k, n, use_complements,
+    if _MeppmLattice.usable(base[0], use_complements):
+        lattice = _MeppmLattice(base, n, use_complements)
+        symbols = (lattice.codewords(np.arange(lattice.size))
+                   if lattice.size <= max_table_size else None)
+        return Constellation(MEPPM, q, k, n, use_complements, symbols=symbols,
                              seed_positions=eppm.seed_positions,
                              lattice=lattice, size=lattice.size)
 
@@ -497,19 +496,12 @@ def build_meppm(q, k, n, use_complements=False,
             "and no implicit indexing applies to this seed"
         )
     seen = {}
-    rows = []
     for combo in itertools.combinations_with_replacement(range(len(comps)), n):
         s = comps[list(combo)].sum(axis=0).astype(np.int16)
-        key = s.tobytes()
-        if key not in seen:
-            seen[key] = len(rows)
-            rows.append(s)
-    symbols = np.stack(rows)
-    if lattice is not None and len(rows) != lattice.size:
-        raise AssertionError("lattice count disagrees with enumeration")
-    return Constellation(MEPPM, q, k, n, use_complements, symbols=symbols,
-                         seed_positions=eppm.seed_positions,
-                         lattice=lattice)
+        seen.setdefault(s.tobytes(), s)
+    return Constellation(MEPPM, q, k, n, use_complements,
+                         symbols=np.stack(list(seen.values())),
+                         seed_positions=eppm.seed_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +560,7 @@ def _implicit_min_l1(c, radius=6):
     exact whenever the true minimum is achieved inside the searched radius,
     which holds for every case cross-checked against enumeration.
     """
-    lat = c._lattice
+    lat = c.lattice
     d = np.array(_l1_ball_vectors(c.q, radius), dtype=np.int64)
     total = d.sum(axis=1)
     # differences of two valid counts: an even total with complements,
@@ -624,8 +616,6 @@ def indices_to_bits(indices, bits_per_symbol):
 
 def encode_bits(c, bits):
     """Map a bitstream (length multiple of bits_per_symbol) to codewords."""
-    if c.size < 2:
-        raise ParameterError("empty constellation")
     bits = np.asarray(bits, dtype=np.int64).ravel()
     if bits.size == 0:
         return np.zeros((0, c.q), dtype=np.int16)

@@ -16,7 +16,6 @@ decoder doubles as the oracle for small constellations.
 
 import numpy as np
 
-from . import constellations as con
 from . import waveform as wf
 from .errors import CapacityError, InputError, ParameterError
 
@@ -144,17 +143,17 @@ class MeppmComponentDecoder:
 
     N times: pick the component (shift or complement) with the largest
     energy-corrected residual correlation and subtract its expected
-    contribution; the recovered multiset maps to its canonical symbol.
-    Because complement mixtures can defeat the greedy peeling, a second
-    candidate comes from the constellation's lattice, when it has one: the
-    nearest valid component counts of its real-valued solve.  Whichever
-    candidate reconstructs the observed statistics more closely wins.
-    Statistics are unit-scaled amplitudes.
+    contribution.  Because complement mixtures can defeat the greedy
+    peeling, a second candidate comes from the constellation's lattice:
+    the nearest valid component counts of its real-valued solve.
+    Whichever candidate reconstructs the observed statistics more closely
+    wins.  Statistics are unit-scaled amplitudes.
     """
 
     def __init__(self, c):
-        if c.scheme != con.MEPPM:
-            raise ParameterError("component decoding is MEPPM-only")
+        if c.lattice is None:
+            raise ParameterError("component decoding needs a MEPPM code "
+                                 "with a lattice")
         self.constellation = c
         self.templates = c.components.astype(np.float64)
         self._half_energy = 0.5 * (self.templates ** 2).sum(axis=1)
@@ -183,14 +182,13 @@ class MeppmComponentDecoder:
         """The decided sum vectors (n, Q) int64 of the rows."""
         stats_2d = np.asarray(stats_2d, dtype=np.float64)
         # both candidates' sums are small integers, so exact in float64
-        best = self._greedy(stats_2d) @ self.templates
-        lat = self.constellation._lattice
-        if lat is not None:
-            r_round = lat.sums(lat.nearest(lat.solve(stats_2d)))
-            d_greedy = ((stats_2d - best) ** 2).sum(axis=1)
-            d_round = ((stats_2d - r_round) ** 2).sum(axis=1)
-            best = np.where((d_round < d_greedy)[:, None], r_round, best)
-        return best.astype(np.int64)
+        greedy = self._greedy(stats_2d) @ self.templates
+        lat = self.constellation.lattice
+        rounded = lat.sums(lat.nearest(lat.solve(stats_2d)))
+        d_greedy = ((stats_2d - greedy) ** 2).sum(axis=1)
+        d_round = ((stats_2d - rounded) ** 2).sum(axis=1)
+        return np.where((d_round < d_greedy)[:, None], rounded,
+                        greedy).astype(np.int64)
 
 
 _DECODER_CLASSES = dict(zip(DECODERS, (CorrelationDecoder, MlDecoder,

@@ -244,8 +244,11 @@ class TrialConfig:
                 or self.geometry.overlap_factor != 1):
             raise ParameterError("interleaver_depth above 1 needs a pulse "
                                  "scheme at overlap_factor 1")
-        if self.decoder == "components" and self.scheme.kind != con.MEPPM:
-            raise ParameterError("decoder \"components\" is MEPPM-only")
+        if self.decoder == "components" and (
+                self.scheme.kind != con.MEPPM
+                or self.scheme.build_constellation().lattice is None):
+            raise ParameterError("decoder \"components\" needs a MEPPM "
+                                 "code with a lattice")
         if not 0 <= self.dimming_target <= 1:
             raise ParameterError("dimming_target must lie in [0, 1]")
         if self.dimming_target and self.scheme.kind == "dco_ofdm":
@@ -448,7 +451,8 @@ class _PulseChain(_Chain):
         config = self.config
         c = self.constellation
         decoder = config.decoder or (
-            "components" if c.scheme == con.MEPPM else "correlation"
+            "correlation" if c.scheme != con.MEPPM
+            else "ml" if c.lattice is None else "components"
         )
         kernel = (
             self._effective_kernel()

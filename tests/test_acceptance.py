@@ -94,11 +94,17 @@ def count_distinct_sums_dp(q, k, n, use_complements=True):
             np.minimum(best, x, out=best)
         return best
 
+    def distinct(arr):
+        # sorted, then each run of equal values kept once: numpy 2.4's
+        # np.unique hashes instead, which made this test 4x slower
+        arr.sort()
+        return arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
+
     level = {0: np.array([0], dtype=np.int64)}  # slot total -> slice
     for _ in range(n):
         totals = sorted({t + w for t in level for w in weights})
         level = {
-            t: np.unique(np.concatenate([
+            t: distinct(np.concatenate([
                 canonical(level[t - w] + inc)
                 for inc, w in zip(packed, weights) if t - w in level
             ]))

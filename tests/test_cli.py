@@ -327,6 +327,22 @@ class TestErrors:
         assert len(res.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_components_decoder_without_lattice_exit_3(self, tmp_path,
+                                                       capsys):
+        doc = dict(BASE_EPPM, sweep={"points": [6.0, 9.0]},
+                   scheme={"kind": "meppm", "q": 8, "k": 4, "n": 2,
+                           "use_complements": True},
+                   decoder="components")
+        out_dir = tmp_path / "out"
+        code = cli.main(["ber-sweep", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: config: $: decoder \"components\" "
+                                "needs a MEPPM code with a lattice\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("verb", ["construct", "rate", "flicker",
                                       "nonlin-compare"])
     def test_pulse_verb_on_ofdm_names_scheme_kind(self, tmp_path, capsys,

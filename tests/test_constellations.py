@@ -181,27 +181,39 @@ class TestMeppm:
         assert c.symbols.max() <= 3
 
     def test_lattice_matches_explicit(self):
+        # both builds come from the lattice, so each is checked against the
+        # enumeration oracle, and the table must hold the lattice's rank
+        # order: the table cap decides no symbol's index
         for q, k, n, comp in [(7, 3, 3, False), (7, 3, 3, True),
-                              (7, 3, 4, False), (13, 4, 3, False)]:
+                              (7, 3, 4, False), (13, 4, 3, False),
+                              (7, 3, 2, True), (7, 3, 4, True)]:
+            oracle = enumerate_meppm_sums(q, k, n, comp)
             explicit = con.build_meppm(q, k, n, use_complements=comp)
             implicit = con.build_meppm(q, k, n, use_complements=comp,
                                        max_table_size=1)
-            assert not implicit.is_materialized
-            assert implicit.size == explicit.size
-            set_e = {r.astype(np.int64).tobytes() for r in explicit.symbols}
-            set_i = {
+            assert explicit.is_materialized and not implicit.is_materialized
+            assert implicit.size == explicit.size == len(oracle)
+            assert {r.astype(np.int64).tobytes()
+                    for r in explicit.symbols} == oracle
+            assert {
                 np.asarray(implicit.codeword_at(i), dtype=np.int64).tobytes()
                 for i in range(implicit.size)
-            }
-            assert set_e == set_i
+            } == oracle
             for i in range(implicit.size):
                 assert implicit.index_of(implicit.codeword_at(i)) == i
-            # without complements the table is in lattice rank order, so
-            # a code's bit mapping does not depend on DEFAULT_MAX_TABLE;
-            # a complement code's first-seen order differs (README)
-            if not comp:
-                assert np.array_equal(explicit.symbols, implicit.encode_indices(
-                    np.arange(implicit.size)))
+            assert np.array_equal(explicit.symbols, implicit.encode_indices(
+                np.arange(implicit.size)))
+
+    @pytest.mark.parametrize("q, k, n, comp", [
+        (8, 4, 2, True), (6, 3, 3, True), (8, 2, 3, False)])
+    def test_code_without_lattice(self, q, k, n, comp):
+        # a seed whose shift matrix is singular: enumerated and tabulated
+        c = con.build_meppm(q, k, n, use_complements=comp, max_table_size=1)
+        assert c.lattice is None and c.is_materialized
+        assert {r.astype(np.int64).tobytes()
+                for r in c.symbols} == enumerate_meppm_sums(q, k, n, comp)
+        idx = np.arange(c.size)
+        assert np.array_equal(c.index_of(c.encode_indices(idx)), idx)
 
     def test_implicit_min_distance_matches_brute(self):
         for comp in (False, True):

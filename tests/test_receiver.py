@@ -173,6 +173,24 @@ class TestMeppmComponents:
         with pytest.raises(ParameterError):
             rx.MeppmComponentDecoder(con.build_ppm(4))
 
+    def test_rejects_meppm_without_lattice(self):
+        with pytest.raises(ParameterError):
+            rx.MeppmComponentDecoder(con.build_meppm(8, 4, 2, True))
+
+    def test_table_and_lattice_decide_alike(self):
+        table = con.build_meppm(7, 3, 4, use_complements=True)
+        implicit = con.build_meppm(7, 3, 4, use_complements=True,
+                                   max_table_size=1)
+        assert table.is_materialized and not implicit.is_materialized
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, table.used_size, size=2000)
+        noisy = table.encode_indices(idx) + rng.normal(scale=0.4,
+                                                       size=(2000, 7))
+        decided = rx.MeppmComponentDecoder(table).decode_block(noisy)
+        assert np.array_equal(
+            decided, rx.MeppmComponentDecoder(implicit).decode_block(noisy))
+        assert 0 < np.count_nonzero(decided != idx) < 2000
+
     def test_greedy_matches_residual_reference(self):
         c = con.build_meppm(7, 3, 21, use_complements=True)
         dec = rx.MeppmComponentDecoder(c)

@@ -212,6 +212,20 @@ class TestRunTrials:
         assert 0 <= r.ber < 0.5
         assert r.symbols_sent > 0
 
+    @pytest.mark.parametrize("q, k, n, comp", [
+        (8, 4, 2, True), (6, 3, 3, True), (8, 2, 3, False)])
+    def test_code_without_lattice_decides_noiseless_link(self, q, k, n, comp):
+        # no lattice, so no component decoder: the default decides by ML
+        cfg = sk.TrialConfig(
+            scheme=sk.SchemeSpec(kind="meppm", q=q, k=k, n=n,
+                                 use_complements=comp),
+            geometry=geo(sps=2),
+            channel=sk.ChannelSpec(mode="identity"),
+            run=sk.RunSpec(max_bits=20_000, min_errors=1, batch_symbols=256),
+        )
+        r = sk.run_trials(cfg)
+        assert r.bits_sent >= 20_000 and r.bit_errors == 0
+
     def test_ml_decoder_matches_correlation(self):
         # EPPM is equal-energy, so minimum distance and correlation decide
         # alike on every symbol
@@ -961,6 +975,9 @@ class TestConfigDocuments:
          "knee_sharpness"),
         ({"decoder": "bogus"}, "$.decoder", "decoder"),
         ({"decoder": "components"}, "$", "decoder"),
+        ({"scheme": {"kind": "meppm", "q": 8, "k": 4, "n": 2,
+                     "use_complements": True}, "decoder": "components"},
+         "$", "decoder"),
         ({"interleaver_depth": 0}, "$", "interleaver_depth"),
         ({"run": {"workers": 0}}, "run", "workers"),
         ({"peak_power_per_unit": 0.0}, "$", "peak_power_per_unit"),
@@ -1010,7 +1027,8 @@ class TestConfigDocuments:
             "bool-workers", "nan-float", "nested-misspelling",
             "negative-seed", "zero-max-bits", "unknown-preset",
             "inf-outside-unbounded-fields", "unknown-decoder",
-            "components-decoder-on-eppm", "zero-interleaver-depth",
+            "components-decoder-on-eppm",
+            "components-decoder-without-lattice", "zero-interleaver-depth",
             "zero-workers", "zero-peak-power", "negative-split-leds",
             "single-slot-scheme", "k-equals-q", "zero-meppm-components",
             "ofdm-carriers-not-power-of-two", "ofdm-qam-order-8",
