@@ -4,7 +4,8 @@ LED: memoryless soft saturation followed by a first-order low-pass (the
 rise-time limit).  Channel: sharp LOS tap plus an exponential NLOS tail;
 shadowing removes the LOS tap.  Detection: responsivity plus white Gaussian
 noise whose variance tracks instantaneous shot noise from signal and
-background light, plus a thermal floor.
+background light, plus a thermal floor, drawn once per cell of the
+receiver's integration grid.
 """
 
 from dataclasses import dataclass
@@ -207,12 +208,18 @@ def propagate(x, cm, sample_rate, out=None):
 # detection
 # ---------------------------------------------------------------------------
 
-def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None):
+def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None, grid=1):
     """Optical samples -> electrical samples with signal-dependent noise.
 
     y = responsivity * (h conv x) + n, where n is white Gaussian with
     per-sample variance
-        [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2).
+        [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2),
+    drawn on the receiver's integration grid of `grid` samples a cell:
+    each cell takes one normal, with the variance of the mean of its
+    samples' noise, added `grid` times over to the cell's first sample.
+    The cell means are then distributed exactly as under per-sample
+    noise, but the noisy samples mean nothing until integrated over the
+    cells; at grid 1 each sample takes its own normal.
     A stack of signals takes one rng_seed per row, and each row's noise
     is what its seed gives the row alone.  Deterministic in the seeds.
     `out` receives the electrical samples and may be `x` itself.
@@ -222,11 +229,17 @@ def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None):
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
     if dm.background_power > 0 or dm.thermal_noise_density > 0:
-        # the noise std, computed in place over the received power
-        std = np.maximum(received, 0.0, out=received)
-        std += dm.background_power
+        if received.shape[-1] % grid:
+            raise ParameterError("signal length is not a whole number of "
+                                 f"{grid}-sample cells")
+        # the per-sample variance summed over each cell, from the cell's
+        # received power: [2 q R (sum P_inst + grid P_background)
+        # + grid thermal_density] * (sample_rate / 2)
+        power = np.maximum(received, 0.0, out=received)
+        std = power.reshape(power.shape[:-1] + (-1, grid)).sum(axis=-1)
+        std += grid * dm.background_power
         std *= 2.0 * Q_ELECTRON * dm.responsivity
-        std += dm.thermal_noise_density
+        std += grid * dm.thermal_noise_density
         std *= sample_rate / 2.0
         np.sqrt(std, out=std)
         rows = np.atleast_2d(std)
@@ -236,7 +249,7 @@ def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None):
         for row, seed, out in zip(rows, seeds, np.atleast_2d(current)):
             noise = np.random.default_rng(seed).standard_normal(row.size)
             noise *= row
-            out += noise
+            out[::grid] += noise
     return current
 
 

@@ -30,12 +30,14 @@ from .errors import ConfigError, ParameterError
 from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
-# samples per stack of F=1 or DCO-OFDM batches: on EPPM(7,3) at 4 samples
-# per slot (2 vCPUs), 2^15 beat 2^14 at 256 and 512 symbols per batch.
-# The 20% that 2^16 (two 1024-symbol batches a stack) once cost one worker
-# was re-faulting new sample buffers: with the thread workspaces 2^16 is
-# 8% faster at one worker and 18% at two (BENCH_19.json, stack_samples)
-STACK_SAMPLES = 1 << 15
+# samples per stack of F=1 or DCO-OFDM batches.  With the noise drawn per
+# slot, medians of 20-30 alternating in-process runs (2 vCPUs) against
+# 2^15: EPPM(7,3) at 4 samples a slot, AWGN, 256, 512 and 1024 symbols a
+# batch, is 5-8% faster at 2^16 with one worker and 13-25% with two (2^17:
+# 8-12% and 10-33%); DCO-OFDM (72-sample frames) is 7-15% faster at 2^16
+# in 256-frame batches but 20-36% slower in 128-frame ones (2^17: 16-52%
+# slower in both)
+STACK_SAMPLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +342,11 @@ def _read_only(a):
 
 
 class _Workspace(threading.local):
-    """The sample-length buffers of the stacks that one `_run_points` call
-    runs, each thread its own (a thread's first use makes them): the drive
-    of each LED, which the LED curve, the channel and the detector then
-    overwrite, the scaled noise, and the AWGN normals.  Every stack that a
+    """The buffers of the stacks that one `_run_points` call runs, each
+    thread its own (a thread's first use makes them): the sample-length
+    drive of each LED, which the LED curve, the channel and the detector
+    then overwrite, and the AWGN normals and scaled noise, one value per
+    cell of the receiver's integration grid.  Every stack that a
     thread runs reuses them, so their pages are faulted in once per call
     and not once per stack, which glibc would hand back to the kernel in
     between.  Nothing a link returns aliases them, and they are dropped
@@ -384,17 +387,20 @@ class _Draws:
         self._rngs = rngs
         self._noise = None
 
-    def normals(self, n_samples):
-        """(rows, n_samples) standard normals: an AWGN link's noise."""
+    def normals(self, n_cells):
+        """(rows, n_cells) standard normals: an AWGN link's noise, one per
+        cell of the receiver's integration grid (a slot of a pulse link,
+        a sample of DCO-OFDM)."""
         if self._noise is None:
-            z = self.workspace.take("normals", (len(self._rngs), n_samples))
+            z = self.workspace.take("normals", (len(self._rngs), n_cells))
             for rng, row in zip(self._rngs, z):
                 rng.standard_normal(out=row)
             self._noise = _read_only(z)
         return self._noise
 
     def seeds(self):
-        """One seed per row for the detector noise of a physical link."""
+        """One seed per row for the detector noise of a physical link,
+        which draws one normal per cell of the receiver's grid."""
         if self._noise is None:
             self._noise = _read_only(np.array(
                 [rng.integers(0, 2 ** 63 - 1) for rng in self._rngs]))
@@ -566,7 +572,8 @@ class _PulseChain(_Chain):
         The link runs in the draws' workspace; the statistics are new."""
         cfg = self.config
         y = _apply_channel(self.light(draws.modulated, self.peak,
-                                      draws.workspace), cfg, self.fs, draws)
+                                      draws.workspace), cfg, self.fs, draws,
+                           grid=self.geometry.samples_per_slot)
         stats = rx.slot_statistics(y, self.geometry)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
@@ -678,11 +685,16 @@ def _led_output(drives, device, fs):
     return light
 
 
-def _apply_channel(x, cfg, fs, draws=None):
+def _apply_channel(x, cfg, fs, draws=None, grid=1):
     """The channel and, unless `draws` is None, the noise of a stack's
-    draws: row i of a stack of signals takes row i of their noise.  A
-    noisy link writes its output into `x`'s buffer, so `x` is spent; an
-    AWGN link scales its noise in the draws' workspace."""
+    draws: row i of a stack of signals takes row i of their noise.  The
+    noise is drawn on the receiver's integration grid, one normal per
+    `grid`-sample cell with the variance of the cell's mean under
+    per-sample noise, added `grid` times over to the cell's first sample
+    (as `ac.propagate_and_detect` draws it): the noisy samples mean
+    nothing until integrated over the cells.  A noisy link writes its
+    output into `x`'s buffer, so `x` is spent; an AWGN link scales its
+    noise in the draws' workspace."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
@@ -690,7 +702,7 @@ def _apply_channel(x, cfg, fs, draws=None):
         return spec.responsivity * ac.propagate(x, spec.model, fs)
     if spec.mode == "physical":
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
-                                       draws.seeds(), out=x)
+                                       draws.seeds(), out=x, grid=grid)
     y = ac.propagate(x, spec.model, fs, out=x)
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
@@ -701,8 +713,12 @@ def _apply_channel(x, cfg, fs, draws=None):
                    else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        y += np.multiply(draws.normals(y.shape[-1]), sigma,
-                         out=draws.workspace.take("noise", y.shape))
+        # the mean of a cell's `grid` samples of std sigma has std
+        # sigma / sqrt(grid), so the cell's first sample takes grid times it
+        cells = y.shape[:-1] + (y.shape[-1] // grid,)
+        y[..., ::grid] += np.multiply(draws.normals(cells[-1]),
+                                      sigma * np.sqrt(grid),
+                                      out=draws.workspace.take("noise", cells))
     return y
 
 

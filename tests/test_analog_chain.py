@@ -122,6 +122,36 @@ class TestDetection:
             var.append(y.var())
         assert var[1] / var[0] == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("grid", [1, 4, 20])
+    @pytest.mark.parametrize("level", ["constant", "ramp"])
+    def test_cell_means_keep_the_per_sample_variance(self, grid, level):
+        # the mean of each grid-sample cell has variance sum(sigma_i^2) /
+        # grid^2 under the per-sample model, whatever the grid: noise too
+        # small or large by sqrt(grid) would be off by a factor of grid
+        from scipy.stats import chi2
+
+        n_cells = 20_000
+        cell = np.full(grid, 4e-6)
+        if level == "ramp":
+            cell *= np.arange(1, grid + 1)
+        x = np.tile(cell, (2, n_cells))
+        dm = ac.DetectorModel(responsivity=0.5, background_power=1e-6,
+                              thermal_noise_density=1e-24)
+        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, [5, 6],
+                                    grid=grid)
+        means = y.reshape(-1, grid).mean(axis=1)
+        per_sample = (2 * ac.Q_ELECTRON * dm.responsivity
+                      * (cell + dm.background_power)
+                      + dm.thermal_noise_density) * FS / 2
+        variance = per_sample.sum() / grid ** 2
+        stat = ((means - dm.responsivity * cell.mean()) ** 2).sum() / variance
+        assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
+
+    def test_grid_must_tile_the_signal(self):
+        with pytest.raises(ParameterError, match="4-sample cells"):
+            ac.propagate_and_detect(np.zeros(10), ac.IDENTITY_CHANNEL,
+                                    ac.DetectorModel(), FS, 1, grid=4)
+
     def test_seed_determinism(self):
         x = np.ones(1000) * 1e-6
         dm = ac.DetectorModel()

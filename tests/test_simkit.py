@@ -699,6 +699,67 @@ class TestSharedDraws:
             assert row.tobytes() == np.asarray(expected).tobytes()
 
 
+class TestNoiseGrid:
+    @pytest.mark.parametrize("grid", [1, 4, 20])
+    def test_awgn_cell_means_keep_the_per_sample_variance(self, grid):
+        # the mean of each grid-sample cell of noise of std sigma has
+        # variance sigma^2 / grid, whatever the grid
+        from scipy.stats import chi2
+
+        sigma = 0.7
+        config = replace(awgn_config(geometry=geo(sps=4)),
+                         channel=sk.ChannelSpec(mode="awgn",
+                                                sample_noise_sigma=sigma))
+        n_cells = 20_000
+        draws = sk._build_chain(config).draw([0, 1])
+        y = sk._apply_channel(np.ones((2, n_cells * grid)), config,
+                              config.geometry.sample_rate, draws, grid=grid)
+        means = y.reshape(-1, grid).mean(axis=1)
+        stat = ((means - 1.0) ** 2).sum() / (sigma ** 2 / grid)
+        assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
+
+    @pytest.mark.parametrize("config", [
+        RECEIVED["f1-awgn-eppm-interleaved"],
+        RECEIVED["f2-awgn-dispersive-delayed"],
+        SHARED_SWEEPS["delay-spread-f1-physical"][0],
+        RECEIVED["f10-physical-meppm21-trichromatic"],
+        STACKED_RUNS["dco-ofdm-saturating"],
+        replace(STACKED_RUNS["dco-ofdm-saturating"], channel=sk.ChannelSpec(
+            mode="physical", detector=ac.DetectorModel(background_power=1.0))),
+    ], ids=["f1-awgn", "f2-awgn", "f1-physical", "f10-physical",
+            "dco-ofdm-awgn", "dco-ofdm-physical"])
+    def test_a_stack_draws_one_normal_per_cell(self, config, monkeypatch):
+        """A pulse stack draws a normal per slot of each row, a DCO-OFDM
+        stack one per sample."""
+        chain = sk._build_chain(config)
+        if config.scheme.kind != "dco_ofdm":
+            chain.receiver  # a kernel measured at F>1 draws no noise
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                z = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(z.size)
+                return z
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        indices = [2, 0, 5]
+        chain.counts(chain.draw(indices))
+        if config.scheme.kind == "dco_ofdm":
+            cells = config.run.batch_symbols * chain.ofdm.frame_samples
+        else:
+            cells = (chain.batch_symbols() * chain.constellation.q
+                     + config.geometry.overlap_factor - 1)
+        assert sum(drawn) == len(indices) * cells
+
+
 def unbounded(config, max_bits):
     """The config run to `max_bits`, whatever its errors."""
     return replace(config, run=replace(config.run, max_bits=max_bits,
@@ -913,7 +974,7 @@ class TestOracles:
         snr_db = 11.1  # EPPM(7,3): SER ~ 1e-3
         cfg = awgn_config(
             kind="eppm", snr_db=snr_db, seed=13,
-            run=sk.RunSpec(max_bits=700_000, min_errors=250,
+            run=sk.RunSpec(max_bits=8_000_000, min_errors=2000,
                            batch_symbols=8192),
         )
         r = sk.run_trials(cfg)
