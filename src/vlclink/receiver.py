@@ -37,13 +37,16 @@ def slot_statistics(y, g):
     For F=1 this integrates each slot; for F>1 each statistic is the sum of
     the F most recent slot integrals (rectangular template, end-aligned).
     Returns one float64 value per slot, the F-1 trailing pad slots included;
-    a stack of signals (n_frames, n_samples) gives one row per frame.
+    a stack of signals (n_frames, n_samples) gives one row per frame.  Each
+    row's slots are summed in one matrix-vector product with a vector of
+    ones, which BLAS runs far faster than a reduction over the short slot
+    axis; a different BLAS kernel may move a sum by a few ULPs.
     """
     samples = np.asarray(y, dtype=np.float64)
     sps = g.samples_per_slot
     if samples.shape[-1] % sps:
         raise InputError("waveform length is not slot-aligned")
-    u = samples.reshape(samples.shape[:-1] + (-1, sps)).sum(axis=-1)
+    u = samples.reshape(samples.shape[:-1] + (-1, sps)) @ np.ones(sps)
     u /= sps
     f = g.overlap_factor
     if f > 1:
@@ -78,19 +81,21 @@ def _candidate_codewords(c):
     return c.encode_indices(np.arange(c.size)).astype(np.int64)
 
 
-def _best_rows(stats_2d, templates, offsets=0.0):
+def _best_rows(stats_2d, templates, offsets=None):
     """Per row, the index of the template that maximizes `row @ template -
-    offset`, ties to the lowest index.  Rows are scored in chunks of at
-    most ML_SIZE_LIMIT scores, so a large code never needs a (rows, size)
-    array; a stack that fits one chunk is scored in one call, and the
-    offsets come off its scores in place."""
+    offset` (or `row @ template` without offsets), ties to the lowest
+    index.  Rows are scored in chunks of at most ML_SIZE_LIMIT scores, so
+    a large code never needs a (rows, size) array; a stack that fits one
+    chunk is scored in one call, and the offsets come off its scores in
+    place."""
     stats_2d = np.asarray(stats_2d, dtype=np.float64)
     rows_per_chunk = max(1, ML_SIZE_LIMIT // len(templates))
     n_chunks = max(1, -(-len(stats_2d) // rows_per_chunk))
 
     def best(chunk):
         scores = chunk @ templates.T
-        scores -= offsets
+        if offsets is not None:
+            scores -= offsets
         return np.argmax(scores, axis=1)
 
     return np.concatenate([best(chunk)

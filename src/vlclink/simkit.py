@@ -30,13 +30,13 @@ from .errors import ConfigError, ParameterError
 from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
-# samples per stack of F=1 or DCO-OFDM batches.  With the noise drawn per
-# slot, medians of 20-30 alternating in-process runs (2 vCPUs) against
-# 2^15: EPPM(7,3) at 4 samples a slot, AWGN, 256, 512 and 1024 symbols a
-# batch, is 5-8% faster at 2^16 with one worker and 13-25% with two (2^17:
-# 8-12% and 10-33%); DCO-OFDM (72-sample frames) is 7-15% faster at 2^16
-# in 256-frame batches but 20-36% slower in 128-frame ones (2^17: 16-52%
-# slower in both)
+# samples per stack of F=1 or DCO-OFDM batches.  With each slot summed in
+# one matrix-vector product, medians of 30 rotating in-process runs (2
+# vCPUs) against 2^15: EPPM(7,3) at 4 samples a slot, AWGN, 256, 512 and
+# 1024 symbols a batch, is 9-10% faster at 2^16 with one worker and 23-29%
+# with two (2^17: 10-14% and 27-38%); DCO-OFDM (72-sample frames) is 4-13%
+# faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame ones
+# (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches)
 STACK_SAMPLES = 1 << 16
 
 

@@ -1,5 +1,7 @@
 """Receiver front end and decoder tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from vlclink.errors import CapacityError, InputError, ParameterError
 
 def geo(sps=4, f=1):
     return wf.SlotGeometry(1e-6, sps, f)
+
+
+# every (samples_per_slot, F) pair that SlotGeometry admits (sps >= 2F)
+SPS_F = [(sps, f) for sps in (2, 4, 6, 20) for f in (1, 2) if sps >= 2 * f]
 
 
 class TestSlotStatistics:
@@ -62,6 +68,62 @@ class TestSlotStatistics:
             w = wf.synthesize(words, g, peak=0.7)
             s = rx.slot_statistics(w, g)
             assert np.allclose(s, rx.expected_statistics(words, g, 0.7))
+
+    @staticmethod
+    def varying_samples(kind, shape, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            return rng.normal(0.3, 2.0, size=shape)
+        return rng.integers(-1000, 1000, size=shape)
+
+    @staticmethod
+    def fsum_reference(row, sps, f):
+        """Slot means by `math.fsum` (each correctly rounded), their F-slot
+        moving sums, and a bound on the error a running-sum pass may add:
+        an n-term float sum errs by at most n·eps times its sum of
+        magnitudes, and the statistic at slot k is a difference of two
+        running sums over at most k+1 slot means, each itself a sum of
+        `sps` samples."""
+        slots = np.asarray(row, dtype=np.float64).reshape(-1, sps)
+        means = np.array([math.fsum(s) / sps for s in slots])
+        mags = np.array([math.fsum(np.abs(s)) / sps for s in slots])
+        eps = np.finfo(np.float64).eps
+        if f == 1:
+            return means, (sps + 1) * eps * mags
+        k = np.arange(means.size)
+        moving = np.array([math.fsum(means[max(0, i - f + 1):i + 1]) for i in k])
+        tol = 2 * (k + sps + 3) * eps * np.cumsum(mags)
+        return moving, tol
+
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    @pytest.mark.parametrize("sps, f", SPS_F)
+    def test_varying_slots_match_fsum(self, sps, f, kind):
+        # samples that vary within a slot, as noise does, as one row and
+        # as a stack, each value within the running-sum error bound of an
+        # exactly rounded reference
+        g = geo(sps=sps, f=f)
+        stack = self.varying_samples(kind, (3, 37 * sps), seed=sps * 10 + f)
+        for y, rows in ((stack[1], [stack[1]]), (stack, stack)):
+            s = np.atleast_2d(rx.slot_statistics(y, g))
+            assert s.shape == (len(rows), 37)
+            for got, row in zip(s, rows):
+                want, tol = self.fsum_reference(row, sps, f)
+                assert np.all(np.abs(got - want) <= tol)
+                if kind == "integer" and f == 1:
+                    # an integer slot sums exactly, so only the division rounds
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sps, f", SPS_F)
+    def test_row_sums_do_not_depend_on_layout(self, sps, f):
+        # a row's statistics are bit-identical received alone, as the middle
+        # row of a stack, and from a buffer that starts one element late
+        g = geo(sps=sps, f=f)
+        stack = self.varying_samples("normal", (3, 513 * sps), seed=sps + f)
+        alone = rx.slot_statistics(stack[1].copy(), g)
+        shifted = np.empty(stack.shape[1] + 1)[1:]
+        shifted[:] = stack[1]
+        assert np.array_equal(rx.slot_statistics(stack, g)[1], alone)
+        assert np.array_equal(rx.slot_statistics(shifted, g), alone)
 
 
 class TestCorrelationDecoder:
