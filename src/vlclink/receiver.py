@@ -30,7 +30,7 @@ def pulse_kernel(f):
     return np.minimum(np.minimum(d + 1, 2 * f - 1 - d), f).astype(np.float64)
 
 
-def slot_statistics(y, g):
+def slot_statistics(y, g, sps=None):
     """Correlate received samples with the known F-slot pulse at each slot
     offset.
 
@@ -40,14 +40,19 @@ def slot_statistics(y, g):
     a stack of signals (n_frames, n_samples) gives one row per frame.  Each
     row's slots are summed in one matrix-vector product with a vector of
     ones, which BLAS runs far faster than a reduction over the short slot
-    axis; a different BLAS kernel may move a sum by a few ULPs.
+    axis; a different BLAS kernel may move a sum by a few ULPs.  `y` holds
+    `sps` samples a slot (by default `g.samples_per_slot`); at 1 each
+    sample is its slot's mean, and the statistics start from a copy.
     """
     samples = np.asarray(y, dtype=np.float64)
-    sps = g.samples_per_slot
+    sps = g.samples_per_slot if sps is None else sps
     if samples.shape[-1] % sps:
         raise InputError("waveform length is not slot-aligned")
-    u = samples.reshape(samples.shape[:-1] + (-1, sps)) @ np.ones(sps)
-    u /= sps
+    if sps == 1:
+        u = samples.copy()
+    else:
+        u = samples.reshape(samples.shape[:-1] + (-1, sps)) @ np.ones(sps)
+        u /= sps
     f = g.overlap_factor
     if f > 1:
         cs = np.cumsum(u, axis=-1)

@@ -36,7 +36,9 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # 1024 symbols a batch, is 9-10% faster at 2^16 with one worker and 23-29%
 # with two (2^17: 10-14% and 27-38%); DCO-OFDM (72-sample frames) is 4-13%
 # faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame ones
-# (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches)
+# (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches).
+# Stacks count samples at the configured rate: a pulse link without memory
+# renders one sample a slot, so its stack holds 1/samples_per_slot of this
 STACK_SAMPLES = 1 << 16
 
 
@@ -343,10 +345,10 @@ def _read_only(a):
 
 class _Workspace(threading.local):
     """The buffers of the stacks that one `_run_points` call runs, each
-    thread its own (a thread's first use makes them): the sample-length
-    drive of each LED, which the LED curve, the channel and the detector
-    then overwrite, and the AWGN normals and scaled noise, one value per
-    cell of the receiver's integration grid.  Every stack that a
+    thread its own (a thread's first use makes them): the drive of each
+    LED on the chain's render grid, which the LED curve, the channel and
+    the detector then overwrite, and the AWGN normals and scaled noise, one
+    value per cell of the receiver's integration grid.  Every stack that a
     thread runs reuses them, so their pages are faulted in once per call
     and not once per stack, which glibc would hand back to the kernel in
     between.  Nothing a link returns aliases them, and they are dropped
@@ -446,9 +448,17 @@ class _PulseChain(_Chain):
             self.drive_scale = 1.0
         self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
-        self.geometry = config.geometry
-        self.fs = config.geometry.sample_rate
+        self.geometry = g = config.geometry
+        self.fs = g.sample_rate
         self.batch_bits = self.batch_symbols() * c.bits_per_symbol
+        # samples a slot of the grid a trial renders its stacks on.  A link
+        # with memory (an LED pole, or a channel that does more than scale)
+        # takes the configured grid; on a link without, every stage holds
+        # each slot's level over the whole slot, so one sample a slot is
+        # exact
+        memory = (np.isfinite(config.device.bandwidth_3db)
+                  or not config.channel.link.flat)
+        self.render_sps = g.samples_per_slot if memory else 1
 
     @functools.cached_property
     def receiver(self):
@@ -513,12 +523,11 @@ class _PulseChain(_Chain):
         n = self.config.run.batch_symbols
         return n + (-n) % self.config.interleaver_depth
 
-    def _samples(self, n_symbols):
-        """Drive samples of `n_symbols` symbols: their slots and the F-1
-        pad slots."""
-        g = self.geometry
-        return ((n_symbols * self.constellation.q + g.overlap_factor - 1)
-                * g.samples_per_slot)
+    def _slots(self, n_symbols):
+        """Drive slots of `n_symbols` symbols: their own and the F-1 pad
+        slots."""
+        return (n_symbols * self.constellation.q
+                + self.geometry.overlap_factor - 1)
 
     def draw_key(self):
         """What a batch's draws depend on: chains with equal keys draw the
@@ -536,13 +545,14 @@ class _PulseChain(_Chain):
         n_leds = self.config.array_split_leds
         return wf.array_split(words, n_leds) if n_leds else [words]
 
-    def drive(self, modulated, peak, workspace):
+    def drive(self, modulated, peak, workspace, sps=None):
         """Drive samples of each part of `modulate`'s output, at `peak`
-        per unit of slot amplitude, each part in its own buffer of the
-        workspace."""
+        per unit of slot amplitude and `sps` samples a slot (by default
+        the geometry's), each part in its own buffer of the workspace."""
+        sps = self.geometry.samples_per_slot if sps is None else sps
         return [wf.synthesize(p, self.geometry, peak, workspace.take(
-            ("drive", i), p.shape[:-2] + (self._samples(p.shape[-2]),)))
-            for i, p in enumerate(modulated)]
+            ("drive", i), p.shape[:-2] + (self._slots(p.shape[-2]) * sps,)),
+            sps) for i, p in enumerate(modulated)]
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
@@ -569,12 +579,15 @@ class _PulseChain(_Chain):
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
         chain's link, back in symbol order when the chain interleaves.
-        The link runs in the draws' workspace; the statistics are new."""
+        The link runs on the chain's render grid, in the draws' workspace;
+        the statistics are new."""
         cfg = self.config
-        y = _apply_channel(self.light(draws.modulated, self.peak,
-                                      draws.workspace), cfg, self.fs, draws,
-                           grid=self.geometry.samples_per_slot)
-        stats = rx.slot_statistics(y, self.geometry)
+        sps = self.render_sps
+        fs = sps / self.geometry.slot_duration  # self.fs at the configured sps
+        light = _led_output(self.drive(draws.modulated, self.peak,
+                                       draws.workspace, sps), cfg.device, fs)
+        y = _apply_channel(light, cfg, fs, draws, grid=sps)
+        stats = rx.slot_statistics(y, self.geometry, sps)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
                                            self.constellation.q)
@@ -595,7 +608,8 @@ class _PulseChain(_Chain):
         split by size."""
         if self.geometry.overlap_factor > 1:
             return [indices]
-        return _stacks(indices, self._samples(self.batch_symbols()))
+        return _stacks(indices, self._slots(self.batch_symbols())
+                       * self.geometry.samples_per_slot)
 
 
 class _OfdmChain(_Chain):
@@ -692,9 +706,11 @@ def _apply_channel(x, cfg, fs, draws=None, grid=1):
     `grid`-sample cell with the variance of the cell's mean under
     per-sample noise, added `grid` times over to the cell's first sample
     (as `ac.propagate_and_detect` draws it): the noisy samples mean
-    nothing until integrated over the cells.  A noisy link writes its
-    output into `x`'s buffer, so `x` is spent; an AWGN link scales its
-    noise in the draws' workspace."""
+    nothing until integrated over the cells.  `x` may be sampled at an
+    `fs` below the configured rate: the noise density stays that of the
+    configured rate, so each cell mean keeps its variance.  A noisy link
+    writes its output into `x`'s buffer, so `x` is spent; an AWGN link
+    scales its noise in the draws' workspace."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
@@ -704,20 +720,25 @@ def _apply_channel(x, cfg, fs, draws=None, grid=1):
         return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
                                        draws.seeds(), out=x, grid=grid)
     y = ac.propagate(x, spec.model, fs, out=x)
+    if cfg.scheme.kind == "dco_ofdm":
+        samples, rate = 1, cfg.scheme.sample_rate
+    else:
+        samples, rate = cfg.geometry.samples_per_slot, cfg.geometry.sample_rate
     sigma = spec.sample_noise_sigma
     if sigma == 0.0:
         # the SNR of a unit-amplitude slot statistic, which averages a
         # slot's samples; an OFDM link has no slots, so of one unit sample
         snr = 10 ** (spec.slot_snr_db / 10)
-        samples = (1 if cfg.scheme.kind == "dco_ofdm"
-                   else cfg.geometry.samples_per_slot)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        # the mean of a cell's `grid` samples of std sigma has std
-        # sigma / sqrt(grid), so the cell's first sample takes grid times it
+        # sigma is per sample at the configured rate, so white noise of
+        # that density has std sigma * sqrt(fs / rate) per sample at fs
+        # (a factor of exactly 1 at the configured rate); the mean of a
+        # cell's `grid` samples has 1 / sqrt(grid) of that std, so the
+        # cell's first sample takes grid times it
+        scale = sigma * np.sqrt(fs / rate) * np.sqrt(grid)
         cells = y.shape[:-1] + (y.shape[-1] // grid,)
-        y[..., ::grid] += np.multiply(draws.normals(cells[-1]),
-                                      sigma * np.sqrt(grid),
+        y[..., ::grid] += np.multiply(draws.normals(cells[-1]), scale,
                                       out=draws.workspace.take("noise", cells))
     return y
 

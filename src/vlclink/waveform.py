@@ -49,7 +49,7 @@ def slot_amplitudes(codewords):
     return codewords.reshape(codewords.shape[:-2] + (-1,))
 
 
-def synthesize(codewords, g, peak=1.0, out=None):
+def synthesize(codewords, g, peak=1.0, out=None, sps=None):
     """Render a codeword stream, or each frame of a stack, as an intensity
     waveform: float64 samples at `g.sample_rate`, time along the last axis.
 
@@ -58,7 +58,9 @@ def synthesize(codewords, g, peak=1.0, out=None):
     additively and run into following symbols, so each stream is padded by
     F - 1 trailing slots and no pulse runs into the next frame.  `out`, a
     C-contiguous float64 array of the result's shape, receives the
-    samples; by default they go into a new array.
+    samples; by default they go into a new array.  `sps` renders that many
+    samples a slot instead of `g.samples_per_slot`: at 1, each slot's
+    level once, which is all a link without memory needs.
     """
     amps = slot_amplitudes(codewords)
     f = g.overlap_factor
@@ -71,7 +73,9 @@ def synthesize(codewords, g, peak=1.0, out=None):
         coverage = np.zeros(amps.shape[:-1] + (n + f - 1,))
         for lag in range(f):
             coverage[..., lag:lag + n] += amps
-    sps = g.samples_per_slot
+    sps = g.samples_per_slot if sps is None else sps
+    if sps == 1:
+        return np.multiply(coverage, peak, out=out, dtype=np.float64)
     if out is None:
         out = np.empty(coverage.shape[:-1] + (coverage.shape[-1] * sps,))
     # each slot's level fills its samples

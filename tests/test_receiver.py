@@ -125,6 +125,18 @@ class TestSlotStatistics:
         assert np.array_equal(rx.slot_statistics(stack, g)[1], alone)
         assert np.array_equal(rx.slot_statistics(shifted, g), alone)
 
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_one_sample_a_slot_is_the_slot_mean(self, f):
+        # integer means add exactly, so the F-slot sums are exact too
+        y = np.random.default_rng(f).integers(-9, 10, size=(3, 37)).astype(
+            np.float64)
+        s = rx.slot_statistics(y, geo(sps=4, f=f), sps=1)
+        want = y.copy()
+        if f == 2:
+            want[:, 1:] += y[:, :-1]
+        assert np.array_equal(s, want)
+        assert not np.shares_memory(s, y)
+
 
 class TestCorrelationDecoder:
     def test_noiseless_loopback_eppm7(self):

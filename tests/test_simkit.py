@@ -11,6 +11,7 @@ import pytest
 from vlclink import analog_chain as ac
 from vlclink import constellations as con
 from vlclink import ofdm
+from vlclink import receiver as rx
 from vlclink import simkit as sk
 from vlclink import waveform as wf
 from vlclink.errors import ConfigError, ParameterError
@@ -721,6 +722,41 @@ class TestNoiseGrid:
         stat = ((means - 1.0) ** 2).sum() / (sigma ** 2 / grid)
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
+    @pytest.mark.parametrize("sps", [1, 2, 4])
+    @pytest.mark.parametrize("channel", [
+        sk.ChannelSpec(mode="awgn", slot_snr_db=3.0),
+        sk.ChannelSpec(mode="awgn", sample_noise_sigma=0.7),
+        sk.ChannelSpec(mode="physical", detector=ac.DetectorModel(
+            background_power=5e-7, thermal_noise_density=1e-24)),
+    ], ids=["awgn-snr", "awgn-sigma", "physical"])
+    def test_slot_means_keep_their_variance_below_the_configured_rate(
+            self, channel, sps):
+        # rendered at sps samples a slot (the configured grid has 4), a
+        # slot's mean has the variance it has at the configured rate
+        from scipy.stats import chi2
+
+        level = 1e-6
+        config = replace(awgn_config(geometry=geo(sps=4)), channel=channel,
+                         peak_power_per_unit=level)
+        g = config.geometry
+        if channel.mode == "awgn" and not channel.sample_noise_sigma:
+            variance = level ** 2 / 10 ** (channel.slot_snr_db / 10)
+        elif channel.mode == "awgn":
+            variance = channel.sample_noise_sigma ** 2 / g.samples_per_slot
+        else:
+            dm = channel.detector
+            variance = ((2 * ac.Q_ELECTRON * dm.responsivity
+                         * (level + dm.background_power)
+                         + dm.thermal_noise_density)
+                        * g.sample_rate / 2 / g.samples_per_slot)
+        n_slots = 20_000
+        draws = sk._build_chain(config).draw([0, 1])
+        y = sk._apply_channel(np.full((2, n_slots * sps), level), config,
+                              sps / g.slot_duration, draws, grid=sps)
+        means = y.reshape(-1, sps).mean(axis=1)
+        stat = ((means - level * channel.responsivity) ** 2).sum() / variance
+        assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
+
     @pytest.mark.parametrize("config", [
         RECEIVED["f1-awgn-eppm-interleaved"],
         RECEIVED["f2-awgn-dispersive-delayed"],
@@ -761,6 +797,95 @@ class TestNoiseGrid:
             cells = (chain.batch_symbols() * chain.constellation.q
                      + config.geometry.overlap_factor - 1)
         assert sum(drawn) == len(indices) * cells
+
+
+def configured_samples(chain, draws):
+    """The received samples of a stack's draws, each stage run explicitly
+    at the configured geometry: synthesize, LEDs, channel and noise."""
+    cfg = chain.config
+    drives = [wf.synthesize(p, chain.geometry, chain.peak)
+              for p in draws.modulated]
+    return sk._apply_channel(sk._led_output(drives, cfg.device, chain.fs),
+                             cfg, chain.fs, draws,
+                             grid=chain.geometry.samples_per_slot)
+
+
+def in_symbol_order(chain, stats):
+    depth = chain.config.interleaver_depth
+    if depth == 1:
+        return stats
+    return wf.deinterleave_values(stats, depth, chain.constellation.q)
+
+
+PHYSICAL = sk.ChannelSpec(mode="physical",
+                          detector=ac.DetectorModel(background_power=5e-7))
+
+# links without memory: no LED pole, a channel that only scales
+MEMORYLESS = {
+    "f1-awgn-snr-interleaved": RECEIVED["f1-awgn-eppm-interleaved"],
+    "f1-split-4-awgn-sigma": SHARED_SWEEPS["saturation-f1-meppm-split-4"][0],
+    "f1-physical-los-0.7": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=4),
+        channel=replace(PHYSICAL, model=ac.ChannelModel(los_gain=0.7)),
+        peak_power_per_unit=3e-9, run=sk.RunSpec(batch_symbols=128), seed=6),
+    "f2-physical-meppm3c-saturating": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=3,
+                             use_complements=True),
+        geometry=geo(sps=4, f=2), device=ac.LedModel(saturation_power=3e-8),
+        channel=PHYSICAL, peak_power_per_unit=2e-8,
+        run=sk.RunSpec(batch_symbols=24), seed=7),
+    "f2-awgn": SHARED_SWEEPS["snr-f2-eppm"][0],
+}
+
+# links with memory, which render at the configured rate
+WITH_MEMORY = {
+    "f10-trichromatic-pole": RECEIVED["f10-physical-meppm21-trichromatic"],
+    "f1-physical-nlos": SHARED_SWEEPS["delay-spread-f1-physical"][0],
+    "f1-awgn-los-delay": replace(
+        awgn_config(geometry=geo(sps=4), run=sk.RunSpec(batch_symbols=128)),
+        channel=sk.ChannelSpec(mode="awgn", slot_snr_db=12.0,
+                               model=ac.ChannelModel(los_delay=0.25e-6))),
+    "f2-awgn-shadowed": replace(
+        SHARED_SWEEPS["snr-f2-eppm"][0],
+        channel=sk.ChannelSpec(mode="awgn", model=ac.ChannelModel(
+            nlos_gain=0.5, shadowed=True))),
+}
+
+# the slot-rate statistics lie within this many ULPs of the configured-
+# rate ones, taken of the largest slot mean of a row at F=1 and of the
+# largest running sum of its slot means at F>1: the two grids sum and
+# scale the same terms in different orders, and an F>1 statistic is the
+# difference of two running sums
+ULPS = 4
+
+
+class TestSlotRateRender:
+    @pytest.mark.parametrize("name", list(MEMORYLESS))
+    def test_memoryless_links_match_the_configured_rate(self, name):
+        chain = sk._build_chain(MEMORYLESS[name])
+        assert chain.render_sps == 1
+        draws = chain.draw([3, 0, 5])
+        stats = chain.statistics(draws)
+        g = chain.geometry
+        y = configured_samples(chain, draws)
+        expected = in_symbol_order(chain, rx.slot_statistics(y, g))
+        means = rx.slot_statistics(y, replace(g, overlap_factor=1))
+        if g.overlap_factor > 1:
+            means = np.cumsum(means, axis=1)
+        scale = np.abs(means).max(axis=1, keepdims=True)
+        assert stats.shape == expected.shape
+        assert (scale > 0).all()
+        assert (np.abs(stats - expected)
+                <= ULPS * np.finfo(np.float64).eps * scale).all()
+
+    @pytest.mark.parametrize("name", list(WITH_MEMORY))
+    def test_links_with_memory_are_unchanged(self, name):
+        chain = sk._build_chain(WITH_MEMORY[name])
+        assert chain.render_sps == chain.geometry.samples_per_slot
+        draws = chain.draw([3, 0, 5])
+        expected = in_symbol_order(chain, rx.slot_statistics(
+            configured_samples(chain, draws), chain.geometry))
+        assert chain.statistics(draws).tobytes() == expected.tobytes()
 
 
 def unbounded(config, max_bits):
@@ -816,6 +941,23 @@ class TestWorkspace:
         # NaN here, and the last stack's samples in a reused buffer
         monkeypatch.setattr(sk._Workspace, "take", poisoned)
         assert sk._run_points(configs) == first
+
+    @pytest.mark.parametrize("device, sps", [
+        (ac.LED_PRESETS["ideal"], 1),
+        (ac.LedModel(saturation_power=0.8), 1),
+        (ac.LED_PRESETS["phosphor"], 4),
+    ], ids=["ideal", "saturating", "pole"])
+    def test_the_drive_holds_the_render_grid(self, device, sps):
+        # a link without memory renders one sample a slot, one with a pole
+        # the configured samples_per_slot
+        config = awgn_config(geometry=geo(sps=4), device=device,
+                             run=sk.RunSpec(batch_symbols=256))
+        chain = sk._build_chain(config)
+        draws = chain.draw([0, 1, 2])
+        chain.statistics(draws)
+        slots = chain._slots(chain.batch_symbols())
+        drive = draws.workspace._buffers[("drive", 0)]
+        assert drive.size == 3 * slots * sps
 
     def test_threads_keep_their_own_buffers(self):
         # more workers than cores, switching threads often: buffers that

@@ -105,6 +105,18 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             wf.synthesize(words, g, out=np.empty(fresh.size + 1))
 
+    @pytest.mark.parametrize("f", [1, 3])
+    def test_one_sample_a_slot_is_each_slots_level(self, f):
+        words = np.array([[[2, 0, 1], [0, 1, 1]], [[1, 1, 0], [0, 0, 2]]],
+                         dtype=np.int16)
+        g = geo(sps=2 * f, f=f)
+        levels = wf.synthesize(words, g, peak=0.3)[..., ::g.samples_per_slot]
+        assert wf.synthesize(words, g, peak=0.3, sps=1).tobytes() == (
+            levels.tobytes())
+        out = np.full(levels.shape, np.nan)
+        assert wf.synthesize(words, g, peak=0.3, out=out, sps=1) is out
+        assert out.tobytes() == levels.tobytes()
+
 
 class TestInterleaver:
     def test_depth_1_identity(self):
