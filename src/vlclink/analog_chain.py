@@ -2,17 +2,17 @@
 
 LED: memoryless soft saturation followed by a first-order low-pass (the
 rise-time limit).  Channel: sharp LOS tap plus an exponential NLOS tail;
-shadowing removes the LOS tap.  Detection: responsivity plus white Gaussian
-noise whose variance tracks instantaneous shot noise from signal and
-background light, plus a thermal floor, drawn once per cell of the
-receiver's integration grid.
+shadowing removes the LOS tap.  Detection: the receiver's integrator takes
+the mean of each cell of its grid, then responsivity plus white Gaussian
+noise whose variance tracks the shot noise from the cell's signal and
+background light, plus a thermal floor, one normal per cell.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, InputError, ParameterError
 from .schema import section
 
 Q_ELECTRON = 1.602176634e-19  # elementary charge in C, exact in SI since 2019
@@ -208,48 +208,53 @@ def propagate(x, cm, sample_rate, out=None):
 # detection
 # ---------------------------------------------------------------------------
 
-def propagate_and_detect(x, cm, dm, sample_rate, rng_seed, out=None, grid=1):
-    """Optical samples -> electrical samples with signal-dependent noise.
+def cell_means(y, grid):
+    """The mean of each `grid`-sample cell along the last axis: `y` itself
+    at grid 1, otherwise one matrix-vector product with a vector of ones
+    (which BLAS runs far faster than a reduction over the short cell axis;
+    a different BLAS kernel may move a sum by a few ULPs), then a division
+    by `grid`.  The receiver's one integrator."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1] % grid:
+        raise InputError("signal length is not a whole number of "
+                         f"{grid}-sample cells")
+    if grid == 1:
+        return y
+    means = y.reshape(y.shape[:-1] + (-1, grid)) @ np.ones(grid)
+    means /= grid
+    return means
 
-    y = responsivity * (h conv x) + n, where n is white Gaussian with
-    per-sample variance
-        [2 q R (P_inst + P_background) + thermal_density] * (sample_rate / 2),
-    drawn on the receiver's integration grid of `grid` samples a cell:
-    each cell takes one normal, with the variance of the mean of its
-    samples' noise, added `grid` times over to the cell's first sample.
-    The cell means are then distributed exactly as under per-sample
-    noise, but the noisy samples mean nothing until integrated over the
-    cells; at grid 1 each sample takes its own normal.
-    A stack of signals takes one rng_seed per row, and each row's noise
-    is what its seed gives the row alone.  Deterministic in the seeds.
-    `out` receives the electrical samples and may be `x` itself.
+
+def propagate_and_detect(x, cm, dm, sample_rate, normals, out=None, grid=1):
+    """Optical samples -> electrical cell means with signal-dependent noise.
+
+    The receiver integrates `grid` samples a cell: each cell's mean of
+    `propagate`'s output takes the responsivity, plus one of `normals` (a
+    standard normal per cell, in the output's shape) times the std of
+    white noise at the cell rate, of variance
+        [2 q R (P_cell + P_background) + thermal_density]
+            * (sample_rate / grid / 2),
+    which is the variance of the cell's mean of that noise at
+    `sample_rate`.
+    `out` receives the channel's output samples and may be `x` itself; at
+    grid 1 those are the cell means, so it receives the result.
     """
-    received = propagate(x, cm, sample_rate)
-    current = np.multiply(dm.responsivity, received, out=out)
+    # the cell means are `out` or a new array, so the current overwrites them
+    current = cell_means(propagate(x, cm, sample_rate, out=out), grid)
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
-    if dm.background_power > 0 or dm.thermal_noise_density > 0:
-        if received.shape[-1] % grid:
-            raise ParameterError("signal length is not a whole number of "
-                                 f"{grid}-sample cells")
-        # the per-sample variance summed over each cell, from the cell's
-        # received power: [2 q R (sum P_inst + grid P_background)
-        # + grid thermal_density] * (sample_rate / 2)
-        power = np.maximum(received, 0.0, out=received)
-        std = power.reshape(power.shape[:-1] + (-1, grid)).sum(axis=-1)
-        std += grid * dm.background_power
-        std *= 2.0 * Q_ELECTRON * dm.responsivity
-        std += grid * dm.thermal_noise_density
-        std *= sample_rate / 2.0
-        np.sqrt(std, out=std)
-        rows = np.atleast_2d(std)
-        seeds = np.ravel(rng_seed)
-        if seeds.size != len(rows):
-            raise ParameterError("need one rng_seed per row")
-        for row, seed, out in zip(rows, seeds, np.atleast_2d(current)):
-            noise = np.random.default_rng(seed).standard_normal(row.size)
-            noise *= row
-            out[::grid] += noise
+    if dm.background_power == 0 and dm.thermal_noise_density == 0:
+        current *= dm.responsivity
+        return current
+    noise = np.maximum(current, 0.0)
+    noise += dm.background_power
+    noise *= 2.0 * Q_ELECTRON * dm.responsivity
+    noise += dm.thermal_noise_density
+    noise *= sample_rate / grid / 2.0
+    np.sqrt(noise, out=noise)
+    noise *= normals
+    current *= dm.responsivity
+    current += noise
     return current
 
 

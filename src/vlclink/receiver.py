@@ -16,6 +16,7 @@ decoder doubles as the oracle for small constellations.
 
 import numpy as np
 
+from . import analog_chain as ac
 from . import waveform as wf
 from .errors import CapacityError, InputError, ParameterError
 
@@ -37,22 +38,15 @@ def slot_statistics(y, g, sps=None):
     For F=1 this integrates each slot; for F>1 each statistic is the sum of
     the F most recent slot integrals (rectangular template, end-aligned).
     Returns one float64 value per slot, the F-1 trailing pad slots included;
-    a stack of signals (n_frames, n_samples) gives one row per frame.  Each
-    row's slots are summed in one matrix-vector product with a vector of
-    ones, which BLAS runs far faster than a reduction over the short slot
-    axis; a different BLAS kernel may move a sum by a few ULPs.  `y` holds
-    `sps` samples a slot (by default `g.samples_per_slot`); at 1 each
-    sample is its slot's mean, and the statistics start from a copy.
+    a stack of signals (n_frames, n_samples) gives one row per frame.  `y`
+    holds `sps` samples a slot (by default `g.samples_per_slot`), which
+    `ac.cell_means` integrates; at 1 each sample is its slot's mean, and
+    the statistics start from a copy.
     """
-    samples = np.asarray(y, dtype=np.float64)
     sps = g.samples_per_slot if sps is None else sps
-    if samples.shape[-1] % sps:
-        raise InputError("waveform length is not slot-aligned")
+    u = ac.cell_means(y, sps)
     if sps == 1:
-        u = samples.copy()
-    else:
-        u = samples.reshape(samples.shape[:-1] + (-1, sps)) @ np.ones(sps)
-        u /= sps
+        u = u.copy()
     f = g.overlap_factor
     if f > 1:
         cs = np.cumsum(u, axis=-1)

@@ -346,9 +346,10 @@ def _read_only(a):
 class _Workspace(threading.local):
     """The buffers of the stacks that one `_run_points` call runs, each
     thread its own (a thread's first use makes them): the drive of each
-    LED on the chain's render grid, which the LED curve, the channel and
-    the detector then overwrite, and the AWGN normals and scaled noise, one
-    value per cell of the receiver's integration grid.  Every stack that a
+    LED on the chain's render grid, which the LED curve and the channel
+    then overwrite, and the normals of either noisy mode and an AWGN
+    link's scaled noise, one value per cell of the receiver's integration
+    grid.  Every stack that a
     thread runs reuses them, so their pages are faulted in once per call
     and not once per stack, which glibc would hand back to the kernel in
     between.  Nothing a link returns aliases them, and they are dropped
@@ -389,23 +390,19 @@ class _Draws:
         self._rngs = rngs
         self._noise = None
 
-    def normals(self, n_cells):
-        """(rows, n_cells) standard normals: an AWGN link's noise, one per
-        cell of the receiver's integration grid (a slot of a pulse link,
-        a sample of DCO-OFDM)."""
+    def normals(self, n_cells, seeded=False):
+        """(rows, n_cells) standard normals, the noise of a noisy link:
+        one per cell of the receiver's integration grid (a slot of a pulse
+        link, a sample of DCO-OFDM).  A row is drawn from its generator,
+        or, `seeded`, from a new generator that its generator seeds (as a
+        physical link draws)."""
         if self._noise is None:
             z = self.workspace.take("normals", (len(self._rngs), n_cells))
             for rng, row in zip(self._rngs, z):
+                if seeded:
+                    rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
                 rng.standard_normal(out=row)
             self._noise = _read_only(z)
-        return self._noise
-
-    def seeds(self):
-        """One seed per row for the detector noise of a physical link,
-        which draws one normal per cell of the receiver's grid."""
-        if self._noise is None:
-            self._noise = _read_only(np.array(
-                [rng.integers(0, 2 ** 63 - 1) for rng in self._rngs]))
         return self._noise
 
 
@@ -579,15 +576,15 @@ class _PulseChain(_Chain):
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
         chain's link, back in symbol order when the chain interleaves.
-        The link runs on the chain's render grid, in the draws' workspace;
-        the statistics are new."""
+        The link runs on the chain's render grid, in the draws' workspace,
+        and returns each slot's mean; the statistics are new."""
         cfg = self.config
         sps = self.render_sps
         fs = sps / self.geometry.slot_duration  # self.fs at the configured sps
         light = _led_output(self.drive(draws.modulated, self.peak,
                                        draws.workspace, sps), cfg.device, fs)
-        y = _apply_channel(light, cfg, fs, draws, grid=sps)
-        stats = rx.slot_statistics(y, self.geometry, sps)
+        means = _apply_channel(light, cfg, fs, draws, grid=sps)
+        stats = rx.slot_statistics(means, self.geometry, 1)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
                                            self.constellation.q)
@@ -700,26 +697,25 @@ def _led_output(drives, device, fs):
 
 
 def _apply_channel(x, cfg, fs, draws=None, grid=1):
-    """The channel and, unless `draws` is None, the noise of a stack's
-    draws: row i of a stack of signals takes row i of their noise.  The
-    noise is drawn on the receiver's integration grid, one normal per
-    `grid`-sample cell with the variance of the cell's mean under
-    per-sample noise, added `grid` times over to the cell's first sample
-    (as `ac.propagate_and_detect` draws it): the noisy samples mean
-    nothing until integrated over the cells.  `x` may be sampled at an
-    `fs` below the configured rate: the noise density stays that of the
-    configured rate, so each cell mean keeps its variance.  A noisy link
-    writes its output into `x`'s buffer, so `x` is spent; an AWGN link
-    scales its noise in the draws' workspace."""
+    """The receiver's cell means of `x` after the channel and detector, one
+    value per `grid`-sample cell of its integration grid.  Unless `draws`
+    is None, row i of a stack of signals takes row i of the draws'
+    normals, one per cell, scaled to the std of that cell's mean under
+    per-sample noise.  `x` may be sampled at an `fs` below the configured
+    rate: the noise density stays that of the configured rate, so each
+    cell mean keeps its variance.  A link writes its channel's output
+    into `x`'s buffer, so `x` is spent (at grid 1 a noisy link's result is
+    that buffer); an AWGN link scales its noise in the draws' workspace."""
     spec = cfg.channel
     if spec.mode == "identity":
-        return x
+        return ac.cell_means(x, grid)
+    if spec.mode == "physical" and draws is not None:
+        return ac.propagate_and_detect(
+            x, spec.model, spec.detector, fs,
+            draws.normals(x.shape[-1] // grid, seeded=True), out=x, grid=grid)
+    y = ac.cell_means(ac.propagate(x, spec.model, fs, out=x), grid)
     if draws is None:
-        return spec.responsivity * ac.propagate(x, spec.model, fs)
-    if spec.mode == "physical":
-        return ac.propagate_and_detect(x, spec.model, spec.detector, fs,
-                                       draws.seeds(), out=x, grid=grid)
-    y = ac.propagate(x, spec.model, fs, out=x)
+        return spec.responsivity * y
     if cfg.scheme.kind == "dco_ofdm":
         samples, rate = 1, cfg.scheme.sample_rate
     else:
@@ -733,13 +729,11 @@ def _apply_channel(x, cfg, fs, draws=None, grid=1):
     if sigma > 0:
         # sigma is per sample at the configured rate, so white noise of
         # that density has std sigma * sqrt(fs / rate) per sample at fs
-        # (a factor of exactly 1 at the configured rate); the mean of a
-        # cell's `grid` samples has 1 / sqrt(grid) of that std, so the
-        # cell's first sample takes grid times it
-        scale = sigma * np.sqrt(fs / rate) * np.sqrt(grid)
-        cells = y.shape[:-1] + (y.shape[-1] // grid,)
-        y[..., ::grid] += np.multiply(draws.normals(cells[-1]), scale,
-                                      out=draws.workspace.take("noise", cells))
+        # (a factor of exactly 1 at the configured rate), and the mean of
+        # a cell's `grid` samples 1 / sqrt(grid) of that
+        y += np.multiply(draws.normals(y.shape[-1]),
+                         sigma * np.sqrt(fs / rate / grid),
+                         out=draws.workspace.take("noise", y.shape))
     return y
 
 

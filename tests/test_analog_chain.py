@@ -6,10 +6,15 @@ import pytest
 from vlclink import analog_chain as ac
 from vlclink import constellations as con
 from vlclink import waveform as wf
-from vlclink.errors import ParameterError
+from vlclink.errors import InputError, ParameterError
 
 
 FS = 1e9  # sample rate of the test signals
+
+
+def normals(seed, shape):
+    """Standard normals for a detector's cells."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestNonlinearity:
@@ -97,7 +102,7 @@ class TestDetection:
         x = np.linspace(0, 1e-6, 100)
         dm = ac.DetectorModel(responsivity=0.6, background_power=0.0,
                               thermal_noise_density=0.0)
-        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, rng_seed=1)
+        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, None)
         assert np.allclose(y, 0.6 * x)
 
     def test_dark_shot_variance_formula(self):
@@ -105,7 +110,8 @@ class TestDetection:
         x = np.zeros(1_000_000)
         dm = ac.DetectorModel(responsivity=0.5, background_power=5e-6,
                               thermal_noise_density=0.0)
-        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, fs, rng_seed=7)
+        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, fs,
+                                    normals(7, x.shape))
         measured = y.var()
         expected = ac.noise_variance_dark(dm, fs)
         assert measured == pytest.approx(expected, rel=0.02)
@@ -118,7 +124,7 @@ class TestDetection:
             dm = ac.DetectorModel(responsivity=0.5, background_power=bg,
                                   thermal_noise_density=0.0)
             y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, fs,
-                                        rng_seed=3)
+                                        normals(3, x.shape))
             var.append(y.var())
         assert var[1] / var[0] == pytest.approx(2.0, rel=0.05)
 
@@ -137,9 +143,8 @@ class TestDetection:
         x = np.tile(cell, (2, n_cells))
         dm = ac.DetectorModel(responsivity=0.5, background_power=1e-6,
                               thermal_noise_density=1e-24)
-        y = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, [5, 6],
-                                    grid=grid)
-        means = y.reshape(-1, grid).mean(axis=1)
+        means = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS,
+                                        normals(5, (2, n_cells)), grid=grid)
         per_sample = (2 * ac.Q_ELECTRON * dm.responsivity
                       * (cell + dm.background_power)
                       + dm.thermal_noise_density) * FS / 2
@@ -148,16 +153,37 @@ class TestDetection:
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
     def test_grid_must_tile_the_signal(self):
-        with pytest.raises(ParameterError, match="4-sample cells"):
+        with pytest.raises(InputError, match="4-sample cells"):
             ac.propagate_and_detect(np.zeros(10), ac.IDENTITY_CHANNEL,
-                                    ac.DetectorModel(), FS, 1, grid=4)
+                                    ac.DetectorModel(), FS, normals(1, 2),
+                                    grid=4)
 
     def test_seed_determinism(self):
         x = np.ones(1000) * 1e-6
         dm = ac.DetectorModel()
-        a = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, 42)
-        b = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS, 42)
+        a = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS,
+                                    normals(42, x.shape))
+        b = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS,
+                                    normals(42, x.shape))
         assert np.array_equal(a, b)
+
+    def test_one_sample_cells_take_the_closed_form(self):
+        # at grid 1 each sample is a cell: R (h conv x) plus its normal
+        # times the per-sample std of shot noise from signal and background
+        # light and the thermal floor, to the bit
+        rng = np.random.default_rng(11)
+        x = rng.random((2, 400)) * 1e-6
+        z = rng.standard_normal(x.shape)
+        cm = ac.ChannelModel(los_gain=0.6, nlos_gain=0.4, nlos_decay=5e-9)
+        dm = ac.DetectorModel(responsivity=0.4, background_power=2e-6,
+                              thermal_noise_density=3e-24)
+        received = ac.propagate(x, cm, FS)
+        std = np.sqrt((2 * ac.Q_ELECTRON * dm.responsivity
+                       * (received + dm.background_power)
+                       + dm.thermal_noise_density) * (FS / 2))
+        want = dm.responsivity * received + z * std
+        got = ac.propagate_and_detect(x, cm, dm, FS, z)
+        assert got.tobytes() == want.tobytes()
 
     def test_linearity_without_noise(self):
         rng = np.random.default_rng(8)
@@ -166,9 +192,9 @@ class TestDetection:
         xa = rng.random(500)
         xb = rng.random(500)
         both = 2 * xa + 3 * xb
-        ya = ac.propagate_and_detect(xa, cm, dm, FS, 0)
-        yb = ac.propagate_and_detect(xb, cm, dm, FS, 0)
-        yab = ac.propagate_and_detect(both, cm, dm, FS, 0)
+        ya = ac.propagate_and_detect(xa, cm, dm, FS, None)
+        yb = ac.propagate_and_detect(xb, cm, dm, FS, None)
+        yab = ac.propagate_and_detect(both, cm, dm, FS, None)
         assert np.allclose(yab, 2 * ya + 3 * yb)
 
     def test_shadowing_loses_energy(self):
@@ -178,8 +204,10 @@ class TestDetection:
         open_cm = ac.ChannelModel(los_gain=0.7, nlos_gain=0.3, nlos_decay=5e-9)
         closed = ac.ChannelModel(los_gain=0.7, nlos_gain=0.3, nlos_decay=5e-9,
                                  shadowed=True)
-        e_open = (ac.propagate_and_detect(x, open_cm, dm, FS, 0) ** 2).sum()
-        e_closed = (ac.propagate_and_detect(x, closed, dm, FS, 0) ** 2).sum()
+        e_open = (ac.propagate_and_detect(x, open_cm, dm, FS, None)
+                  ** 2).sum()
+        e_closed = (ac.propagate_and_detect(x, closed, dm, FS, None)
+                    ** 2).sum()
         assert e_closed < e_open
 
 
@@ -199,7 +227,7 @@ class TestInPlace:
             FS, out=out),
         lambda x, out: ac.propagate_and_detect(x, ac.ChannelModel(
             los_gain=0.6, nlos_gain=0.4, nlos_decay=5e-9), ac.DetectorModel(
-                background_power=5e-7), FS, [3, 4], out=out),
+                background_power=5e-7), FS, normals(3, (2, 300)), out=out),
     ], ids=["curve", "led", "flat", "dispersive", "detect"])
     def test_in_place_equals_new(self, stage):
         x = np.random.default_rng(9).random((2, 300)) * 3.0

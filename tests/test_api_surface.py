@@ -134,3 +134,46 @@ def test_kept_names_exist():
     defined = {name for path in python_files(PACKAGE)
                for name, _ in definitions(parse(path))}
     assert KEPT <= defined
+
+
+# the one function that integrates the receiver's cells: the slot
+# statistics and both noisy links take their cell means from it
+CELL_INTEGRATORS = {"cell_means"}
+
+
+def is_ones(node):
+    """Whether `node` is a call of `ones` or `np.ones`."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "ones"
+        or getattr(node.func, "attr", None) == "ones")
+
+
+def ones_products(node, scope=""):
+    """(scope, line) of each product with a vector of ones: an `@`, or a
+    `matmul` or `dot` call, with a `ones(...)` operand; the scope is the
+    dotted name of the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+            operands = [child.left, child.right]
+        elif (isinstance(child, ast.Call)
+              and getattr(child.func, "attr", None) in ("matmul", "dot")):
+            operands = [*child.args, child.func.value]
+        else:
+            operands = []
+        if any(is_ones(o) for o in operands):
+            yield scope, child.lineno
+        yield from ones_products(child, inner)
+
+
+def test_cells_integrated_in_one_place():
+    found = [(os.path.basename(path), line, scope)
+             for path in python_files(PACKAGE)
+             for scope, line in ones_products(parse(path))]
+    stray = [f"{name}:{line} {scope or '<module>'}"
+             for name, line, scope in found if scope not in CELL_INTEGRATORS]
+    assert not stray, ("integrates cells outside cell_means: "
+                       + ", ".join(stray))
+    assert {scope for _, _, scope in found} == CELL_INTEGRATORS

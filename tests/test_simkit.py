@@ -671,8 +671,7 @@ class TestSharedDraws:
         config = SHARED_SWEEPS[name][0]
         chain = sk._build_chain(config)
         draws = chain.draw([0, 1])
-        noise = (draws.seeds() if config.channel.mode == "physical"
-                 else draws.normals(5))
+        noise = draws.normals(5, seeded=config.channel.mode == "physical")
         arrays = [draws.bits, *draws.modulated, noise]
         if draws.sent is not None:
             arrays.append(draws.sent)
@@ -690,7 +689,7 @@ class TestSharedDraws:
         physical = config.channel.mode == "physical"
 
         def read():
-            return draws.seeds() if physical else draws.normals(8)
+            return draws.normals(8, seeded=physical)
 
         first = read()
         assert read() is first
@@ -698,9 +697,31 @@ class TestSharedDraws:
         for row, b in zip(first, indices):
             rng = np.random.default_rng([config.seed, b])
             rng.integers(0, 2, size=draws.bits.shape[1])
-            expected = (rng.integers(0, 2 ** 63 - 1) if physical
-                        else rng.standard_normal(8))
-            assert row.tobytes() == np.asarray(expected).tobytes()
+            if physical:
+                rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
+            assert row.tobytes() == rng.standard_normal(8).tobytes()
+
+
+def count_normals(monkeypatch):
+    """The sizes of the standard normal draws of every generator made from
+    here on, in a list that fills as they are drawn."""
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            z = self.rng.standard_normal(*args, **kwargs)
+            drawn.append(z.size)
+            return z
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    return drawn
 
 
 class TestNoiseGrid:
@@ -716,9 +737,9 @@ class TestNoiseGrid:
                                                 sample_noise_sigma=sigma))
         n_cells = 20_000
         draws = sk._build_chain(config).draw([0, 1])
-        y = sk._apply_channel(np.ones((2, n_cells * grid)), config,
-                              config.geometry.sample_rate, draws, grid=grid)
-        means = y.reshape(-1, grid).mean(axis=1)
+        means = sk._apply_channel(np.ones((2, n_cells * grid)), config,
+                                  config.geometry.sample_rate, draws,
+                                  grid=grid)
         stat = ((means - 1.0) ** 2).sum() / (sigma ** 2 / grid)
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
@@ -751,9 +772,8 @@ class TestNoiseGrid:
                         * g.sample_rate / 2 / g.samples_per_slot)
         n_slots = 20_000
         draws = sk._build_chain(config).draw([0, 1])
-        y = sk._apply_channel(np.full((2, n_slots * sps), level), config,
-                              sps / g.slot_duration, draws, grid=sps)
-        means = y.reshape(-1, sps).mean(axis=1)
+        means = sk._apply_channel(np.full((2, n_slots * sps), level), config,
+                                  sps / g.slot_duration, draws, grid=sps)
         stat = ((means - level * channel.responsivity) ** 2).sum() / variance
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
@@ -773,22 +793,7 @@ class TestNoiseGrid:
         chain = sk._build_chain(config)
         if config.scheme.kind != "dco_ofdm":
             chain.receiver  # a kernel measured at F>1 draws no noise
-        drawn = []
-        default_rng = np.random.default_rng
-
-        class Spy:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def standard_normal(self, *args, **kwargs):
-                z = self.rng.standard_normal(*args, **kwargs)
-                drawn.append(z.size)
-                return z
-
-        monkeypatch.setattr(np.random, "default_rng", Spy)
+        drawn = count_normals(monkeypatch)
         indices = [2, 0, 5]
         chain.counts(chain.draw(indices))
         if config.scheme.kind == "dco_ofdm":
@@ -798,10 +803,31 @@ class TestNoiseGrid:
                      + config.geometry.overlap_factor - 1)
         assert sum(drawn) == len(indices) * cells
 
+    def test_a_physical_sweep_draws_each_stack_once(self, monkeypatch):
+        """The points of a physical sweep share each stack's normals, one
+        per slot of each row, and each point still equals its own run."""
+        config, axis, _ = SHARED_SWEEPS["delay-spread-f1-physical"]
+        points = [0.5, 1.0, 2.0]
+        alone = [sk.run_trials(sk._config_at(config, axis, p))
+                 for p in points]
+        rows = []
+        draw = sk._PulseChain.draw
 
-def configured_samples(chain, draws):
-    """The received samples of a stack's draws, each stage run explicitly
-    at the configured geometry: synthesize, LEDs, channel and noise."""
+        def counted(chain, indices, *args):
+            rows.append(len(indices))
+            return draw(chain, indices, *args)
+
+        monkeypatch.setattr(sk._PulseChain, "draw", counted)
+        drawn = count_normals(monkeypatch)
+        assert sk.sweep(config, axis, points) == alone
+        chain = sk._build_chain(config)
+        assert sum(drawn) == sum(rows) * chain._slots(chain.batch_symbols())
+
+
+def configured_means(chain, draws):
+    """The received slot means of a stack's draws, each stage run
+    explicitly at the configured geometry: synthesize, LEDs, channel,
+    integrator and noise."""
     cfg = chain.config
     drives = [wf.synthesize(p, chain.geometry, chain.peak)
               for p in draws.modulated]
@@ -867,9 +893,9 @@ class TestSlotRateRender:
         draws = chain.draw([3, 0, 5])
         stats = chain.statistics(draws)
         g = chain.geometry
-        y = configured_samples(chain, draws)
-        expected = in_symbol_order(chain, rx.slot_statistics(y, g))
-        means = rx.slot_statistics(y, replace(g, overlap_factor=1))
+        y = configured_means(chain, draws)
+        expected = in_symbol_order(chain, rx.slot_statistics(y, g, 1))
+        means = rx.slot_statistics(y, replace(g, overlap_factor=1), 1)
         if g.overlap_factor > 1:
             means = np.cumsum(means, axis=1)
         scale = np.abs(means).max(axis=1, keepdims=True)
@@ -884,7 +910,7 @@ class TestSlotRateRender:
         assert chain.render_sps == chain.geometry.samples_per_slot
         draws = chain.draw([3, 0, 5])
         expected = in_symbol_order(chain, rx.slot_statistics(
-            configured_samples(chain, draws), chain.geometry))
+            configured_means(chain, draws), chain.geometry, 1))
         assert chain.statistics(draws).tobytes() == expected.tobytes()
 
 
