@@ -2,10 +2,10 @@
 
 LED: memoryless soft saturation followed by a first-order low-pass (the
 rise-time limit).  Channel: sharp LOS tap plus an exponential NLOS tail;
-shadowing removes the LOS tap.  Detection: the receiver's integrator takes
-the mean of each cell of its grid, then responsivity plus white Gaussian
-noise whose variance tracks the shot noise from the cell's signal and
-background light, plus a thermal floor, one normal per cell.
+shadowing removes the LOS tap.  Detection: responsivity plus white
+Gaussian noise whose variance tracks the shot noise from the signal and
+background light, plus a thermal floor, one normal per sample; the
+receiver's one integrator, `cell_means`, takes the mean of each cell.
 """
 
 from dataclasses import dataclass
@@ -154,7 +154,7 @@ def led_transfer(x, m, sample_rate, out=None):
     y = memoryless_response(x, m, out)
     a = lowpass_coefficient(m, sample_rate)
     if a > 0.0:
-        from scipy.signal import lfilter  # only a pole needs scipy
+        from scipy.signal import lfilter  # only a link with memory needs scipy
 
         y = lfilter([1.0 - a], [1.0, -a], y, axis=-1)
     return y
@@ -225,22 +225,15 @@ def cell_means(y, grid):
     return means
 
 
-def propagate_and_detect(x, cm, dm, sample_rate, normals, out=None, grid=1):
-    """Optical samples -> electrical cell means with signal-dependent noise.
-
-    The receiver integrates `grid` samples a cell: each cell's mean of
-    `propagate`'s output takes the responsivity, plus one of `normals` (a
-    standard normal per cell, in the output's shape) times the std of
-    white noise at the cell rate, of variance
-        [2 q R (P_cell + P_background) + thermal_density]
-            * (sample_rate / grid / 2),
-    which is the variance of the cell's mean of that noise at
-    `sample_rate`.
-    `out` receives the channel's output samples and may be `x` itself; at
-    grid 1 those are the cell means, so it receives the result.
-    """
-    # the cell means are `out` or a new array, so the current overwrites them
-    current = cell_means(propagate(x, cm, sample_rate, out=out), grid)
+def propagate_and_detect(x, cm, dm, sample_rate, normals, out=None):
+    """Optical samples -> electrical samples with signal-dependent noise:
+    each sample of `propagate`'s output takes the responsivity, plus one of
+    `normals` (a standard normal per sample, in the output's shape) times
+    the std of white noise at `sample_rate` (so also of a mean of such
+    noise at a higher rate over one sample), of variance
+        [2 q R (P_sample + P_background) + thermal_density] * sample_rate / 2.
+    `out` receives the result and may be `x` itself."""
+    current = propagate(x, cm, sample_rate, out=out)
     # zero background and thermal densities select the noiseless mode; the
     # signal-shot term only matters in regimes where background is modeled
     if dm.background_power == 0 and dm.thermal_noise_density == 0:
@@ -250,7 +243,7 @@ def propagate_and_detect(x, cm, dm, sample_rate, normals, out=None, grid=1):
     noise += dm.background_power
     noise *= 2.0 * Q_ELECTRON * dm.responsivity
     noise += dm.thermal_noise_density
-    noise *= sample_rate / grid / 2.0
+    noise *= sample_rate / 2.0
     np.sqrt(noise, out=noise)
     noise *= normals
     current *= dm.responsivity

@@ -37,8 +37,8 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # with two (2^17: 10-14% and 27-38%); DCO-OFDM (72-sample frames) is 4-13%
 # faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame ones
 # (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches).
-# Stacks count samples at the configured rate: a pulse link without memory
-# renders one sample a slot, so its stack holds 1/samples_per_slot of this
+# Stacks count samples at the configured rate: a pulse link runs one value
+# a slot, so its stack holds 1/samples_per_slot of this
 STACK_SAMPLES = 1 << 16
 
 
@@ -345,15 +345,13 @@ def _read_only(a):
 
 class _Workspace(threading.local):
     """The buffers of the stacks that one `_run_points` call runs, each
-    thread its own (a thread's first use makes them): the drive of each
-    LED on the chain's render grid, which the LED curve and the channel
-    then overwrite, and the normals of either noisy mode and an AWGN
-    link's scaled noise, one value per cell of the receiver's integration
-    grid.  Every stack that a
-    thread runs reuses them, so their pages are faulted in once per call
-    and not once per stack, which glibc would hand back to the kernel in
-    between.  Nothing a link returns aliases them, and they are dropped
-    with the call."""
+    thread its own (a thread's first use makes them): each LED's drive (a
+    value a slot on a pulse link), which the LED and channel overwrite, and
+    the normals and an AWGN link's scaled noise, one per value the receiver
+    reads.  Every stack a thread runs reuses them, so their pages fault in
+    once per call, not once per stack (glibc would hand them back to the
+    kernel in between).  Nothing a link returns aliases them, and they are
+    dropped with the call."""
 
     def __init__(self):
         self._buffers = {}
@@ -392,8 +390,8 @@ class _Draws:
 
     def normals(self, n_cells, seeded=False):
         """(rows, n_cells) standard normals, the noise of a noisy link:
-        one per cell of the receiver's integration grid (a slot of a pulse
-        link, a sample of DCO-OFDM).  A row is drawn from its generator,
+        one per value the receiver reads (a slot of a pulse link, a
+        sample of DCO-OFDM).  A row is drawn from its generator,
         or, `seeded`, from a new generator that its generator seeds (as a
         physical link draws)."""
         if self._noise is None:
@@ -448,14 +446,6 @@ class _PulseChain(_Chain):
         self.geometry = g = config.geometry
         self.fs = g.sample_rate
         self.batch_bits = self.batch_symbols() * c.bits_per_symbol
-        # samples a slot of the grid a trial renders its stacks on.  A link
-        # with memory (an LED pole, or a channel that does more than scale)
-        # takes the configured grid; on a link without, every stage holds
-        # each slot's level over the whole slot, so one sample a slot is
-        # exact
-        memory = (np.isfinite(config.device.bandwidth_3db)
-                  or not config.channel.link.flat)
-        self.render_sps = g.samples_per_slot if memory else 1
 
     @functools.cached_property
     def receiver(self):
@@ -493,10 +483,9 @@ class _PulseChain(_Chain):
         return gain * cfg.channel.link.total_gain * cfg.channel.responsivity
 
     def _effective_kernel(self):
-        """Measured slot response of one unit pulse through the noiseless
-        chain (LED curve and pole, channel, responsivity); the receiver
-        restores and cancels with this, honoring its perfect-channel-
-        knowledge contract."""
+        """Slot statistics of one unit pulse through the noiseless link; the
+        receiver restores and cancels with this, honoring its perfect-
+        channel-knowledge contract."""
         cfg = self.config
         g = cfg.geometry
         q = self.constellation.q
@@ -507,9 +496,7 @@ class _PulseChain(_Chain):
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        y = _apply_channel(self.light(self.modulate(words), self.peak), cfg,
-                           self.fs)
-        stats = rx.slot_statistics(y, g)
+        stats = self._slot_statistics(self.modulate(words), _Workspace())
         peak = np.abs(stats).max()
         if peak <= 0:
             raise ParameterError("unit pulse produced no received signal")
@@ -573,18 +560,55 @@ class _PulseChain(_Chain):
             len(bits), self.batch_symbols())
         return idx, self.modulate(self.words(idx))
 
+    @functools.cached_property
+    def _slot_response(self):
+        """Taps `b` and the pole's tail ratio a slot `r` of a link with
+        memory, measured once on the configured grid: as the pole and
+        channel are linear and each slot's level constant, the channel's
+        slot means are `lfilter(b, [1, -r])` of the curve's slot levels.
+        None without memory (no pole, a flat channel)."""
+        cfg = self.config
+        link = cfg.channel.link
+        a = ac.lowpass_coefficient(cfg.device, self.fs)
+        if a == 0.0 and link.flat:
+            return None
+        sps = self.geometry.samples_per_slot
+        span = 1 if link.flat else link.response_length(self.fs)
+        # b ends a slot after the channel's span, where the tail is geometric
+        x = np.zeros((2 - (1 - span) // sps) * sps)
+        x[:sps] = 1.0
+        h = ac.cell_means(ac.propagate(ac.led_transfer(
+            x, ac.LedModel(cfg.device.bandwidth_3db), self.fs), link,
+            self.fs), sps)
+        h[1:] -= a ** sps * h[:-1]
+        return h, a ** sps
+
+    def _slot_statistics(self, modulated, workspace, draws=None):
+        """Slot statistics of `modulate`'s output at the chain's peak: each
+        LED's curve on the slot levels in the workspace, summed, through the
+        slot response, channel and detector, with the draws' noise if any."""
+        cfg = self.config
+        drives = self.drive(modulated, self.peak, workspace, 1)
+        light = ac.memoryless_response(drives[0], cfg.device, out=drives[0])
+        for d in drives[1:]:
+            light += ac.memoryless_response(d, cfg.device, out=d)
+        model = cfg.channel.link
+        if self._slot_response is not None:
+            from scipy.signal import lfilter  # a link with memory needs scipy
+
+            b, r = self._slot_response
+            light = lfilter(b, [1.0, -r], light, axis=-1)
+            model = ac.IDENTITY_CHANNEL  # the slot response holds it
+        means = _apply_channel(light, model, cfg,
+                               1 / self.geometry.slot_duration, draws)
+        return rx.slot_statistics(means, self.geometry, 1)
+
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
         chain's link, back in symbol order when the chain interleaves.
-        The link runs on the chain's render grid, in the draws' workspace,
-        and returns each slot's mean; the statistics are new."""
+        The link runs in the draws' workspace; the statistics are new."""
         cfg = self.config
-        sps = self.render_sps
-        fs = sps / self.geometry.slot_duration  # self.fs at the configured sps
-        light = _led_output(self.drive(draws.modulated, self.peak,
-                                       draws.workspace, sps), cfg.device, fs)
-        means = _apply_channel(light, cfg, fs, draws, grid=sps)
-        stats = rx.slot_statistics(means, self.geometry, 1)
+        stats = self._slot_statistics(draws.modulated, draws.workspace, draws)
         if cfg.interleaver_depth > 1:
             stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
                                            self.constellation.q)
@@ -662,7 +686,8 @@ class _OfdmChain(_Chain):
         cfg = self.config
         bits = draws.bits
         y = _apply_channel(self.light(draws.modulated, self.peak,
-                                      draws.workspace), cfg, self.fs, draws)
+                                      draws.workspace), cfg.channel.link,
+                           cfg, self.fs, draws)
         wrong = ofdm_mod.dco_demodulate(
             y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
         frames = wrong.reshape(len(bits), cfg.run.batch_symbols, -1)
@@ -696,24 +721,20 @@ def _led_output(drives, device, fs):
     return light
 
 
-def _apply_channel(x, cfg, fs, draws=None, grid=1):
-    """The receiver's cell means of `x` after the channel and detector, one
-    value per `grid`-sample cell of its integration grid.  Unless `draws`
-    is None, row i of a stack of signals takes row i of the draws'
-    normals, one per cell, scaled to the std of that cell's mean under
-    per-sample noise.  `x` may be sampled at an `fs` below the configured
-    rate: the noise density stays that of the configured rate, so each
-    cell mean keeps its variance.  A link writes its channel's output
-    into `x`'s buffer, so `x` is spent (at grid 1 a noisy link's result is
-    that buffer); an AWGN link scales its noise in the draws' workspace."""
+def _apply_channel(x, model, cfg, fs, draws=None):
+    """The receiver's values of `x`, sampled at `fs`, after the channel
+    `model`, which overwrites `x`, and the detector.  Unless `draws` is None,
+    row i of a stack takes row i of the draws' normals, scaled to the std
+    of the mean of the configured rate's noise over a value (a pulse
+    link's is a slot), an AWGN link's in the draws' workspace."""
     spec = cfg.channel
     if spec.mode == "identity":
-        return ac.cell_means(x, grid)
+        return x
     if spec.mode == "physical" and draws is not None:
         return ac.propagate_and_detect(
-            x, spec.model, spec.detector, fs,
-            draws.normals(x.shape[-1] // grid, seeded=True), out=x, grid=grid)
-    y = ac.cell_means(ac.propagate(x, spec.model, fs, out=x), grid)
+            x, model, spec.detector, fs,
+            draws.normals(x.shape[-1], seeded=True), out=x)
+    y = ac.propagate(x, model, fs, out=x)
     if draws is None:
         return spec.responsivity * y
     if cfg.scheme.kind == "dco_ofdm":
@@ -727,12 +748,10 @@ def _apply_channel(x, cfg, fs, draws=None, grid=1):
         snr = 10 ** (spec.slot_snr_db / 10)
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
-        # sigma is per sample at the configured rate, so white noise of
-        # that density has std sigma * sqrt(fs / rate) per sample at fs
-        # (a factor of exactly 1 at the configured rate), and the mean of
-        # a cell's `grid` samples 1 / sqrt(grid) of that
+        # sigma is per sample at the configured rate, so a mean of the
+        # rate / fs samples of a value at fs has std sigma * sqrt(fs / rate)
         y += np.multiply(draws.normals(y.shape[-1]),
-                         sigma * np.sqrt(fs / rate / grid),
+                         sigma * np.sqrt(fs / rate),
                          out=draws.workspace.take("noise", y.shape))
     return y
 

@@ -131,8 +131,9 @@ class TestDetection:
     @pytest.mark.parametrize("grid", [1, 4, 20])
     @pytest.mark.parametrize("level", ["constant", "ramp"])
     def test_cell_means_keep_the_per_sample_variance(self, grid, level):
-        # the mean of each grid-sample cell has variance sum(sigma_i^2) /
-        # grid^2 under the per-sample model, whatever the grid: noise too
+        # a cell mean detected at the cell rate FS / grid has the variance
+        # sum(sigma_i^2) / grid^2 that the mean of its grid samples has
+        # under the per-sample model at FS, whatever the grid: noise too
         # small or large by sqrt(grid) would be off by a factor of grid
         from scipy.stats import chi2
 
@@ -143,8 +144,9 @@ class TestDetection:
         x = np.tile(cell, (2, n_cells))
         dm = ac.DetectorModel(responsivity=0.5, background_power=1e-6,
                               thermal_noise_density=1e-24)
-        means = ac.propagate_and_detect(x, ac.IDENTITY_CHANNEL, dm, FS,
-                                        normals(5, (2, n_cells)), grid=grid)
+        means = ac.propagate_and_detect(ac.cell_means(x, grid),
+                                        ac.IDENTITY_CHANNEL, dm, FS / grid,
+                                        normals(5, (2, n_cells)))
         per_sample = (2 * ac.Q_ELECTRON * dm.responsivity
                       * (cell + dm.background_power)
                       + dm.thermal_noise_density) * FS / 2
@@ -154,9 +156,7 @@ class TestDetection:
 
     def test_grid_must_tile_the_signal(self):
         with pytest.raises(InputError, match="4-sample cells"):
-            ac.propagate_and_detect(np.zeros(10), ac.IDENTITY_CHANNEL,
-                                    ac.DetectorModel(), FS, normals(1, 2),
-                                    grid=4)
+            ac.cell_means(np.zeros(10), 4)
 
     def test_seed_determinism(self):
         x = np.ones(1000) * 1e-6
@@ -168,9 +168,9 @@ class TestDetection:
         assert np.array_equal(a, b)
 
     def test_one_sample_cells_take_the_closed_form(self):
-        # at grid 1 each sample is a cell: R (h conv x) plus its normal
-        # times the per-sample std of shot noise from signal and background
-        # light and the thermal floor, to the bit
+        # each sample is R (h conv x) plus its normal times the per-sample
+        # std of shot noise from signal and background light and the
+        # thermal floor, to the bit
         rng = np.random.default_rng(11)
         x = rng.random((2, 400)) * 1e-6
         z = rng.standard_normal(x.shape)

@@ -2,8 +2,9 @@
 
 Every module of the package imports, at module level, only the standard
 library, numpy and the package itself; scipy is imported inside the
-functions that need it (the LED pole and the analytic oracles), so a
-short CLI run does not pay for loading it.
+functions that need it (a link with memory, which an LED pole or a
+channel that does more than scale gives, and the analytic oracles), so a
+short CLI run on a link without memory does not pay for loading it.
 """
 
 import ast
@@ -76,7 +77,10 @@ def loaded_scipy_modules(body):
     return json.loads(res.stdout.splitlines()[-1])
 
 
-def trial(led):
+def trial(led, model=None):
+    channel = {"mode": "awgn", "slot_snr_db": 8.0}
+    if model is not None:
+        channel["model"] = model
     return f"""
 import vlclink.cli
 from vlclink import simkit as sk
@@ -84,7 +88,7 @@ doc = {{
     "scheme": {{"kind": "eppm", "q": 7, "k": 3}},
     "geometry": {{"slot_duration": 1e-6, "samples_per_slot": 2}},
     "device": {led!r},
-    "channel": {{"mode": "awgn", "slot_snr_db": 8.0}},
+    "channel": {channel!r},
     "run": {{"max_bits": 2000, "min_errors": 1, "batch_symbols": 64}},
 }}
 assert sk.run_trials(sk.config_from_document(doc)).bits_sent > 0
@@ -95,5 +99,15 @@ def test_cli_import_and_pole_free_trial_load_no_scipy():
     assert loaded_scipy_modules(trial("ideal")) == []
 
 
+def test_saturating_led_on_a_flat_channel_loads_no_scipy():
+    assert loaded_scipy_modules(trial({"saturation_power": 0.8},
+                                      {"los_gain": 0.5})) == []
+
+
 def test_led_pole_loads_scipy_signal():
     assert "scipy.signal" in loaded_scipy_modules(trial("trichromatic"))
+
+
+def test_nlos_channel_loads_scipy_signal():
+    assert "scipy.signal" in loaded_scipy_modules(trial(
+        "ideal", {"nlos_gain": 0.3, "nlos_decay": 2e-6}))

@@ -727,8 +727,9 @@ def count_normals(monkeypatch):
 class TestNoiseGrid:
     @pytest.mark.parametrize("grid", [1, 4, 20])
     def test_awgn_cell_means_keep_the_per_sample_variance(self, grid):
-        # the mean of each grid-sample cell of noise of std sigma has
-        # variance sigma^2 / grid, whatever the grid
+        # a value at 1/grid of the configured rate stands for the mean of
+        # grid samples, so noise of std sigma a sample has variance
+        # sigma^2 / grid there, whatever the grid
         from scipy.stats import chi2
 
         sigma = 0.7
@@ -737,9 +738,9 @@ class TestNoiseGrid:
                                                 sample_noise_sigma=sigma))
         n_cells = 20_000
         draws = sk._build_chain(config).draw([0, 1])
-        means = sk._apply_channel(np.ones((2, n_cells * grid)), config,
-                                  config.geometry.sample_rate, draws,
-                                  grid=grid)
+        means = sk._apply_channel(np.ones((2, n_cells)), config.channel.model,
+                                  config, config.geometry.sample_rate / grid,
+                                  draws)
         stat = ((means - 1.0) ** 2).sum() / (sigma ** 2 / grid)
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
@@ -752,8 +753,9 @@ class TestNoiseGrid:
     ], ids=["awgn-snr", "awgn-sigma", "physical"])
     def test_slot_means_keep_their_variance_below_the_configured_rate(
             self, channel, sps):
-        # rendered at sps samples a slot (the configured grid has 4), a
-        # slot's mean has the variance it has at the configured rate
+        # values at sps a slot (the configured grid has 4), averaged over
+        # each slot, have the variance a slot's mean has at the configured
+        # rate
         from scipy.stats import chi2
 
         level = 1e-6
@@ -772,8 +774,9 @@ class TestNoiseGrid:
                         * g.sample_rate / 2 / g.samples_per_slot)
         n_slots = 20_000
         draws = sk._build_chain(config).draw([0, 1])
-        means = sk._apply_channel(np.full((2, n_slots * sps), level), config,
-                                  sps / g.slot_duration, draws, grid=sps)
+        means = ac.cell_means(sk._apply_channel(
+            np.full((2, n_slots * sps), level), channel.model, config,
+            sps / g.slot_duration, draws), sps)
         stat = ((means - level * channel.responsivity) ** 2).sum() / variance
         assert chi2.ppf(1e-6, means.size) < stat < chi2.isf(1e-6, means.size)
 
@@ -824,16 +827,19 @@ class TestNoiseGrid:
         assert sum(drawn) == sum(rows) * chain._slots(chain.batch_symbols())
 
 
-def configured_means(chain, draws):
-    """The received slot means of a stack's draws, each stage run
-    explicitly at the configured geometry: synthesize, LEDs, channel,
-    integrator and noise."""
+def configured_means(chain, modulated, draws=None):
+    """The received slot means of `modulate`'s output, each stage run
+    explicitly on the configured grid: synthesize, LEDs, channel and
+    integrator, then the detector at the slot rate, with the draws' noise
+    unless `draws` is None."""
     cfg = chain.config
-    drives = [wf.synthesize(p, chain.geometry, chain.peak)
-              for p in draws.modulated]
-    return sk._apply_channel(sk._led_output(drives, cfg.device, chain.fs),
-                             cfg, chain.fs, draws,
-                             grid=chain.geometry.samples_per_slot)
+    g = chain.geometry
+    drives = [wf.synthesize(p, g, chain.peak) for p in modulated]
+    light = sk._led_output(drives, cfg.device, chain.fs)
+    means = ac.cell_means(ac.propagate(light, cfg.channel.link, chain.fs),
+                          g.samples_per_slot)
+    return sk._apply_channel(means, ac.IDENTITY_CHANNEL, cfg,
+                             1 / g.slot_duration, draws)
 
 
 def in_symbol_order(chain, stats):
@@ -863,7 +869,7 @@ MEMORYLESS = {
     "f2-awgn": SHARED_SWEEPS["snr-f2-eppm"][0],
 }
 
-# links with memory, which render at the configured rate
+# links with memory: an LED pole, or a channel that does more than scale
 WITH_MEMORY = {
     "f10-trichromatic-pole": RECEIVED["f10-physical-meppm21-trichromatic"],
     "f1-physical-nlos": SHARED_SWEEPS["delay-spread-f1-physical"][0],
@@ -875,7 +881,21 @@ WITH_MEMORY = {
         SHARED_SWEEPS["snr-f2-eppm"][0],
         channel=sk.ChannelSpec(mode="awgn", model=ac.ChannelModel(
             nlos_gain=0.5, shadowed=True))),
+    # the pole's output falls to 0.57 of itself a slot
+    "f1-phosphor-30ns": awgn_config(
+        geometry=geo(sps=20, slot=30e-9), device=ac.LED_PRESETS["phosphor"],
+        run=sk.RunSpec(batch_symbols=128)),
+    "f3-physical-trichromatic-nlos-delayed-shadowed": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=12, f=3,
+                                                        slot=10e-9),
+        device=ac.LED_PRESETS["trichromatic"],
+        channel=replace(PHYSICAL, model=ac.ChannelModel(
+            los_delay=2.5e-9, nlos_gain=0.4, nlos_decay=15e-9,
+            shadowed=True)),
+        peak_power_per_unit=2e-8, run=sk.RunSpec(batch_symbols=24), seed=8),
 }
+
+SLOT_RATE = {**MEMORYLESS, **WITH_MEMORY}
 
 # the slot-rate statistics lie within this many ULPs of the configured-
 # rate ones, taken of the largest slot mean of a row at F=1 and of the
@@ -883,35 +903,65 @@ WITH_MEMORY = {
 # scale the same terms in different orders, and an F>1 statistic is the
 # difference of two running sums
 ULPS = 4
+EPS = np.finfo(np.float64).eps
 
 
 class TestSlotRateRender:
-    @pytest.mark.parametrize("name", list(MEMORYLESS))
-    def test_memoryless_links_match_the_configured_rate(self, name):
-        chain = sk._build_chain(MEMORYLESS[name])
-        assert chain.render_sps == 1
+    @pytest.mark.parametrize("name", list(SLOT_RATE))
+    def test_slot_means_match_the_configured_rate(self, name):
+        chain = sk._build_chain(SLOT_RATE[name])
         draws = chain.draw([3, 0, 5])
         stats = chain.statistics(draws)
         g = chain.geometry
-        y = configured_means(chain, draws)
-        expected = in_symbol_order(chain, rx.slot_statistics(y, g, 1))
-        means = rx.slot_statistics(y, replace(g, overlap_factor=1), 1)
+        means = configured_means(chain, draws.modulated, draws)
+        expected = in_symbol_order(chain, rx.slot_statistics(means, g, 1))
         if g.overlap_factor > 1:
             means = np.cumsum(means, axis=1)
         scale = np.abs(means).max(axis=1, keepdims=True)
         assert stats.shape == expected.shape
         assert (scale > 0).all()
-        assert (np.abs(stats - expected)
-                <= ULPS * np.finfo(np.float64).eps * scale).all()
+        assert (np.abs(stats - expected) <= ULPS * EPS * scale).all()
 
-    @pytest.mark.parametrize("name", list(WITH_MEMORY))
-    def test_links_with_memory_are_unchanged(self, name):
-        chain = sk._build_chain(WITH_MEMORY[name])
-        assert chain.render_sps == chain.geometry.samples_per_slot
-        draws = chain.draw([3, 0, 5])
-        expected = in_symbol_order(chain, rx.slot_statistics(
-            configured_means(chain, draws), chain.geometry, 1))
-        assert chain.statistics(draws).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("name", [
+        name for name, config in SLOT_RATE.items()
+        if config.geometry.overlap_factor > 1])
+    def test_kernels_match_the_configured_rate(self, name, monkeypatch):
+        chain = sk._build_chain(SLOT_RATE[name])
+        pulses = []
+        slot_statistics = chain._slot_statistics
+
+        def spy(modulated, *args):
+            pulses.append(modulated)
+            return slot_statistics(modulated, *args)
+
+        monkeypatch.setattr(chain, "_slot_statistics", spy)
+        kernel = chain._effective_kernel()
+        (pulse,) = pulses
+        stats = rx.slot_statistics(configured_means(chain, pulse),
+                                   chain.geometry, 1)
+        peak = np.abs(stats).max()
+        expected = stats[:np.flatnonzero(np.abs(stats) > 1e-9 * peak)[-1] + 1]
+        assert kernel.shape == expected.shape
+        assert (np.abs(kernel - expected) <= ULPS * EPS * peak).all()
+
+    @pytest.mark.parametrize("name", list(SLOT_RATE))
+    def test_a_link_with_memory_is_measured_once(self, name, monkeypatch):
+        # a run of two waves measures the slot response of a link with
+        # memory once, and that of a link without memory never
+        config = SLOT_RATE[name]
+        measured = []
+        led_transfer = ac.led_transfer
+
+        def counted(*args, **kwargs):
+            measured.append(args[1])
+            return led_transfer(*args, **kwargs)
+
+        monkeypatch.setattr(ac, "led_transfer", counted)
+        batch_bits = sk._build_chain(config).batch_bits
+        sk.run_trials(replace(config, run=replace(
+            config.run, max_bits=sk.WAVE_BATCHES * batch_bits + 1,
+            min_errors=10 ** 9)))
+        assert len(measured) == (1 if name in WITH_MEMORY else 0)
 
 
 def unbounded(config, max_bits):
@@ -968,14 +1018,12 @@ class TestWorkspace:
         monkeypatch.setattr(sk._Workspace, "take", poisoned)
         assert sk._run_points(configs) == first
 
-    @pytest.mark.parametrize("device, sps", [
-        (ac.LED_PRESETS["ideal"], 1),
-        (ac.LedModel(saturation_power=0.8), 1),
-        (ac.LED_PRESETS["phosphor"], 4),
+    @pytest.mark.parametrize("device", [
+        ac.LED_PRESETS["ideal"], ac.LedModel(saturation_power=0.8),
+        ac.LED_PRESETS["phosphor"],
     ], ids=["ideal", "saturating", "pole"])
-    def test_the_drive_holds_the_render_grid(self, device, sps):
-        # a link without memory renders one sample a slot, one with a pole
-        # the configured samples_per_slot
+    def test_the_drive_holds_the_render_grid(self, device):
+        # a pulse link renders one value a slot, whatever its LED
         config = awgn_config(geometry=geo(sps=4), device=device,
                              run=sk.RunSpec(batch_symbols=256))
         chain = sk._build_chain(config)
@@ -983,7 +1031,7 @@ class TestWorkspace:
         chain.statistics(draws)
         slots = chain._slots(chain.batch_symbols())
         drive = draws.workspace._buffers[("drive", 0)]
-        assert drive.size == 3 * slots * sps
+        assert drive.size == 3 * slots
 
     def test_threads_keep_their_own_buffers(self):
         # more workers than cores, switching threads often: buffers that
@@ -998,6 +1046,25 @@ class TestWorkspace:
                 config.run, workers=4)))
         finally:
             sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_threads_share_one_slot_response(self):
+        # every thread of the first wave asks a new chain for its link's
+        # slot response, which the chain measures on first use
+        config = awgn_config(
+            snr_db=12.0, geometry=geo(sps=4, slot=3e-8),
+            device=ac.LED_PRESETS["phosphor"], run=sk.RunSpec(
+                max_bits=16 * 2048 * 2, min_errors=10 ** 9,
+                batch_symbols=2048))
+        serial = sk.run_trials(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = sk.run_trials(replace(config, run=replace(
+                config.run, workers=4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial.bit_errors > 0
         assert pooled == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
