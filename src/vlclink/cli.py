@@ -222,7 +222,7 @@ def cmd_flicker(args):
     metrics = []
     for k in flicker.window_symbols:
         try:
-            metrics.append(sk.flicker_metric(light, g.sample_rate,
+            metrics.append(sk.flicker_metric(light, 1 / g.slot_duration,
                                              float(k) * symbol_t))
         except ParameterError as exc:
             raise ConfigError("flicker.window_symbols",

@@ -282,10 +282,11 @@ def _repair_lattice_vector(c_int, c_float, n, use_complements):
     # entry at a time.  Taking the first cheapest such step sum|c| - N
     # times takes each entry's steps in runs that start at a new maximum of
     # its step costs, so it takes the sum|c| - N first steps in the order
-    # (running maximum of the entry's costs, entry, step)
+    # (running maximum of the entry's costs, entry, step).  A valid vector
+    # has every |c_j| <= N, so an entry's steps past N are always taken
     rows = np.flatnonzero(np.abs(c_int).sum(axis=1) > n)
     if rows.size:
-        old, f = c_int[rows], c_float[rows, :, None]
+        old, f = np.clip(c_int[rows], -n, n), c_float[rows, :, None]
         sign = np.sign(old)[:, :, None]
         t = np.arange(np.abs(old).max())
         x = old[:, :, None] - sign * t          # entry before its step t

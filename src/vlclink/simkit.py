@@ -38,7 +38,11 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame ones
 # (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches).
 # Stacks count samples at the configured rate: a pulse link runs one value
-# a slot, so its stack holds 1/samples_per_slot of this
+# a slot, so its stack holds 1/samples_per_slot of this.  Counting its slot
+# values instead stacks more batches, and that is no faster: the
+# `eppm-awgn-2w` document in 4 stacks of 2 batches against 8 stacks of 1
+# ran at medians of 37.8 and 33.6 ms against 35.3 and 31.4 ms (two sets of
+# 30 alternating in-process runs, 2 vCPUs, equal reports)
 STACK_SAMPLES = 1 << 16
 
 
@@ -405,8 +409,7 @@ class _Draws:
 
 
 class _Chain:
-    """What both chains share: the draws of a stack of batches, and the
-    light of a drive."""
+    """What both chains share: the draws of a stack of batches."""
 
     def draw(self, indices, workspace=None):
         """The draws of a stack of batches, one row per batch index, for
@@ -419,14 +422,6 @@ class _Chain:
         bits = np.stack([rng.integers(0, 2, size=self.batch_bits)
                          for rng in rngs])
         return _Draws(rngs, bits, *self.encode(bits), workspace)
-
-    def light(self, modulated, peak, workspace=None):
-        """Optical samples of `modulate`'s output at `peak`: each part's
-        drive through its own LED, in the workspace (by default a new
-        one, so in new arrays)."""
-        workspace = _Workspace() if workspace is None else workspace
-        return _led_output(self.drive(modulated, peak, workspace),
-                           self.config.device, self.fs)
 
 
 class _PulseChain(_Chain):
@@ -529,15 +524,6 @@ class _PulseChain(_Chain):
         n_leds = self.config.array_split_leds
         return wf.array_split(words, n_leds) if n_leds else [words]
 
-    def drive(self, modulated, peak, workspace, sps=None):
-        """Drive samples of each part of `modulate`'s output, at `peak`
-        per unit of slot amplitude and `sps` samples a slot (by default
-        the geometry's), each part in its own buffer of the workspace."""
-        sps = self.geometry.samples_per_slot if sps is None else sps
-        return [wf.synthesize(p, self.geometry, peak, workspace.take(
-            ("drive", i), p.shape[:-2] + (self._slots(p.shape[-2]) * sps,)),
-            sps) for i, p in enumerate(modulated)]
-
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 256 random symbols."""
         c = self.constellation
@@ -583,24 +569,37 @@ class _PulseChain(_Chain):
         h[1:] -= a ** sps * h[:-1]
         return h, a ** sps
 
-    def _slot_statistics(self, modulated, workspace, draws=None):
-        """Slot statistics of `modulate`'s output at the chain's peak: each
-        LED's curve on the slot levels in the workspace, summed, through the
-        slot response, channel and detector, with the draws' noise if any."""
-        cfg = self.config
-        drives = self.drive(modulated, self.peak, workspace, 1)
-        light = ac.memoryless_response(drives[0], cfg.device, out=drives[0])
+    def light(self, modulated, peak, workspace):
+        """The transmitter: `modulate`'s output at `peak` per unit of slot
+        amplitude, one value a slot.  Each part's slot levels, in its own
+        buffer of the workspace, through its LED's curve, summed in the
+        first, then through the slot response when the link has memory.
+        On an identity channel, each slot's mean of the light the LEDs
+        send."""
+        drives = [wf.synthesize(p, self.geometry, peak, workspace.take(
+            ("drive", i), p.shape[:-2] + (self._slots(p.shape[-2]),)), 1)
+            for i, p in enumerate(modulated)]
+        device = self.config.device
+        light = ac.memoryless_response(drives[0], device, out=drives[0])
         for d in drives[1:]:
-            light += ac.memoryless_response(d, cfg.device, out=d)
-        model = cfg.channel.link
-        if self._slot_response is not None:
-            from scipy.signal import lfilter  # a link with memory needs scipy
+            light += ac.memoryless_response(d, device, out=d)
+        if self._slot_response is None:
+            return light
+        from scipy.signal import lfilter  # a link with memory needs scipy
 
-            b, r = self._slot_response
-            light = lfilter(b, [1.0, -r], light, axis=-1)
-            model = ac.IDENTITY_CHANNEL  # the slot response holds it
-        means = _apply_channel(light, model, cfg,
-                               1 / self.geometry.slot_duration, draws)
+        b, r = self._slot_response
+        return lfilter(b, [1.0, -r], light, axis=-1)
+
+    def _slot_statistics(self, modulated, workspace, draws=None):
+        """Slot statistics of `modulate`'s output at the chain's peak: its
+        `light` through the channel (which the slot response of a link with
+        memory holds) and the detector, with the draws' noise if any."""
+        cfg = self.config
+        model = (cfg.channel.link if self._slot_response is None
+                 else ac.IDENTITY_CHANNEL)
+        means = _apply_channel(self.light(modulated, self.peak, workspace),
+                               model, cfg, 1 / self.geometry.slot_duration,
+                               draws)
         return rx.slot_statistics(means, self.geometry, 1)
 
     def statistics(self, draws):
@@ -672,11 +671,12 @@ class _OfdmChain(_Chain):
         """No symbol indices, and the unit-peak drive of a stack's bits."""
         return None, self.modulate(bits)
 
-    def drive(self, modulated, peak, workspace):
-        """Drive samples of `modulate`'s output at `peak`, in the
-        workspace."""
-        return [np.multiply(x, peak, out=workspace.take(("drive", i), x.shape))
-                for i, x in enumerate(modulated)]
+    def light(self, modulated, peak, workspace):
+        """The transmitter: `modulate`'s output at `peak`, in the
+        workspace, through the LED at the chain's sample rate."""
+        (x,) = modulated
+        drive = np.multiply(x, peak, out=workspace.take(("drive", 0), x.shape))
+        return ac.led_transfer(drive, self.config.device, self.fs, out=drive)
 
     def pilot(self, rng):
         """Transmit input of a calibration pilot: 64 random frames."""
@@ -709,16 +709,6 @@ def _stacks(indices, batch_samples):
     a batch at or above the cap is its own stack, and empty batches share."""
     per = max(1, STACK_SAMPLES // max(1, batch_samples))
     return [indices[i:i + per] for i in range(0, len(indices), per)]
-
-
-def _led_output(drives, device, fs):
-    """Optical samples after the LEDs: each drive passes through its own
-    LED, its curve in the drive's buffer, and the outputs add up in the
-    first LED's; the drives are spent."""
-    light = ac.led_transfer(drives[0], device, fs, out=drives[0])
-    for d in drives[1:]:
-        light += ac.led_transfer(d, device, fs, out=d)
-    return light
 
 
 def _apply_channel(x, model, cfg, fs, draws=None):
@@ -951,8 +941,9 @@ def calibrate_drive(config, target_mean_power, iterations=3):
 
     Fixed-point iteration on one noiseless pilot batch, drawn once from
     the config seed: the unit-peak drive does not depend on the peak, so
-    each iteration only rescales it through the LED.  `nonlin_compare`
-    calibrates all its points at once, one pilot drive per scheme.
+    each iteration only sends it again through the chain's `light` at the
+    new peak.  `nonlin_compare` calibrates all its points at once, one
+    pilot drive per scheme.
     """
     return _calibrated([config], target_mean_power, iterations)[0]
 
@@ -960,23 +951,21 @@ def calibrate_drive(config, target_mean_power, iterations=3):
 def _calibrated(configs, target_mean_power, iterations=3):
     """`calibrate_drive` of each config: configs that draw alike share one
     pilot and its unit-peak drive, and each runs only its own fixed
-    point through its own LED."""
+    point through its own chain's `light`, on an identity channel."""
     chains = [_build_chain(replace(c, channel=ChannelSpec(mode="identity")))
               for c in configs]
     calibrated = list(configs)
+    workspace = _Workspace()
     for group in _draw_groups(chains):
         lead = chains[group[0]]
-        pilot = lead.pilot(np.random.default_rng([lead.config.seed, 0]))
-        drives = [_read_only(d) for d in lead.drive(
-            lead.modulate(pilot), 1.0, _Workspace())]
+        modulated = lead.modulate(
+            lead.pilot(np.random.default_rng([lead.config.seed, 0])))
         for i in group:
             chain = chains[i]
             peak = configs[i].peak_power_per_unit
             for _ in range(iterations):
-                scale = peak * chain.drive_scale
-                light = _led_output([scale * d for d in drives],
-                                    chain.config.device, chain.fs)
-                measured = float(light.mean())
+                measured = float(chain.light(
+                    modulated, peak * chain.drive_scale, workspace).mean())
                 if measured <= 0:
                     raise ParameterError("pilot produced no optical power")
                 peak = peak * (target_mean_power / measured)
@@ -1016,15 +1005,16 @@ def nonlin_compare(meppm_config, ofdm_config, saturation_points,
 # ---------------------------------------------------------------------------
 
 def random_light(config, n_symbols):
-    """Optical samples of `n_symbols` random symbols drawn from the config
-    seed, sent as a pulse trial sends them: the constellation that
-    `dimming_target` leaves, interleaved, at the trial's drive level,
-    through its LEDs.  `n_symbols` must be a whole number of interleaver
-    blocks."""
-    chain = _PulseChain(config)
+    """The light of `n_symbols` random symbols drawn from the config seed,
+    one value a slot (each slot's mean), sent as a pulse trial sends them:
+    the constellation that `dimming_target` leaves, interleaved, at the
+    trial's drive level, through its LEDs (an identity channel's `light`).
+    `n_symbols` must be a whole number of interleaver blocks."""
+    chain = _PulseChain(replace(config, channel=ChannelSpec(mode="identity")))
     idx = np.random.default_rng(config.seed).integers(
         0, chain.constellation.used_size, size=n_symbols)
-    return chain.light(chain.modulate(chain.words(idx)), chain.peak)
+    return chain.light(chain.modulate(chain.words(idx)), chain.peak,
+                       _Workspace())
 
 
 def flicker_metric(samples, sample_rate, window_seconds):

@@ -181,29 +181,46 @@ def test_cells_integrated_in_one_place():
 
 # the two implementations of a link's memory: the LED pole on a sample
 # grid, and the slot-rate filter of a pulse link's measured slot response
-LINK_FILTERS = {"led_transfer", "_PulseChain._slot_statistics"}
+LINK_FILTERS = {"led_transfer", "_PulseChain.light"}
+
+# the only callers of the sample-grid LED: the DCO-OFDM transmitter, and
+# the one measurement of a pulse link's slot response
+LED_TRANSFER_CALLERS = {"_OfdmChain.light", "_PulseChain._slot_response"}
 
 
-def lfilter_calls(node, scope=""):
-    """(scope, line) of each call of `lfilter` or `signal.lfilter`; the
-    scope is the dotted name of the enclosing classes and functions."""
+def calls(name, node, scope=""):
+    """(scope, line) of each call of `name` or `<module>.name`; the scope
+    is the dotted name of the enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        if isinstance(child, ast.Call) and "lfilter" in (
+        if isinstance(child, ast.Call) and name in (
                 getattr(child.func, "id", None),
                 getattr(child.func, "attr", None)):
             yield scope, child.lineno
-        yield from lfilter_calls(child, inner)
+        yield from calls(name, child, inner)
 
 
 def test_link_memory_filtered_in_two_places():
     found = [(os.path.basename(path), line, scope)
              for path in python_files(PACKAGE)
-             for scope, line in lfilter_calls(parse(path))]
+             for scope, line in calls("lfilter", parse(path))]
     stray = [f"{name}:{line} {scope or '<module>'}"
              for name, line, scope in found if scope not in LINK_FILTERS]
     assert not stray, ("filters a link's memory outside led_transfer and "
                        "the slot-rate link filter: " + ", ".join(stray))
     assert {scope for _, _, scope in found} == LINK_FILTERS
+
+
+def test_pulse_links_reach_the_sample_grid_led_only_to_measure():
+    found = [(os.path.basename(path), line, scope)
+             for path in python_files(PACKAGE)
+             for scope, line in calls("led_transfer", parse(path))]
+    stray = [f"{name}:{line} {scope or '<module>'}"
+             for name, line, scope in found
+             if scope not in LED_TRANSFER_CALLERS]
+    assert not stray, ("runs the LED on the sample grid outside the "
+                       "DCO-OFDM transmitter and the slot-response "
+                       "measurement: " + ", ".join(stray))
+    assert {scope for _, _, scope in found} == LED_TRANSFER_CALLERS

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vlclink
+from vlclink import analog_chain as ac
 from vlclink import cli
 from vlclink import simkit as sk
 from vlclink import waveform as wf
@@ -521,7 +522,7 @@ class TestFlickerCommand:
 
     @pytest.mark.parametrize("windows, n_symbols", [
         ([1, -1], 200),
-        ([0.01], 200),      # 0.28 of a sample at Q=7, 4 samples per slot
+        ([0.01], 200),      # 0.07 of a slot at Q=7
         ([1, 300], 200),    # longer than the stream
         ([], 200),
     ], ids=["negative", "below-one-sample", "longer-than-stream", "empty"])
@@ -565,6 +566,42 @@ class TestFlickerCommand:
                                      k * 7 * g.slot_duration)
                    for k in (1, 2, 8)]
         assert metrics[0] > 0 and metrics[2] == 0
+        assert (out_dir / "flicker.csv").read_text() == "".join(
+            ["window_symbols,metric\n"] + [
+                f"{k},{sk.format_float(m)}\n"
+                for k, m in zip((1, 2, 8), metrics)])
+
+    def test_pole_light_matches_the_sample_grid(self, tmp_path):
+        # read at the slot rate, the light of an LED with a pole gives the
+        # window means of its samples on the configured grid, within 4
+        # ULPs of a window's mean (the metric's unit is the global mean)
+        doc = {
+            "scheme": {"kind": "eppm", "q": 7, "k": 3},
+            "geometry": {"slot_duration": 30e-9, "samples_per_slot": 20},
+            "device": "trichromatic",
+            "interleaver_depth": 8,
+            "flicker": {"n_symbols": 2000, "window_symbols": [1, 2, 8]},
+            "seed": 2,
+        }
+        out_dir = tmp_path / "out"
+        assert cli.main(["flicker", "--config", write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)]) == 0
+        config = sk.config_from_document(doc)
+        g = config.geometry
+        c = config.scheme.build_constellation()
+        idx = np.random.default_rng(2).integers(0, c.used_size, size=2000)
+        light = ac.led_transfer(wf.synthesize(wf.interleave(c.symbols[idx], 8),
+                                              g), config.device, g.sample_rate)
+        slot_light = sk.random_light(config, 2000)
+        assert slot_light.shape == (2000 * 7,)
+        metrics = []
+        for k in (1, 2, 8):
+            window = k * 7 * g.slot_duration
+            expected = sk.flicker_metric(light, g.sample_rate, window)
+            metrics.append(sk.flicker_metric(slot_light, 1 / g.slot_duration,
+                                             window))
+            assert expected > 0 and abs(metrics[-1] - expected) <= (
+                4 * np.finfo(np.float64).eps * (1 + expected))
         assert (out_dir / "flicker.csv").read_text() == "".join(
             ["window_symbols,metric\n"] + [
                 f"{k},{sk.format_float(m)}\n"

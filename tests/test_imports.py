@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import vlclink
 
 PACKAGE = os.path.dirname(os.path.abspath(vlclink.__file__))
@@ -111,3 +113,45 @@ def test_led_pole_loads_scipy_signal():
 def test_nlos_channel_loads_scipy_signal():
     assert "scipy.signal" in loaded_scipy_modules(trial(
         "ideal", {"nlos_gain": 0.3, "nlos_decay": 2e-6}))
+
+
+def calibration(led):
+    return f"""
+from vlclink import simkit as sk
+doc = {{
+    "scheme": {{"kind": "eppm", "q": 7, "k": 3}},
+    "geometry": {{"slot_duration": 1e-7, "samples_per_slot": 4}},
+    "device": {led!r},
+    "array_split_leds": 3,
+}}
+config = sk.config_from_document(doc)
+assert sk.calibrate_drive(config, 1.0) != config
+"""
+
+
+def flicker(led):
+    return f"""
+import json, os, tempfile
+from vlclink import cli
+doc = {{
+    "scheme": {{"kind": "eppm", "q": 7, "k": 3}},
+    "geometry": {{"slot_duration": 1e-7, "samples_per_slot": 4}},
+    "device": {led!r},
+    "flicker": {{"n_symbols": 200}},
+}}
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "config.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cli.main(["flicker", "--config", path, "--output-dir", out]) == 0
+"""
+
+
+@pytest.mark.parametrize("body", [calibration, flicker])
+def test_memoryless_light_loads_no_scipy(body):
+    assert loaded_scipy_modules(body({"saturation_power": 0.8})) == []
+
+
+@pytest.mark.parametrize("body", [calibration, flicker])
+def test_pole_light_loads_scipy_signal(body):
+    assert "scipy.signal" in loaded_scipy_modules(body("trichromatic"))

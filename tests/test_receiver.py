@@ -547,6 +547,13 @@ class TestRestoration:
             con._repair_lattice_vector(c_int, c_float, n, True)
             norm = int(np.abs(c_int).sum())
             assert norm <= n and (n - norm) % 2 == 0
+        # a million off the lattice: each entry's steps past N are taken
+        # without being built one by one
+        c_float = np.array([1e6 + 0.3, -2e6, 0.5, 7.0, -1e6 - 0.5, 0.0, 3.2])
+        c_int = np.rint(c_float).astype(np.int64)
+        con._repair_lattice_vector(c_int, c_float, 21, True)
+        norm = int(np.abs(c_int).sum())
+        assert norm <= 21 and (21 - norm) % 2 == 0
 
     @pytest.mark.parametrize("use_complements", [True, False])
     def test_repair_rows_match_stepwise_reference(self, use_complements):
@@ -559,6 +566,10 @@ class TestRestoration:
             rng.normal(scale=30.0, size=(50, 7)),  # far outside the ball
             rng.integers(-8, 9, size=(300, 7)) + 0.5,
         ])
+        if use_complements:
+            # far off the lattice, where most steps lie past N
+            c_float = np.concatenate([c_float,
+                                      rng.uniform(-1e3, 1e3, size=(8, 7))])
         c_int = np.rint(c_float).astype(np.int64)
         expected = c_int.copy()
         for row, f in zip(expected, c_float):
