@@ -118,9 +118,11 @@ NOISELESS_DETECTOR = DetectorModel(
 
 def memoryless_response(drive, m, out=None):
     """Soft-saturation drive-to-power curve; strictly increasing, bounded.
-    `out` receives the power and may be `drive` itself."""
-    x = np.multiply(m.linear_gain, np.asarray(drive, dtype=np.float64),
-                    out=out)
+    `out` receives the power and may be `drive` itself, which a gain of
+    exactly 1 then leaves as it is (x * 1.0 == x)."""
+    x = np.asarray(drive, dtype=np.float64)
+    if m.linear_gain != 1.0 or out is not x:
+        x = np.multiply(m.linear_gain, x, out=out)
     if not np.isfinite(m.saturation_power):
         return x
     s2 = 2.0 * m.knee_sharpness
@@ -192,9 +194,11 @@ def propagate(x, cm, sample_rate, out=None):
     """Optical samples (or each row of a stack) through the channel: scaled
     by the LOS gain, or convolved with `channel_impulse_response` when the
     channel delays, disperses or shadows.  `out` receives the result and
-    may be `x` itself."""
+    may be `x` itself, which a flat gain of exactly 1 then leaves as it is."""
     x = np.asarray(x, dtype=np.float64)
     if cm.flat:
+        if cm.los_gain == 1.0 and out is x:
+            return x
         return np.multiply(cm.los_gain, x, out=out)
     h = channel_impulse_response(cm, sample_rate)
     y = np.empty_like(x) if out is None else out

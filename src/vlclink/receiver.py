@@ -85,11 +85,11 @@ def _best_rows(stats_2d, templates, offsets=None):
     offset` (or `row @ template` without offsets), ties to the lowest
     index.  Rows are scored in chunks of at most ML_SIZE_LIMIT scores, so
     a large code never needs a (rows, size) array; a stack that fits one
-    chunk is scored in one call, and the offsets come off its scores in
-    place."""
+    chunk is scored in one call, with no split, and the offsets come off
+    its scores in place."""
     stats_2d = np.asarray(stats_2d, dtype=np.float64)
     rows_per_chunk = max(1, ML_SIZE_LIMIT // len(templates))
-    n_chunks = max(1, -(-len(stats_2d) // rows_per_chunk))
+    n_chunks = -(-len(stats_2d) // rows_per_chunk)
 
     def best(chunk):
         scores = chunk @ templates.T
@@ -97,6 +97,8 @@ def _best_rows(stats_2d, templates, offsets=None):
             scores -= offsets
         return np.argmax(scores, axis=1)
 
+    if n_chunks <= 1:
+        return best(stats_2d)
     return np.concatenate([best(chunk)
                            for chunk in np.array_split(stats_2d, n_chunks)])
 
@@ -235,7 +237,8 @@ class StreamReceiver:
         n_symbols) indices of a stack of frames (n_frames, n_values), which
         overlapped streams decode in lockstep, one symbol position at a
         time for all frames.  The decoder sees unit-scaled amplitudes: at
-        F=1 the statistics divided by kernel[0], at F>1 the restored ones."""
+        F=1 the statistics divided by kernel[0] (unless that is exactly 1),
+        at F>1 the restored ones.  `stats` is left as it is."""
         q = self.constellation.q
         f = self.geometry.overlap_factor
         values = np.asarray(stats, dtype=np.float64)
@@ -245,8 +248,10 @@ class StreamReceiver:
             raise InputError("statistics do not cover whole symbols")
         n_sym = n_signal // q
         if f == 1:
-            out = self._decoder.decode_block(
-                frames.reshape(-1, q) / self._kernel[0])
+            blocks = frames.reshape(-1, q)
+            if self._kernel[0] != 1.0:  # x / 1.0 == x
+                blocks = blocks / self._kernel[0]
+            out = self._decoder.decode_block(blocks)
         else:
             out = self._decode_overlapped(frames, n_sym)
         return out.reshape(values.shape[:-1] + (n_sym,))

@@ -615,12 +615,16 @@ class _PulseChain(_Chain):
 
     def counts(self, draws):
         """Counts of each row of a stack's draws, decoded in one call (at
-        F>1 in lockstep)."""
+        F>1 in lockstep).  A symbol's bit errors are the popcount of the
+        sent index XOR the decided one over the low `bits_per_symbol` bits,
+        the bits that `con.indices_to_bits` would read: exact even when the
+        decoder returns a symbol that no bits reach."""
         decoded = self.receiver.decode_stats(self.statistics(draws))
-        rx_bits = con.indices_to_bits(decoded.ravel(),
-                                      self.constellation.bits_per_symbol)
-        return _row_counts(rx_bits.reshape(draws.bits.shape) != draws.bits,
-                           decoded != draws.sent)
+        wrong = decoded ^ draws.sent
+        symbol_wrong = wrong != 0
+        wrong &= (1 << self.constellation.bits_per_symbol) - 1
+        return _row_counts(draws.bits.shape[1],
+                           np.bitwise_count(wrong).sum(axis=1), symbol_wrong)
 
     def stacks(self, indices):
         """A wave's batch indices in stacks drawn and decoded as one:
@@ -691,17 +695,18 @@ class _OfdmChain(_Chain):
         wrong = ofdm_mod.dco_demodulate(
             y, self.ofdm, self.equalizer_ir).reshape(bits.shape) != bits
         frames = wrong.reshape(len(bits), cfg.run.batch_symbols, -1)
-        return _row_counts(wrong, frames.any(axis=2))
+        return _row_counts(bits.shape[1], wrong.sum(axis=1), frames.any(axis=2))
 
     def stacks(self, indices):
         return _stacks(indices,
                        self.config.run.batch_symbols * self.ofdm.frame_samples)
 
 
-def _row_counts(bit_wrong, symbol_wrong):
-    """(bits, bit errors, symbols, symbol errors) of each row of a stack."""
-    return [(bit_wrong.shape[1], b, symbol_wrong.shape[1], s) for b, s in zip(
-        bit_wrong.sum(axis=1).tolist(), symbol_wrong.sum(axis=1).tolist())]
+def _row_counts(n_bits, bit_errors, symbol_wrong):
+    """(bits, bit errors, symbols, symbol errors) of each row of a stack,
+    from the bits a row sends and each row's bit errors."""
+    return [(n_bits, b, symbol_wrong.shape[1], s) for b, s in zip(
+        bit_errors.tolist(), symbol_wrong.sum(axis=1).tolist())]
 
 
 def _stacks(indices, batch_samples):
@@ -1017,15 +1022,26 @@ def random_light(config, n_symbols):
                        _Workspace())
 
 
+# a window's length in samples is whole when it lies within this relative
+# distance of an integer, which absorbs the rounding of seconds x rate
+WHOLE_WINDOW_RTOL = 1e-9
+
+
 def flicker_metric(samples, sample_rate, window_seconds):
     """Worst relative deviation of tiled window means from the global mean.
 
     Windows tile the samples back to back (a trailing partial window is
     dropped); a scheme with constant per-symbol energy scores exactly 0 at
-    any whole multiple of the symbol duration.
+    any whole multiple of the symbol duration.  A window must be a whole
+    number of samples, within WHOLE_WINDOW_RTOL, and is never rounded to
+    one.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    n_win = int(round(window_seconds * sample_rate))
+    length = window_seconds * sample_rate
+    n_win = round(length)
+    if not math.isclose(length, n_win, rel_tol=WHOLE_WINDOW_RTOL):
+        raise ParameterError(f"window of {length:.6g} samples is not a "
+                             "whole number of samples")
     if n_win < 1 or n_win > samples.size:
         raise ParameterError("window must fit inside the waveform")
     n_tiles = samples.size // n_win

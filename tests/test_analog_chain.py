@@ -238,6 +238,56 @@ class TestInPlace:
         assert buffer.tobytes() == fresh.tobytes()
 
 
+# stages whose only scale is exactly 1: each skips its multiply, since
+# x * 1.0 == x, and keeps its `out` contract
+UNIT_SCALES = {
+    "ideal-curve": lambda x, out: ac.memoryless_response(
+        x, ac.LED_PRESETS["ideal"], out),
+    "saturating-curve": lambda x, out: ac.memoryless_response(
+        x, ac.LedModel(saturation_power=1.5, knee_sharpness=1.5), out),
+    "identity-channel": lambda x, out: ac.propagate(
+        x, ac.IDENTITY_CHANNEL, FS, out=out),
+}
+
+
+def multiplied(name, x):
+    """What the stage `name` gives when it multiplies by its unit scale."""
+    y = np.multiply(1.0, x)
+    if name == "saturating-curve":
+        y = y / ((y / 1.5) ** 3.0 + 1.0) ** (1.0 / 3.0)
+    return y
+
+
+class TestUnitScales:
+    @pytest.mark.parametrize("name", list(UNIT_SCALES))
+    def test_values_equal_the_multiplying_path(self, name):
+        x = np.random.default_rng(10).random((2, 300)) * 3.0
+        before = x.copy()
+        fresh = UNIT_SCALES[name](x, None)
+        assert not np.shares_memory(fresh, x)
+        assert x.tobytes() == before.tobytes()
+        assert fresh.tobytes() == multiplied(name, x).tobytes()
+        buffer = x.copy()
+        assert UNIT_SCALES[name](buffer, buffer) is buffer
+        assert buffer.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("name", list(UNIT_SCALES))
+    def test_in_place_skips_the_multiply(self, name, monkeypatch):
+        calls = []
+        multiply = np.multiply
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(ac.np, "multiply", counted)
+        buffer = np.random.default_rng(11).random(50)
+        UNIT_SCALES[name](buffer, buffer)
+        assert calls == []
+        UNIT_SCALES[name](buffer, None)
+        assert len(calls) == 1
+
+
 class TestArraySplitDistortion:
     def test_split_equals_unsplit_when_linear(self):
         c = con.build_meppm(7, 3, 3, use_complements=True)

@@ -224,3 +224,20 @@ def test_pulse_links_reach_the_sample_grid_led_only_to_measure():
                        "DCO-OFDM transmitter and the slot-response "
                        "measurement: " + ", ".join(stray))
     assert {scope for _, _, scope in found} == LED_TRANSFER_CALLERS
+
+
+# the only module that unpacks symbol indices into bits: DCO-OFDM's QAM
+# demapper.  A pulse chain counts a symbol's bit errors as the popcount of
+# the sent index XOR the decided one, with no bit round trip
+BIT_UNPACKERS = {"ofdm.py"}
+
+
+def test_bits_unpacked_only_for_ofdm():
+    found = [(os.path.basename(path), line, scope)
+             for path in python_files(PACKAGE)
+             for scope, line in calls("indices_to_bits", parse(path))]
+    stray = [f"{name}:{line} {scope or '<module>'}"
+             for name, line, scope in found if name not in BIT_UNPACKERS]
+    assert not stray, ("unpacks indices into bits outside ofdm: "
+                       + ", ".join(stray))
+    assert {name for name, _, _ in found} == BIT_UNPACKERS

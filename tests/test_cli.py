@@ -525,7 +525,9 @@ class TestFlickerCommand:
         ([0.01], 200),      # 0.07 of a slot at Q=7
         ([1, 300], 200),    # longer than the stream
         ([], 200),
-    ], ids=["negative", "below-one-sample", "longer-than-stream", "empty"])
+        ([0.5], 200),       # 3.5 slots at Q=7, not a whole number
+    ], ids=["negative", "below-one-sample", "longer-than-stream", "empty",
+            "half-symbol-at-q7"])
     def test_bad_window_exit_3_before_any_output(self, tmp_path, capsys,
                                                  windows, n_symbols):
         doc = {

@@ -467,6 +467,25 @@ class TestStreamReceiver:
         assert receiver.decode_stats(np.zeros(f - 1)).shape == (0,)
         assert receiver.decode_stats(np.zeros((2, f - 1))).shape == (2, 0)
 
+    @pytest.mark.parametrize("decoder", ["correlation", "ml", "components"])
+    def test_unit_scale_decodes_the_statistics_themselves(self, decoder):
+        # at kernel[0] == 1 the F=1 receiver skips its division, which
+        # changes no value (x / 1.0 == x) and leaves the statistics as
+        # they are
+        c = con.build_meppm(7, 3, 3, use_complements=True)
+        rng = np.random.default_rng(21)
+        idx = rng.integers(0, c.used_size, size=300)
+        stats = (c.encode_indices(idx)
+                 + rng.normal(scale=0.6, size=(300, 7))).reshape(3, -1)
+        before = stats.copy()
+        out = rx.StreamReceiver(c, geo(), decoder, kernel=[1.0]).decode_stats(
+            stats)
+        assert stats.tobytes() == before.tobytes()
+        divided = rx.StreamReceiver(c, geo(), decoder)._decoder.decode_block(
+            stats.reshape(-1, 7) / 1.0)
+        assert np.array_equal(out, divided.reshape(3, 100))
+        assert np.any(out.ravel() != idx)
+
     @pytest.mark.parametrize("first", [0.0, -1.0])
     def test_kernel_must_respond_in_first_slot(self, first):
         with pytest.raises(ParameterError):

@@ -526,6 +526,43 @@ STACKED_RUNS = {
 }
 
 
+# stacks whose bit errors `counts` takes as popcounts: EPPM(7,3) at 0 dB,
+# which decodes to indices 4-6 that no two bits reach; an interleaved
+# stack; and 24-bit MEPPM(7,3,21)+c symbols at a power that makes errors
+POPCOUNTED = {
+    "f1-awgn-eppm-unused-indices": awgn_config(
+        snr_db=0.0, run=sk.RunSpec(batch_symbols=500)),
+    "f1-awgn-eppm-interleaved": RECEIVED["f1-awgn-eppm-interleaved"],
+    "f10-physical-meppm21-trichromatic": replace(
+        RECEIVED["f10-physical-meppm21-trichromatic"],
+        peak_power_per_unit=2e-6 / 10.5),
+}
+
+
+def round_trip_counts(chain, draws):
+    """Counts of each row of a stack by the bit round trip: the decided
+    indices unpacked to bits and compared with the drawn bits."""
+    decoded = chain.receiver.decode_stats(chain.statistics(draws))
+    bits = con.indices_to_bits(decoded.ravel(),
+                               chain.constellation.bits_per_symbol)
+    wrong = bits.reshape(draws.bits.shape) != draws.bits
+    return [(len(b), int(b.sum()), len(s), int(s.sum()))
+            for b, s in zip(wrong, decoded != draws.sent)]
+
+
+class TestBitCounts:
+    @pytest.mark.parametrize("name", list(POPCOUNTED))
+    def test_popcount_equals_the_bit_round_trip(self, name):
+        chain = sk._build_chain(POPCOUNTED[name])
+        draws = chain.draw([0, 3, 5])
+        counts = chain.counts(draws)
+        assert counts == round_trip_counts(chain, draws)
+        assert sum(row[1] for row in counts) > 0
+        # every case decodes some symbol that no bits reach
+        decoded = chain.receiver.decode_stats(chain.statistics(draws))
+        assert decoded.max() >= 1 << chain.constellation.bits_per_symbol
+
+
 class TestRunStack:
     @pytest.mark.parametrize("name", list(STACKED_RUNS))
     def test_rows_equal_single_batches(self, name):
