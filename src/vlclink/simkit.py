@@ -30,19 +30,18 @@ from .errors import ConfigError, ParameterError
 from .schema import section
 
 WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
-# samples per stack of F=1 or DCO-OFDM batches.  With each slot summed in
-# one matrix-vector product, medians of 30 rotating in-process runs (2
-# vCPUs) against 2^15: EPPM(7,3) at 4 samples a slot, AWGN, 256, 512 and
-# 1024 symbols a batch, is 9-10% faster at 2^16 with one worker and 23-29%
-# with two (2^17: 10-14% and 27-38%); DCO-OFDM (72-sample frames) is 4-13%
-# faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame ones
-# (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches).
-# Stacks count samples at the configured rate: a pulse link runs one value
-# a slot, so its stack holds 1/samples_per_slot of this.  Counting its slot
-# values instead stacks more batches, and that is no faster: the
-# `eppm-awgn-2w` document in 4 stacks of 2 batches against 8 stacks of 1
-# ran at medians of 37.8 and 33.6 ms against 35.3 and 31.4 ms (two sets of
-# 30 alternating in-process runs, 2 vCPUs, equal reports)
+# values per stack of F=1 or DCO-OFDM batches: a pulse batch's slot values
+# (one a slot is all that a pulse link runs), a DCO-OFDM batch's samples.
+# DCO-OFDM (72-sample frames), medians of 30 rotating in-process runs (2
+# vCPUs) against 2^15, with each slot summed in one matrix-vector product:
+# 4-13% faster at 2^16 in 256-frame batches but 19-31% slower in 128-frame
+# ones (2^17: 18-27% slower in 128-frame and 18-55% in 256-frame batches).
+# Pulse stacks counted in slot values against configured samples (4 a
+# slot), EPPM(7,3) over AWGN at depth 8, 2 workers, operations alternating
+# between two processes, equal counts: 4096-symbol batches (2 a stack
+# against 1) 1.10x faster, 170 of 200 operations; 2048-, 1024- and
+# 512-symbol batches 1.27x, 1.11x and 1.04x, 59, 47 and 42 of 60, though
+# at 1024 and 512 a wave is one stack, which one thread runs
 STACK_SAMPLES = 1 << 16
 
 
@@ -350,11 +349,12 @@ def _read_only(a):
 class _Workspace(threading.local):
     """The buffers of the stacks that one `_run_points` call runs, each
     thread its own (a thread's first use makes them): each LED's drive (a
-    value a slot on a pulse link), which the LED and channel overwrite, and
-    the normals and an AWGN link's scaled noise, one per value the receiver
-    reads.  Every stack a thread runs reuses them, so their pages fault in
-    once per call, not once per stack (glibc would hand them back to the
-    kernel in between).  Nothing a link returns aliases them, and they are
+    value a slot on a pulse link), which the LED and channel overwrite, or
+    the light that a pulse link without memory gathers from its table,
+    which the channel overwrites, and the normals and an AWGN link's
+    scaled noise, one per value the receiver reads.  Every stack a thread
+    runs reuses them, so their pages fault in once per call, not once per
+    stack (glibc would hand them back to the kernel in between).  Nothing a link returns aliases them, and they are
     dropped with the call."""
 
     def __init__(self):
@@ -375,7 +375,8 @@ class _Draws:
     """The point-independent part of a stack of batches, read-only, so
     that every point whose chain has the same `draw_key` runs its own link
     on it: the bits, the sent symbol indices (pulse schemes; None for
-    DCO-OFDM), the unit-peak drive from `modulate` and the channel noise.
+    DCO-OFDM), the unit-peak drive from `modulate` (none for a pulse chain
+    that gathers its light from a table) and the channel noise.
     Row i of the noise is drawn from generator i after its bits, on the
     first read; every later read shares that array, since a redraw would
     continue the generators (the channel mode is part of the `draw_key`,
@@ -510,12 +511,23 @@ class _PulseChain(_Chain):
 
     def draw_key(self):
         """What a batch's draws depend on: chains with equal keys draw the
-        same bits, drive and noise from each (seed, batch_index)."""
+        same bits, drive (or none, see `_renders`) and noise from each
+        (seed, batch_index)."""
         c = self.constellation
         cfg = self.config
         return (c.scheme, c.q, c.k, c.n, c.use_complements, cfg.geometry,
                 cfg.run.batch_symbols, cfg.interleaver_depth,
-                cfg.array_split_leds, cfg.seed, cfg.channel.mode)
+                cfg.array_split_leds, cfg.seed, cfg.channel.mode,
+                self._renders)
+
+    @functools.cached_property
+    def _renders(self):
+        """Whether a stack's light is rendered through `light`: at F>1 and
+        over a link with memory.  Otherwise each slot's light depends only
+        on its level, so a stack's light is gathered from `_light_table`
+        and the chain draws no drive."""
+        return (self.geometry.overlap_factor > 1
+                or self._slot_response is not None)
 
     def modulate(self, words):
         """The unit-peak drive of a codeword stream, or of each frame of a
@@ -540,11 +552,11 @@ class _PulseChain(_Chain):
 
     def encode(self, bits):
         """The sent symbol indices and the unit-peak drive of a stack's
-        bits, a frame per row."""
+        bits, a frame per row; no drive unless the chain `_renders`."""
         c = self.constellation
         idx = con.bits_to_indices(bits, c.bits_per_symbol).reshape(
             len(bits), self.batch_symbols())
-        return idx, self.modulate(self.words(idx))
+        return idx, self.modulate(self.words(idx)) if self._renders else []
 
     @functools.cached_property
     def _slot_response(self):
@@ -590,6 +602,37 @@ class _PulseChain(_Chain):
         b, r = self._slot_response
         return lfilter(b, [1.0, -r], light, axis=-1)
 
+    @functools.cached_property
+    def _light_table(self):
+        """The light of each used symbol of a materialized code, (used_size,
+        Q), or of each slot level 0..N of a lattice code, (N + 1,): every
+        level that the used symbols reach, sent once through `light` as a
+        row of Q slots, in a workspace of its own.  Over a link without
+        memory a slot's light depends only on its level, also over split
+        LEDs, where each lit LED adds the same light and each unlit one an
+        exact 0."""
+        c = self.constellation
+        used = c.symbols[:c.used_size] if c.is_materialized else None
+        top = c.n if used is None else int(used.max())
+        levels = np.repeat(np.arange(top + 1), c.q).reshape(-1, c.q)
+        light = self.light(self.modulate(levels), self.peak,
+                           _Workspace())[::c.q]
+        return _read_only(light.copy() if used is None else light[used])
+
+    def _gathered_light(self, sent, workspace):
+        """The light of a stack's sent symbols, in symbol order, from
+        `_light_table`, in the workspace: (rows, slots)."""
+        c = self.constellation
+        light = workspace.take("light", sent.shape + (c.q,))
+        # the indices are in range; "clip" writes into `out` unbuffered
+        if c.is_materialized:
+            np.take(self._light_table, sent, axis=0, out=light, mode="clip")
+        else:
+            words = c.encode_indices(sent.ravel())
+            np.take(self._light_table, words, out=light.reshape(words.shape),
+                    mode="clip")
+        return light.reshape(len(sent), -1)
+
     def _slot_statistics(self, modulated, workspace, draws=None):
         """Slot statistics of `modulate`'s output at the chain's peak: its
         `light` through the channel (which the slot response of a link with
@@ -604,13 +647,22 @@ class _PulseChain(_Chain):
 
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
-        chain's link, back in symbol order when the chain interleaves.
-        The link runs in the draws' workspace; the statistics are new."""
+        chain's link, in symbol order.  A chain that `_renders` sends its
+        drive in send order and deinterleaves the statistics; otherwise
+        the light, gathered in symbol order, takes its normals through the
+        inverse of the interleaver permutation.  The link runs in the
+        draws' workspace; the statistics are new."""
         cfg = self.config
+        depth = cfg.interleaver_depth
+        if not self._renders:
+            means = _apply_channel(
+                self._gathered_light(draws.sent, draws.workspace),
+                cfg.channel.link, cfg, 1 / self.geometry.slot_duration,
+                draws, depth)
+            return rx.slot_statistics(means, self.geometry, 1)
         stats = self._slot_statistics(draws.modulated, draws.workspace, draws)
-        if cfg.interleaver_depth > 1:
-            stats = wf.deinterleave_values(stats, cfg.interleaver_depth,
-                                           self.constellation.q)
+        if depth > 1:
+            stats = wf.deinterleave_values(stats, depth, self.constellation.q)
         return stats
 
     def counts(self, draws):
@@ -629,11 +681,10 @@ class _PulseChain(_Chain):
     def stacks(self, indices):
         """A wave's batch indices in stacks drawn and decoded as one:
         overlapped frames all in one (lockstep), F=1 batches (no feedback)
-        split by size."""
+        split by their slot values."""
         if self.geometry.overlap_factor > 1:
             return [indices]
-        return _stacks(indices, self._slots(self.batch_symbols())
-                       * self.geometry.samples_per_slot)
+        return _stacks(indices, self._slots(self.batch_symbols()))
 
 
 class _OfdmChain(_Chain):
@@ -709,26 +760,37 @@ def _row_counts(n_bits, bit_errors, symbol_wrong):
         bit_errors.tolist(), symbol_wrong.sum(axis=1).tolist())]
 
 
-def _stacks(indices, batch_samples):
-    """Consecutive batch indices in stacks of at most STACK_SAMPLES samples;
+def _stacks(indices, batch_values):
+    """Consecutive batch indices in stacks of at most STACK_SAMPLES values;
     a batch at or above the cap is its own stack, and empty batches share."""
-    per = max(1, STACK_SAMPLES // max(1, batch_samples))
+    per = max(1, STACK_SAMPLES // max(1, batch_values))
     return [indices[i:i + per] for i in range(0, len(indices), per)]
 
 
-def _apply_channel(x, model, cfg, fs, draws=None):
+def _apply_channel(x, model, cfg, fs, draws=None, depth=1):
     """The receiver's values of `x`, sampled at `fs`, after the channel
     `model`, which overwrites `x`, and the detector.  Unless `draws` is None,
     row i of a stack takes row i of the draws' normals, scaled to the std
     of the mean of the configured rate's noise over a value (a pulse
-    link's is a slot), an AWGN link's in the draws' workspace."""
+    link's is a slot), an AWGN link's in the draws' workspace.  At `depth`
+    above 1, `x` holds the slots of a pulse stack in symbol order, and
+    takes the normals, drawn in send order, through the inverse of the
+    interleaver permutation: a strided view, so neither is copied."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
+    shape = x.shape
+    if depth > 1:
+        x = x.reshape(len(x), -1, depth, cfg.scheme.q)
+
+    def normals(seeded=False):
+        z = draws.normals(shape[-1], seeded)
+        return z if depth == 1 else wf.deinterleaved(z, depth, cfg.scheme.q)
+
     if spec.mode == "physical" and draws is not None:
-        return ac.propagate_and_detect(
-            x, model, spec.detector, fs,
-            draws.normals(x.shape[-1], seeded=True), out=x)
+        return ac.propagate_and_detect(x, model, spec.detector, fs,
+                                       normals(seeded=True),
+                                       out=x).reshape(shape)
     y = ac.propagate(x, model, fs, out=x)
     if draws is None:
         return spec.responsivity * y
@@ -745,10 +807,9 @@ def _apply_channel(x, model, cfg, fs, draws=None):
     if sigma > 0:
         # sigma is per sample at the configured rate, so a mean of the
         # rate / fs samples of a value at fs has std sigma * sqrt(fs / rate)
-        y += np.multiply(draws.normals(y.shape[-1]),
-                         sigma * np.sqrt(fs / rate),
+        y += np.multiply(normals(), sigma * np.sqrt(fs / rate),
                          out=draws.workspace.take("noise", y.shape))
-    return y
+    return y.reshape(shape)
 
 
 def _build_chain(config):

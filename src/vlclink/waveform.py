@@ -105,7 +105,13 @@ def deinterleave_values(values, depth, q):
     values = np.asarray(values)
     if values.size % (depth * q):
         raise InputError("stream length is not a multiple of D*Q slots")
-    return values.reshape(-1, q, depth).swapaxes(1, 2).reshape(values.shape)
+    return deinterleaved(values.reshape(-1), depth, q).reshape(values.shape)
+
+
+def deinterleaved(values, depth, q):
+    """`values`, slot values along the last axis in whole interleaver
+    blocks, in symbol order: a view (..., blocks, depth, Q) with no copy."""
+    return values.reshape(values.shape[:-1] + (-1, q, depth)).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

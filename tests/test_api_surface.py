@@ -11,6 +11,13 @@ simulator against closed forms.
 import ast
 import os
 import re
+from dataclasses import replace
+
+import pytest
+
+from vlclink import analog_chain as ac
+from vlclink import simkit as sk
+from vlclink import waveform as wf
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "vlclink")
@@ -224,6 +231,42 @@ def test_pulse_links_reach_the_sample_grid_led_only_to_measure():
                        "DCO-OFDM transmitter and the slot-response "
                        "measurement: " + ", ".join(stray))
     assert {scope for _, _, scope in found} == LED_TRANSFER_CALLERS
+
+
+# an F=1 EPPM link of two waves of two stacks each: without memory its
+# trial sends its symbols' light through the transmitter once, for their
+# table; with the LED pole it renders every stack
+TWO_WAVES = sk.TrialConfig(
+    scheme=sk.SchemeSpec(kind="eppm"), geometry=wf.SlotGeometry(30e-9, 4),
+    channel=sk.ChannelSpec(mode="awgn", slot_snr_db=9.0),
+    run=sk.RunSpec(max_bits=2 * 8 * 2048 * 2, min_errors=10 ** 9,
+                   batch_symbols=2048), interleaver_depth=8)
+
+
+@pytest.mark.parametrize("device, expected", [
+    (ac.LED_PRESETS["ideal"], {"light": 1, "synthesize": 1, "interleave": 0}),
+    (ac.LED_PRESETS["trichromatic"],
+     {"light": 4, "synthesize": 4, "interleave": 4}),
+], ids=["memoryless", "pole"])
+def test_a_memoryless_trial_sends_its_light_once(device, expected,
+                                                 monkeypatch):
+    called = dict.fromkeys(["counts", *expected], 0)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            called[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in ((sk._PulseChain, "counts"), (sk._PulseChain, "light"),
+                        (wf, "synthesize"), (wf, "interleave")):
+        counted(owner, name)
+    report = sk.run_trials(replace(TWO_WAVES, device=device))
+    assert report.bits_sent == TWO_WAVES.run.max_bits
+    assert called == {"counts": 4, **expected}
 
 
 # the only module that unpacks symbol indices into bits: DCO-OFDM's QAM

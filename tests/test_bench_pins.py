@@ -18,7 +18,9 @@ with every lattice code's table in the lattice's rank order, not in
 first-seen enumeration order.  Every pulse count and pulse result-file
 digest was measured with the noise drawn once per slot, on the receiver's
 integration grid, not once per sample; the DCO-OFDM ones did not change
-with it.  Any change to these fails here.
+with it.  The interleaved physical F=1 pin was measured on the engine that
+rendered each stack's drive in send order and deinterleaved its
+statistics.  Any change to these fails here.
 """
 
 import hashlib
@@ -165,6 +167,30 @@ def test_f1_meppm_complements_components_counts(seed, counts):
     report = sk.run_trials(sk.config_from_document(doc))
     assert (report.bits_sent, report.bit_errors, report.symbols_sent,
             report.symbol_errors) == counts
+
+
+def test_f1_physical_interleaved_counts():
+    """A memoryless physical F=1 link with interleaving: each slot's
+    shot-noise normal comes from a generator that the batch's generator
+    seeds, and pairs with its slot in send order."""
+    doc = {
+        "scheme": {"kind": "eppm", "q": 7, "k": 3},
+        "geometry": {"slot_duration": 1e-6, "samples_per_slot": 4},
+        "channel": {
+            "mode": "physical",
+            "model": {"los_gain": 0.7, "nlos_gain": 0.0},
+            "detector": {"responsivity": 0.5, "background_power": 1e-9,
+                         "thermal_noise_density": 1e-26},
+        },
+        "peak_power_per_unit": 4e-10,
+        "run": {"batch_symbols": 512, "max_bits": 60000,
+                "min_errors": WORKLOADS.UNREACHABLE_ERRORS, "workers": 2},
+        "interleaver_depth": 4,
+        "seed": 5,
+    }
+    report = sk.run_trials(sk.config_from_document(doc))
+    assert (report.bits_sent, report.bit_errors, report.symbols_sent,
+            report.symbol_errors) == (65536, 3915, 32768, 3369)
 
 
 @pytest.mark.parametrize("seed, counts", [

@@ -596,8 +596,9 @@ class TestRunStack:
     def test_uneven_stacks_worker_count_invariance(self, kind):
         # three batches per stack, so each wave of 8 splits 3 + 3 + 2
         if kind == "eppm":
+            # a pulse stack counts slot values
             base = awgn_config(snr_db=8.0, seed=9)
-            frame = base.scheme.q * base.geometry.samples_per_slot
+            frame = base.scheme.q
         else:
             base = STACKED_RUNS["dco-ofdm-saturating"]
             frame = base.scheme.build_ofdm().frame_samples
@@ -605,6 +606,7 @@ class TestRunStack:
         chain = sk._build_chain(replace(
             base, run=sk.RunSpec(batch_symbols=n)))
         assert [len(s) for s in sk._stacks(range(8), n * frame)] == [3, 3, 2]
+        assert [len(s) for s in chain.stacks(range(8))] == [3, 3, 2]
         bits_per_batch = run_stack(chain, [0])[0][0]
         reports = [sk.run_trials(replace(base, run=sk.RunSpec(
             max_bits=9 * bits_per_batch, min_errors=10 ** 9,
@@ -959,7 +961,8 @@ class TestSlotRateRender:
         draws = chain.draw([3, 0, 5])
         stats = chain.statistics(draws)
         g = chain.geometry
-        means = configured_means(chain, draws.modulated, draws)
+        means = configured_means(chain, chain.modulate(chain.words(
+            draws.sent)), draws)
         expected = in_symbol_order(chain, rx.slot_statistics(means, g, 1))
         if g.overlap_factor > 1:
             means = np.cumsum(means, axis=1)
@@ -1008,6 +1011,71 @@ class TestSlotRateRender:
             config.run, max_bits=sk.WAVE_BATCHES * batch_bits + 1,
             min_errors=10 ** 9)))
         assert len(measured) == (1 if name in WITH_MEMORY else 0)
+
+
+# F=1 links without memory, whose stacks gather their light from a table
+# of their symbols' light (of their slot levels for a lattice code) and
+# receive it in symbol order
+TABLE_LIGHT = {
+    "eppm-awgn-depth-1": awgn_config(snr_db=6.0, geometry=geo(sps=4),
+                                     run=sk.RunSpec(batch_symbols=64)),
+    "eppm-awgn-depth-8": awgn_config(snr_db=6.0, geometry=geo(sps=4),
+                                     interleaver_depth=8,
+                                     run=sk.RunSpec(batch_symbols=64)),
+    "mppm-dimmed-saturating": awgn_config(
+        kind="mppm", device=ac.LedModel(saturation_power=0.8),
+        dimming_target=0.6, run=sk.RunSpec(batch_symbols=48), seed=2),
+    "meppm3c-split-3-saturating-sigma": replace(
+        awgn_config(kind="meppm", n=3, use_complements=True,
+                    device=ac.LedModel(saturation_power=1.5),
+                    array_split_leds=3, run=sk.RunSpec(batch_symbols=40),
+                    seed=3),
+        channel=sk.ChannelSpec(mode="awgn", sample_noise_sigma=0.4)),
+    "meppm21c-lattice": awgn_config(
+        kind="meppm", n=21, use_complements=True, snr_db=20.0,
+        run=sk.RunSpec(batch_symbols=16), seed=4),
+    "ppm-identity": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="ppm", q=8), geometry=geo(),
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(batch_symbols=32), seed=5),
+    "eppm-physical-los-0.7-depth-4": replace(
+        MEMORYLESS["f1-physical-los-0.7"], interleaver_depth=4),
+    "batch-symbols-0": awgn_config(run=sk.RunSpec(batch_symbols=0)),
+}
+
+
+def rendered_statistics(chain, draws):
+    """The slot statistics of a stack as a rendering chain takes them: the
+    sent symbols' codewords, interleaved, through `light`, then the channel
+    with the draws' normals in send order, the slot statistics, and back
+    in symbol order."""
+    cfg = chain.config
+    light = chain.light(chain.modulate(chain.words(draws.sent)), chain.peak,
+                        sk._Workspace())
+    means = sk._apply_channel(light, cfg.channel.link, cfg,
+                              1 / chain.geometry.slot_duration, draws)
+    return in_symbol_order(chain, rx.slot_statistics(means, chain.geometry,
+                                                     1))
+
+
+class TestTableLight:
+    @pytest.mark.parametrize("name", list(TABLE_LIGHT))
+    def test_statistics_equal_the_rendered_ones(self, name):
+        chain = sk._build_chain(TABLE_LIGHT[name])
+        draws = chain.draw([2, 0, 7])
+        assert not chain._renders
+        assert draws.modulated == []
+        stats = chain.statistics(draws)
+        expected = rendered_statistics(chain, draws)
+        assert stats.shape == expected.shape == (
+            3, chain._slots(chain.batch_symbols()))
+        assert stats.tobytes() == expected.tobytes()
+
+    def test_a_lattice_code_tabulates_its_levels(self):
+        chain = sk._build_chain(TABLE_LIGHT["meppm21c-lattice"])
+        assert not chain.constellation.is_materialized
+        assert chain._light_table.shape == (22,)
+        assert not chain._light_table.flags.writeable
 
 
 def unbounded(config, max_bits):
@@ -1069,14 +1137,18 @@ class TestWorkspace:
         ac.LED_PRESETS["phosphor"],
     ], ids=["ideal", "saturating", "pole"])
     def test_the_drive_holds_the_render_grid(self, device):
-        # a pulse link renders one value a slot, whatever its LED
+        # a pulse link runs one value a slot, whatever its LED: the drive
+        # it renders over a link with memory, otherwise the light it
+        # gathers from its symbols' table
         config = awgn_config(geometry=geo(sps=4), device=device,
                              run=sk.RunSpec(batch_symbols=256))
         chain = sk._build_chain(config)
         draws = chain.draw([0, 1, 2])
         chain.statistics(draws)
         slots = chain._slots(chain.batch_symbols())
-        drive = draws.workspace._buffers[("drive", 0)]
+        key = ("drive", 0) if chain._renders else "light"
+        assert chain._renders == (device.bandwidth_3db < np.inf)
+        drive = draws.workspace._buffers[key]
         assert drive.size == 3 * slots
 
     def test_threads_keep_their_own_buffers(self):
@@ -1114,14 +1186,17 @@ class TestWorkspace:
         assert pooled == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("config", [
-        # 57,344 samples a batch: a stack each, 8 a wave
-        awgn_config(geometry=geo(sps=4), run=sk.RunSpec(
+    @pytest.mark.parametrize("config, keys", [
+        # 14,336 slots a batch: 4 a stack, 2 stacks a wave; the stacks
+        # gather their light, and the table's levels are sent once
+        (awgn_config(geometry=geo(sps=4), run=sk.RunSpec(
             max_bits=16 * 2048 * 2, min_errors=10 ** 9, batch_symbols=2048)),
-        # F>1: a stack a wave
-        unbounded(SHARED_SWEEPS["snr-f2-eppm"][0], 3 * 8 * 64 * 2),
+         {("drive", 0), "light", "noise", "normals"}),
+        # F>1: a stack a wave, each rendered
+        (unbounded(SHARED_SWEEPS["snr-f2-eppm"][0], 3 * 8 * 64 * 2),
+         {("drive", 0), "noise", "normals"}),
     ], ids=["f1", "f2"])
-    def test_a_thread_reuses_its_buffers(self, config, workers,
+    def test_a_thread_reuses_its_buffers(self, config, keys, workers,
                                          monkeypatch):
         config = replace(config, run=replace(config.run, workers=workers))
         taken, returned = [], []
@@ -1147,12 +1222,12 @@ class TestWorkspace:
         monkeypatch.setattr(sk._PulseChain, "statistics", spy_statistics)
         monkeypatch.setattr(sk._PulseChain, "counts", spy_counts)
         sk._run_points([config])
-        # at F>1 the receiver's kernel is measured in a workspace of its own
+        # at F>1 the receiver's kernel is measured in a workspace of its
+        # own, and at F=1 the table's light
         buffers = {}
         for *owner, buffer in taken:
             buffers.setdefault(tuple(owner), []).append(buffer)
-        assert {key for *_, key in buffers} == {("drive", 0), "noise",
-                                                "normals"}
+        assert {key for *_, key in buffers} == keys
         # some thread ran two stacks or more, in the same memory
         assert max(len(same) for same in buffers.values()) > 1
         for same in buffers.values():
