@@ -374,36 +374,31 @@ class _Workspace(threading.local):
 class _Draws:
     """The point-independent part of a stack of batches, read-only, so
     that every point whose chain has the same `draw_key` runs its own link
-    on it: the bits, the sent symbol indices (pulse schemes; None for
-    DCO-OFDM), the unit-peak drive from `modulate` (none for a pulse chain
-    that gathers its light from a table) and the channel noise.
-    Row i of the noise is drawn from generator i after its bits, on the
-    first read; every later read shares that array, since a redraw would
-    continue the generators (the channel mode is part of the `draw_key`,
-    so every reader reads one kind of noise).  The links write into
-    `workspace`, the buffers of the thread that drew the stack and runs
-    it (by default new ones)."""
+    on it: what each row sends (a pulse chain's symbol indices, DCO-OFDM's
+    bits), the unit-peak drive from `encode` (none for a pulse chain that
+    gathers its light from a table) and the channel noise.
+    Row i of the noise is drawn from generator i after what it sends, on
+    the first read; every later read shares that array, since a redraw
+    would continue the generators (the channel mode is part of the
+    `draw_key`, so every reader reads one kind of noise).  The links write
+    into `workspace`, the buffers of the thread that drew the stack and
+    runs it (by default new ones)."""
 
-    def __init__(self, rngs, bits, sent, modulated, workspace=None):
-        for a in (bits, sent, *modulated):
-            if a is not None:
-                _read_only(a)
-        self.bits, self.sent, self.modulated = bits, sent, modulated
+    def __init__(self, rngs, sent, modulated, workspace=None):
+        for a in (sent, *modulated):
+            _read_only(a)
+        self.sent, self.modulated = sent, modulated
         self.workspace = _Workspace() if workspace is None else workspace
         self._rngs = rngs
         self._noise = None
 
-    def normals(self, n_cells, seeded=False):
+    def normals(self, n_cells):
         """(rows, n_cells) standard normals, the noise of a noisy link:
         one per value the receiver reads (a slot of a pulse link, a
-        sample of DCO-OFDM).  A row is drawn from its generator,
-        or, `seeded`, from a new generator that its generator seeds (as a
-        physical link draws)."""
+        sample of DCO-OFDM), each row from its generator."""
         if self._noise is None:
             z = self.workspace.take("normals", (len(self._rngs), n_cells))
             for rng, row in zip(self._rngs, z):
-                if seeded:
-                    rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
                 rng.standard_normal(out=row)
             self._noise = _read_only(z)
         return self._noise
@@ -416,13 +411,12 @@ class _Chain:
         """The draws of a stack of batches, one row per batch index, for
         the links that run it in this thread's `workspace`.
 
-        Each batch draws from its own (seed, batch_index) stream, first its
-        bits and then its channel noise, so a row does not depend on the
-        other batches drawn with it."""
+        Each batch draws from its own (seed, batch_index) stream, first
+        what it sends (`send`) and then its channel noise, so a row does
+        not depend on the other batches drawn with it."""
         rngs = [np.random.default_rng([self.config.seed, b]) for b in indices]
-        bits = np.stack([rng.integers(0, 2, size=self.batch_bits)
-                         for rng in rngs])
-        return _Draws(rngs, bits, *self.encode(bits), workspace)
+        sent = np.stack([self.send(rng) for rng in rngs])
+        return _Draws(rngs, sent, self.encode(sent), workspace)
 
 
 class _PulseChain(_Chain):
@@ -511,8 +505,8 @@ class _PulseChain(_Chain):
 
     def draw_key(self):
         """What a batch's draws depend on: chains with equal keys draw the
-        same bits, drive (or none, see `_renders`) and noise from each
-        (seed, batch_index)."""
+        same symbol indices, drive (or none, see `_renders`) and noise from
+        each (seed, batch_index)."""
         c = self.constellation
         cfg = self.config
         return (c.scheme, c.q, c.k, c.n, c.use_complements, cfg.geometry,
@@ -550,13 +544,16 @@ class _PulseChain(_Chain):
                               self.config.interleaver_depth)
         return words.reshape(idx.shape + (c.q,))
 
-    def encode(self, bits):
-        """The sent symbol indices and the unit-peak drive of a stack's
-        bits, a frame per row; no drive unless the chain `_renders`."""
-        c = self.constellation
-        idx = con.bits_to_indices(bits, c.bits_per_symbol).reshape(
-            len(bits), self.batch_symbols())
-        return idx, self.modulate(self.words(idx)) if self._renders else []
+    def send(self, rng):
+        """A batch's symbol indices, uniform over the used symbols: the
+        symbols of uniform bits, `bits_per_symbol` at a time."""
+        return rng.integers(0, self.constellation.used_size,
+                            size=self.batch_symbols())
+
+    def encode(self, sent):
+        """The unit-peak drive of a stack's symbol indices, a frame per
+        row; none unless the chain `_renders`."""
+        return self.modulate(self.words(sent)) if self._renders else []
 
     @functools.cached_property
     def _slot_response(self):
@@ -675,7 +672,7 @@ class _PulseChain(_Chain):
         wrong = decoded ^ draws.sent
         symbol_wrong = wrong != 0
         wrong &= (1 << self.constellation.bits_per_symbol) - 1
-        return _row_counts(draws.bits.shape[1],
+        return _row_counts(self.batch_bits,
                            np.bitwise_count(wrong).sum(axis=1), symbol_wrong)
 
     def stacks(self, indices):
@@ -718,13 +715,15 @@ class _OfdmChain(_Chain):
         return (cfg.scheme, cfg.run.batch_symbols, cfg.seed,
                 cfg.channel.mode)
 
+    def send(self, rng):
+        """A batch's bits."""
+        return rng.integers(0, 2, size=self.batch_bits)
+
     def modulate(self, bits):
         """The unit-peak drive samples of a whole number of frames."""
         return [ofdm_mod.dco_modulate(bits, self.ofdm)]
 
-    def encode(self, bits):
-        """No symbol indices, and the unit-peak drive of a stack's bits."""
-        return None, self.modulate(bits)
+    encode = modulate  # a batch sends the bits that it modulates
 
     def light(self, modulated, peak, workspace):
         """The transmitter: `modulate`'s output at `peak`, in the
@@ -739,7 +738,7 @@ class _OfdmChain(_Chain):
 
     def counts(self, draws):
         cfg = self.config
-        bits = draws.bits
+        bits = draws.sent
         y = _apply_channel(self.light(draws.modulated, self.peak,
                                       draws.workspace), cfg.channel.link,
                            cfg, self.fs, draws)
@@ -783,14 +782,13 @@ def _apply_channel(x, model, cfg, fs, draws=None, depth=1):
     if depth > 1:
         x = x.reshape(len(x), -1, depth, cfg.scheme.q)
 
-    def normals(seeded=False):
-        z = draws.normals(shape[-1], seeded)
+    def normals():
+        z = draws.normals(shape[-1])
         return z if depth == 1 else wf.deinterleaved(z, depth, cfg.scheme.q)
 
     if spec.mode == "physical" and draws is not None:
         return ac.propagate_and_detect(x, model, spec.detector, fs,
-                                       normals(seeded=True),
-                                       out=x).reshape(shape)
+                                       normals(), out=x).reshape(shape)
     y = ac.propagate(x, model, fs, out=x)
     if draws is None:
         return spec.responsivity * y
@@ -940,10 +938,10 @@ def sweep(config, axis, points, output_dir=None, label=None):
     seed.
 
     The points run together: those that draw alike (every axis but an
-    EPPM or MPPM dimming target that changes K') share each batch's bits,
-    drive and noise, and each point still stops by its own rule.  Returns
-    the reports; when output_dir is given, writes `<label>_<axis>.csv`
-    plus a JSON manifest, byte-identical on reruns.
+    EPPM or MPPM dimming target that changes K') share what each batch
+    sends, its drive and noise, and each point still stops by its own
+    rule.  Returns the reports; when output_dir is given, writes
+    `<label>_<axis>.csv` plus a JSON manifest, byte-identical on reruns.
     """
     points = list(points)
     check_sweep(config, axis, points)

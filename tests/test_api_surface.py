@@ -284,3 +284,17 @@ def test_bits_unpacked_only_for_ofdm():
     assert not stray, ("unpacks indices into bits outside ofdm: "
                        + ", ".join(stray))
     assert {name for name, _, _ in found} == BIT_UNPACKERS
+
+
+# the only callers that pack bits into symbol indices: DCO-OFDM's QAM
+# mapper and the public `encode_bits`.  A pulse trial draws its symbol
+# indices, so no trial packs bits for a pulse chain
+BIT_PACKERS = {("ofdm.py", "dco_modulate"), ("constellations.py",
+                                             "encode_bits")}
+
+
+def test_bits_packed_only_for_ofdm_and_encode_bits():
+    found = {(os.path.basename(path), scope)
+             for path in python_files(PACKAGE)
+             for scope, _ in calls("bits_to_indices", parse(path))}
+    assert found == BIT_PACKERS
