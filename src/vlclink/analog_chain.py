@@ -6,6 +6,7 @@ shadowing removes the LOS tap.  Detection: responsivity plus white
 Gaussian noise whose variance tracks the shot noise from the signal and
 background light, plus a thermal floor, one normal per sample; the
 receiver's one integrator, `cell_means`, takes the mean of each cell.
+A pulse link runs the pole and channel in closed form: `slot_response`.
 """
 
 from dataclasses import dataclass
@@ -206,6 +207,42 @@ def propagate(x, cm, sample_rate, out=None):
     for y_row, row in zip(np.atleast_2d(y), np.atleast_2d(x)):
         y_row[:] = np.convolve(row, h)[: row.size]
     return y
+
+
+def _ramp_excess(t, taus):
+    """R(t) - t, t >= 0, for the ramp response R of a unit-area path through
+    the time constants `taus`; for two, a divided difference, done stably."""
+    if len(taus) < 2:
+        return sum((s * np.expm1(-t / s) for s in taus), np.zeros_like(t))
+    from scipy.special import exprel
+
+    s2, s1 = sorted(taus)
+    return ((s1 + s2) * np.expm1(-t / s1) + np.exp(-t / s1) * s2 / s1 * t
+            * exprel(t * (1.0 / s1 - 1.0 / s2)))
+
+
+def slot_response(m, cm, slot_duration):
+    """`(b, a)` such that `lfilter(b, a)` of a pulse link's slot levels on
+    the LED's curve is each slot's exact mean light after the LED's pole
+    tau = 1 / (2 pi bandwidth_3db) and the channel; None without memory.
+    On each path (LOS: the pole; NLOS: it and the untruncated exponential
+    of `nlos_decay`), slot k's response h[k] to a unit slot is the second
+    difference over T of the ramp response R (0 at t <= 0) at k T less the
+    LOS delay, geometric from slot 2 on: `a` has a pole e^(-T / s) a slot
+    per time constant s, and `b` is the first `a.size + 1` terms of h * a."""
+    tau = 1.0 / (2.0 * np.pi * m.bandwidth_3db)
+    if tau == 0.0 and cm.flat:
+        return None
+    T, d = slot_duration, cm.los_delay
+    decay = cm.nlos_decay if cm.nlos_gain > 0 else 0.0
+    a = np.atleast_1d(np.poly([np.exp(-T / s) for s in (tau, decay) if s]))
+    t = np.maximum(np.arange(-1, a.size + 2) * T - d, 0.0)
+    # R's ramp part, max(t, 0), gives each unit of gain [1 - d / T, d / T]
+    h = cm.total_gain * np.r_[1.0 - d / T, d / T, np.zeros(a.size - 1)]
+    for gain, taus in ((0.0 if cm.shadowed else cm.los_gain, [tau]),
+                       (cm.nlos_gain, [tau, decay])):
+        h += gain / T * np.diff(_ramp_excess(t, [s for s in taus if s]), 2)
+    return np.convolve(h, a)[:h.size], a
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # 512-symbol batches 1.27x, 1.11x and 1.04x, 59, 47 and 42 of 60, though
 # at 1024 and 512 a wave is one stack, which one thread runs
 STACK_SAMPLES = 1 << 16
+KERNEL_TRIM = 1e-9  # an F>1 kernel ends at its last tap above this x peak
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +268,18 @@ class TrialConfig:
     def _check_pulse_link(self):
         """The limits a pulse scheme's chain would otherwise hit only when
         it is built: the dimming range of the code, and a LOS delay under
-        one slot (the receiver has no timing recovery, so it takes slot
-        statistics on the transmit grid)."""
+        one slot in seconds (the receiver has no timing recovery, so it
+        takes slot statistics on the transmit slots)."""
         if self.dimming_target:
             c = self.scheme.build_constellation()
             try:
                 wf.apply_dimming(c, self.dimming_target)
             except ParameterError as exc:
                 raise ParameterError(f"dimming_target: {exc}") from None
-        g = self.geometry
-        delay = self.channel.link.delay_samples(g.sample_rate)
-        if delay >= g.samples_per_slot:
-            raise ParameterError(
-                f"channel.model.los_delay is {delay} samples, a slot "
-                f"({g.samples_per_slot} samples) or more; the receiver "
-                "has no timing recovery")
+        delay, slot = self.channel.link.los_delay, self.geometry.slot_duration
+        if delay >= slot:
+            raise ParameterError(f"channel.model.los_delay is {delay:g} s, not "
+                                 f"under a slot ({slot:g} s): no timing recovery")
 
     def params_record(self):
         doc = asdict(self)
@@ -433,8 +431,7 @@ class _PulseChain(_Chain):
             self.drive_scale = 1.0
         self.peak = config.peak_power_per_unit * self.drive_scale
         self.constellation = c
-        self.geometry = g = config.geometry
-        self.fs = g.sample_rate
+        self.geometry = config.geometry
         self.batch_bits = self.batch_symbols() * c.bits_per_symbol
 
     @functools.cached_property
@@ -476,13 +473,12 @@ class _PulseChain(_Chain):
         """Slot statistics of one unit pulse through the noiseless link; the
         receiver restores and cancels with this, honoring its perfect-
         channel-knowledge contract."""
-        cfg = self.config
-        g = cfg.geometry
         q = self.constellation.q
-        link = cfg.channel.link
-        decay_slots = 0 if link.flat else int(np.ceil(
-            5.0 * link.nlos_decay / g.slot_duration))
-        guard_slots = 6 * g.overlap_factor + decay_slots
+        poles = np.roots(self._slot_response[1]) if self._slot_response else []
+        # the slots it takes the slowest pole to fall below the trim
+        decay_slots = max((math.ceil(np.log(KERNEL_TRIM) / np.log(abs(p)))
+                           for p in poles), default=0)
+        guard_slots = 6 * self.geometry.overlap_factor + decay_slots
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
@@ -490,7 +486,7 @@ class _PulseChain(_Chain):
         peak = np.abs(stats).max()
         if peak <= 0:
             raise ParameterError("unit pulse produced no received signal")
-        keep = np.flatnonzero(np.abs(stats) > 1e-9 * peak)
+        keep = np.flatnonzero(np.abs(stats) > KERNEL_TRIM * peak)
         return stats[: keep[-1] + 1]
 
     def batch_symbols(self):
@@ -557,26 +553,9 @@ class _PulseChain(_Chain):
 
     @functools.cached_property
     def _slot_response(self):
-        """Taps `b` and the pole's tail ratio a slot `r` of a link with
-        memory, measured once on the configured grid: as the pole and
-        channel are linear and each slot's level constant, the channel's
-        slot means are `lfilter(b, [1, -r])` of the curve's slot levels.
-        None without memory (no pole, a flat channel)."""
-        cfg = self.config
-        link = cfg.channel.link
-        a = ac.lowpass_coefficient(cfg.device, self.fs)
-        if a == 0.0 and link.flat:
-            return None
-        sps = self.geometry.samples_per_slot
-        span = 1 if link.flat else link.response_length(self.fs)
-        # b ends a slot after the channel's span, where the tail is geometric
-        x = np.zeros((2 - (1 - span) // sps) * sps)
-        x[:sps] = 1.0
-        h = ac.cell_means(ac.propagate(ac.led_transfer(
-            x, ac.LedModel(cfg.device.bandwidth_3db), self.fs), link,
-            self.fs), sps)
-        h[1:] -= a ** sps * h[:-1]
-        return h, a ** sps
+        """The link's `ac.slot_response`: None without memory."""
+        return ac.slot_response(self.config.device, self.config.channel.link,
+                                self.geometry.slot_duration)
 
     def light(self, modulated, peak, workspace):
         """The transmitter: `modulate`'s output at `peak` per unit of slot
@@ -596,8 +575,7 @@ class _PulseChain(_Chain):
             return light
         from scipy.signal import lfilter  # a link with memory needs scipy
 
-        b, r = self._slot_response
-        return lfilter(b, [1.0, -r], light, axis=-1)
+        return lfilter(*self._slot_response, light, axis=-1)
 
     @functools.cached_property
     def _light_table(self):

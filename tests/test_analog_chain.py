@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import slot_reference
 
 from vlclink import analog_chain as ac
 from vlclink import constellations as con
@@ -95,6 +96,125 @@ class TestChannelImpulse:
         cm = ac.ChannelModel(los_gain=1.0, los_delay=5e-9, nlos_gain=0.0)
         h = ac.channel_impulse_response(cm, 1e9, 64)
         assert h[5] == pytest.approx(1.0)
+
+
+def impulse_response(response, n):
+    """The first `n` slot means of one unit slot through `(b, a)`."""
+    from scipy.signal import lfilter
+
+    return lfilter(*response, np.eye(1, n)[0])
+
+
+def grid_slot_means(m, cm, g, n_slots):
+    """Slot means of one unit slot through the LED's pole and `cm`, run on
+    the sample grid of `g` (a sampled pole, and the channel's sampled,
+    truncated response): a measurement that converges to the closed form
+    as the grid grows."""
+    sps = g.samples_per_slot
+    x = np.zeros(n_slots * sps)
+    x[:sps] = 1.0
+    return ac.cell_means(ac.propagate(ac.led_transfer(
+        x, m, g.sample_rate), cm, g.sample_rate), sps)
+
+
+TRICHROMATIC = ac.LED_PRESETS["trichromatic"]
+TAU = 1.0 / (2.0 * np.pi * TRICHROMATIC.bandwidth_3db)
+EPS = np.finfo(np.float64).eps
+
+# (LED, channel, slot duration) of links with memory
+SLOT_LINKS = {
+    "c6-pole": (TRICHROMATIC, ac.IDENTITY_CHANNEL, 30e-9),
+    "phosphor-pole-30ns": (ac.LED_PRESETS["phosphor"], ac.IDENTITY_CHANNEL,
+                           30e-9),
+    "ideal-los-delay": (ac.LED_PRESETS["ideal"],
+                        ac.ChannelModel(los_gain=0.5, los_delay=0.3e-6),
+                        1e-6),
+    "ideal-nlos": (ac.LED_PRESETS["ideal"], ac.ChannelModel(
+        los_gain=0.6, nlos_gain=0.4, nlos_decay=0.5e-6), 1e-6),
+    "pole-nlos-200ns": (TRICHROMATIC, ac.ChannelModel(
+        los_gain=0.8, nlos_gain=0.1, nlos_decay=2e-7), 30e-9),
+    "pole-nlos-delayed-shadowed": (TRICHROMATIC, ac.ChannelModel(
+        los_delay=2.5e-9, nlos_gain=0.4, nlos_decay=15e-9, shadowed=True),
+        10e-9),
+    "pole-nlos-equal-constants": (TRICHROMATIC, ac.ChannelModel(
+        los_gain=0.8, los_delay=7e-9, nlos_gain=0.1, nlos_decay=TAU),
+        30e-9),
+    "slow-pole-nlos-delayed": (ac.LedModel(bandwidth_3db=3e5),
+                               ac.ChannelModel(los_gain=0.9, los_delay=0.3e-6,
+                                               nlos_gain=0.2, nlos_decay=0.5e-6),
+                               1e-6),
+}
+
+
+class TestSlotResponse:
+    # the filter's response lies within this many ULPs of its peak of the
+    # 50-digit closed form (at most 5 on SLOT_LINKS)
+    ULPS = 8
+
+    @pytest.mark.parametrize("name", list(SLOT_LINKS))
+    def test_matches_the_50_digit_closed_form(self, name):
+        m, cm, slot = SLOT_LINKS[name]
+        b, a = ac.slot_response(m, cm, slot)
+        assert a.size <= 3 and b.size == a.size + 1
+        taps = slot_reference.slot_taps(m, cm, slot)
+        h = impulse_response((b, a), taps.size)
+        assert np.abs(h - taps).max() <= self.ULPS * EPS * np.abs(taps).max()
+
+    @pytest.mark.parametrize("name", list(SLOT_LINKS))
+    def test_dc_gain_is_the_channel_gain(self, name):
+        m, cm, slot = SLOT_LINKS[name]
+        b, a = ac.slot_response(m, cm, slot)
+        assert b.sum() / a.sum() == pytest.approx(cm.total_gain,
+                                                  rel=self.ULPS * EPS)
+
+    def test_ideal_led_with_a_los_delay(self):
+        delay, slot = 0.3e-6, 1e-6
+        b, a = ac.slot_response(ac.LED_PRESETS["ideal"],
+                                ac.ChannelModel(los_delay=delay), slot)
+        assert a.tolist() == [1.0]
+        assert b.tolist() == [1.0 - delay / slot, delay / slot]
+
+    def test_none_without_memory(self):
+        assert ac.slot_response(ac.LED_PRESETS["ideal"],
+                                ac.ChannelModel(los_gain=0.7), 1e-6) is None
+
+    @pytest.mark.parametrize("led", ["trichromatic", "phosphor"])
+    def test_pole_only(self, led):
+        m = ac.LED_PRESETS[led]
+        slot = 30e-9
+        tau = 1.0 / (2.0 * np.pi * m.bandwidth_3db)
+        c = -np.expm1(-slot / tau)
+        k = np.arange(1, 40)
+        expected = np.concatenate([[1.0 - tau / slot * c], tau / slot * c ** 2
+                                   * np.exp(-(k - 1) * slot / tau)])
+        h = impulse_response(ac.slot_response(m, ac.IDENTITY_CHANNEL, slot),
+                             k.size + 1)
+        assert np.abs(h - expected).max() <= self.ULPS * EPS * expected.max()
+
+    def test_continuous_as_the_nlos_constant_meets_the_pole(self):
+        # the divided difference over the two time constants runs on
+        # through their equality, with no cancellation on the way
+        def h(rel):
+            cm = ac.ChannelModel(los_gain=0.5, los_delay=5e-9, nlos_gain=0.5,
+                                 nlos_decay=TAU * (1.0 + rel))
+            return impulse_response(ac.slot_response(TRICHROMATIC, cm, 30e-9),
+                                    40)
+
+        at = h(0.0)
+        for rel in 10.0 ** -np.arange(3, 15):
+            moved = np.abs(h(rel) - at).max()
+            assert moved <= (rel + 4 * EPS) * at.max(), rel
+
+    @pytest.mark.parametrize("sps, bound", [(20, 0.029), (40, 0.015),
+                                            (100, 0.006)])
+    def test_the_sample_grid_converges_to_it(self, sps, bound):
+        # C6's link: the grid's error falls as 1 / samples_per_slot
+        m, cm, slot = SLOT_LINKS["c6-pole"]
+        h = impulse_response(ac.slot_response(m, cm, slot), 12)
+        error = np.abs(grid_slot_means(m, cm, wf.SlotGeometry(slot, sps),
+                                       12) - h).max() / h.max()
+        assert error <= bound
+        assert 0.55 <= error * sps <= 0.62
 
 
 class TestDetection:

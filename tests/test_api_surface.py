@@ -187,12 +187,11 @@ def test_cells_integrated_in_one_place():
 
 
 # the two implementations of a link's memory: the LED pole on a sample
-# grid, and the slot-rate filter of a pulse link's measured slot response
+# grid, and the slot-rate filter of a pulse link's closed-form response
 LINK_FILTERS = {"led_transfer", "_PulseChain.light"}
 
-# the only callers of the sample-grid LED: the DCO-OFDM transmitter, and
-# the one measurement of a pulse link's slot response
-LED_TRANSFER_CALLERS = {"_OfdmChain.light", "_PulseChain._slot_response"}
+# the only caller of the sample-grid LED: the DCO-OFDM transmitter
+LED_TRANSFER_CALLERS = {"_OfdmChain.light"}
 
 
 def calls(name, node, scope=""):
@@ -228,9 +227,31 @@ def test_pulse_links_reach_the_sample_grid_led_only_to_measure():
              for name, line, scope in found
              if scope not in LED_TRANSFER_CALLERS]
     assert not stray, ("runs the LED on the sample grid outside the "
-                       "DCO-OFDM transmitter and the slot-response "
-                       "measurement: " + ", ".join(stray))
+                       "DCO-OFDM transmitter: " + ", ".join(stray))
     assert {scope for _, _, scope in found} == LED_TRANSFER_CALLERS
+
+
+# what a pulse chain would read or call to run its link on the sample grid
+SAMPLE_GRID_NAMES = {"samples_per_slot", "sample_rate", "fs"}
+SAMPLE_GRID_STAGES = {"led_transfer", "propagate", "cell_means",
+                      "lowpass_coefficient", "response_length",
+                      "delay_samples"}
+
+
+def test_the_pulse_chain_never_meets_the_sample_grid():
+    (chain,) = [node for node in parse(os.path.join(PACKAGE, "simkit.py")).body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "_PulseChain"]
+    read = sorted(
+        f"{node.lineno} {name}" for node in ast.walk(chain)
+        for name in [getattr(node, "attr", getattr(node, "id", None))]
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and name in SAMPLE_GRID_NAMES)
+    assert not read, "a _PulseChain method reads the grid: " + ", ".join(read)
+    called = [f"{line} {scope}" for name in sorted(SAMPLE_GRID_STAGES)
+              for scope, line in calls(name, chain)]
+    assert not called, ("a _PulseChain method runs a sample-grid stage: "
+                        + ", ".join(called))
 
 
 # an F=1 EPPM link of two waves of two stacks each: without memory its

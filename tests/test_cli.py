@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import slot_reference
 
 import vlclink
 from vlclink import analog_chain as ac
@@ -575,8 +576,9 @@ class TestFlickerCommand:
 
     def test_pole_light_matches_the_sample_grid(self, tmp_path):
         # read at the slot rate, the light of an LED with a pole gives the
-        # window means of its samples on the configured grid, within 4
-        # ULPs of a window's mean (the metric's unit is the global mean)
+        # window means of the 50-digit closed form, the limit of its
+        # samples on a finer and finer grid, within 4 ULPs of a window's
+        # mean (the metric's unit is the global mean)
         doc = {
             "scheme": {"kind": "eppm", "q": 7, "k": 3},
             "geometry": {"slot_duration": 30e-9, "samples_per_slot": 20},
@@ -592,14 +594,15 @@ class TestFlickerCommand:
         g = config.geometry
         c = config.scheme.build_constellation()
         idx = np.random.default_rng(2).integers(0, c.used_size, size=2000)
-        light = ac.led_transfer(wf.synthesize(wf.interleave(c.symbols[idx], 8),
-                                              g), config.device, g.sample_rate)
+        light = slot_reference.slot_light(
+            wf.synthesize(wf.interleave(c.symbols[idx], 8), g, sps=1),
+            config.device, ac.IDENTITY_CHANNEL, g.slot_duration)
         slot_light = sk.random_light(config, 2000)
         assert slot_light.shape == (2000 * 7,)
         metrics = []
         for k in (1, 2, 8):
             window = k * 7 * g.slot_duration
-            expected = sk.flicker_metric(light, g.sample_rate, window)
+            expected = sk.flicker_metric(light, 1 / g.slot_duration, window)
             metrics.append(sk.flicker_metric(slot_light, 1 / g.slot_duration,
                                              window))
             assert expected > 0 and abs(metrics[-1] - expected) <= (
