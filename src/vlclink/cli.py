@@ -159,6 +159,8 @@ def cmd_nonlin_compare(args):
     config, doc = _load(args)
     _pulse_constellation(config)  # the pulse side of the comparison
     compare = sk.cli_block(doc, "compare")
+    if compare.ofdm_scheme.kind != "dco_ofdm":
+        raise ConfigError("compare.ofdm_scheme.kind", 'expected "dco_ofdm"')
     points = _checked_points(compare.saturation_points, config, "saturation",
                              "compare.saturation_points")
     try:
@@ -186,9 +188,11 @@ def cmd_rate(args):
     if math.isinf(config.device.bandwidth_3db):
         raise ConfigError("device.bandwidth_3db",
                           "rate needs a finite LED bandwidth")
-    acc = sk.rate_accounting(c, config.geometry, config.device,
-                             rate.n_colors,
-                             bits_per_symbol=rate.bits_per_symbol)
+    try:
+        acc = sk.rate_accounting(c, config.geometry, config.device,
+                                 rate.n_colors, rate.bits_per_symbol)
+    except ParameterError as exc:
+        raise ConfigError("rate.bits_per_symbol", str(exc)) from None
     print(f"bits_per_slot={acc.bits_per_slot:.6g}")
     print(f"slot_rate_hz={acc.slot_rate:.6g}")
     print(f"per_color_mbps={acc.per_color_rate / 1e6:.0f}")

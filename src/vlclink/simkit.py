@@ -346,14 +346,14 @@ def _read_only(a):
 
 class _Workspace(threading.local):
     """The buffers of the stacks that one `_run_points` call runs, each
-    thread its own (a thread's first use makes them): each LED's drive (a
-    value a slot on a pulse link), which the LED and channel overwrite, or
-    the light that a pulse link without memory gathers from its table,
-    which the channel overwrites, and the normals and an AWGN link's
-    scaled noise, one per value the receiver reads.  Every stack a thread
-    runs reuses them, so their pages fault in once per call, not once per
-    stack (glibc would hand them back to the kernel in between).  Nothing a link returns aliases them, and they are
-    dropped with the call."""
+    thread its own (a thread's first use makes them): each LED's drive
+    (F>1 pulse links, DCO-OFDM), which the LED and channel overwrite, or
+    the light that an F=1 pulse link gathers from its table, and the
+    normals and an AWGN link's scaled noise, one per value the receiver
+    reads.  Every stack a thread runs reuses them, so their pages fault in
+    once per call, not once per stack (glibc would hand them back to the
+    kernel in between).  Nothing a link returns aliases them, and they
+    are dropped with the call."""
 
     def __init__(self):
         self._buffers = {}
@@ -373,8 +373,8 @@ class _Draws:
     """The point-independent part of a stack of batches, read-only, so
     that every point whose chain has the same `draw_key` runs its own link
     on it: what each row sends (a pulse chain's symbol indices, DCO-OFDM's
-    bits), the unit-peak drive from `encode` (none for a pulse chain that
-    gathers its light from a table) and the channel noise.
+    bits), the unit-peak drive from `encode` (none at F=1, where a pulse
+    chain gathers its light from a table) and the channel noise.
     Row i of the noise is drawn from generator i after what it sends, on
     the first read; every later read shares that array, since a redraw
     would continue the generators (the channel mode is part of the
@@ -482,7 +482,8 @@ class _PulseChain(_Chain):
         n_sym = max(4, int(np.ceil(guard_slots / q)) + 2)
         words = np.zeros((n_sym, q), dtype=np.int16)
         words[0, 0] = 1
-        stats = self._slot_statistics(self.modulate(words), _Workspace())
+        stats = self._received(self.light(self.modulate(words), self.peak,
+                                          _Workspace()))
         peak = np.abs(stats).max()
         if peak <= 0:
             raise ParameterError("unit pulse produced no received signal")
@@ -501,23 +502,13 @@ class _PulseChain(_Chain):
 
     def draw_key(self):
         """What a batch's draws depend on: chains with equal keys draw the
-        same symbol indices, drive (or none, see `_renders`) and noise from
-        each (seed, batch_index)."""
+        same symbol indices, drive (at F>1; none at F=1, see `encode`) and
+        noise from each (seed, batch_index)."""
         c = self.constellation
         cfg = self.config
         return (c.scheme, c.q, c.k, c.n, c.use_complements, cfg.geometry,
                 cfg.run.batch_symbols, cfg.interleaver_depth,
-                cfg.array_split_leds, cfg.seed, cfg.channel.mode,
-                self._renders)
-
-    @functools.cached_property
-    def _renders(self):
-        """Whether a stack's light is rendered through `light`: at F>1 and
-        over a link with memory.  Otherwise each slot's light depends only
-        on its level, so a stack's light is gathered from `_light_table`
-        and the chain draws no drive."""
-        return (self.geometry.overlap_factor > 1
-                or self._slot_response is not None)
+                cfg.array_split_leds, cfg.seed, cfg.channel.mode)
 
     def modulate(self, words):
         """The unit-peak drive of a codeword stream, or of each frame of a
@@ -548,8 +539,10 @@ class _PulseChain(_Chain):
 
     def encode(self, sent):
         """The unit-peak drive of a stack's symbol indices, a frame per
-        row; none unless the chain `_renders`."""
-        return self.modulate(self.words(sent)) if self._renders else []
+        row, at F>1; none at F=1, where a stack's light is gathered from
+        `_light_table`."""
+        return (self.modulate(self.words(sent))
+                if self.geometry.overlap_factor > 1 else [])
 
     @functools.cached_property
     def _slot_response(self):
@@ -559,11 +552,14 @@ class _PulseChain(_Chain):
 
     def light(self, modulated, peak, workspace):
         """The transmitter: `modulate`'s output at `peak` per unit of slot
-        amplitude, one value a slot.  Each part's slot levels, in its own
+        amplitude, one value a slot, its `_led_light` `_filtered`; on an
+        identity channel, each slot's mean of the light the LEDs send."""
+        return self._filtered(self._led_light(modulated, peak, workspace))
+
+    def _led_light(self, modulated, peak, workspace):
+        """The light the LEDs send: each part's slot levels, in its own
         buffer of the workspace, through its LED's curve, summed in the
-        first, then through the slot response when the link has memory.
-        On an identity channel, each slot's mean of the light the LEDs
-        send."""
+        first."""
         drives = [wf.synthesize(p, self.geometry, peak, workspace.take(
             ("drive", i), p.shape[:-2] + (self._slots(p.shape[-2]),)), 1)
             for i, p in enumerate(modulated)]
@@ -571,6 +567,11 @@ class _PulseChain(_Chain):
         light = ac.memoryless_response(drives[0], device, out=drives[0])
         for d in drives[1:]:
             light += ac.memoryless_response(d, device, out=d)
+        return light
+
+    def _filtered(self, light):
+        """Slot-rate `light`, in send order, through the link's slot
+        response when it has memory (a new array); otherwise `light`."""
         if self._slot_response is None:
             return light
         from scipy.signal import lfilter  # a link with memory needs scipy
@@ -579,19 +580,18 @@ class _PulseChain(_Chain):
 
     @functools.cached_property
     def _light_table(self):
-        """The light of each used symbol of a materialized code, (used_size,
-        Q), or of each slot level 0..N of a lattice code, (N + 1,): every
-        level that the used symbols reach, sent once through `light` as a
-        row of Q slots, in a workspace of its own.  Over a link without
-        memory a slot's light depends only on its level, also over split
-        LEDs, where each lit LED adds the same light and each unlit one an
-        exact 0."""
+        """The LED light of each used symbol of a materialized code,
+        (used_size, Q), or of each slot level 0..N of a lattice code,
+        (N + 1,): every level the used symbols reach, sent once through
+        `_led_light` as a row of Q slots in a workspace of its own.  It
+        depends only on the level, also over split LEDs: each lit LED adds
+        the same light and each unlit one an exact 0."""
         c = self.constellation
         used = c.symbols[:c.used_size] if c.is_materialized else None
         top = c.n if used is None else int(used.max())
         levels = np.repeat(np.arange(top + 1), c.q).reshape(-1, c.q)
-        light = self.light(self.modulate(levels), self.peak,
-                           _Workspace())[::c.q]
+        light = self._led_light(self.modulate(levels), self.peak,
+                                _Workspace())[::c.q]
         return _read_only(light.copy() if used is None else light[used])
 
     def _gathered_light(self, sent, workspace):
@@ -608,37 +608,33 @@ class _PulseChain(_Chain):
                     mode="clip")
         return light.reshape(len(sent), -1)
 
-    def _slot_statistics(self, modulated, workspace, draws=None):
-        """Slot statistics of `modulate`'s output at the chain's peak: its
-        `light` through the channel (which the slot response of a link with
-        memory holds) and the detector, with the draws' noise if any."""
+    def _received(self, light, draws=None, depth=1):
+        """Slot statistics of slot-rate `light` through the channel (which
+        the slot response of a link with memory holds) and the detector,
+        with the draws' noise if any, read at `depth` (`_apply_channel`)."""
         cfg = self.config
         model = (cfg.channel.link if self._slot_response is None
                  else ac.IDENTITY_CHANNEL)
-        means = _apply_channel(self.light(modulated, self.peak, workspace),
-                               model, cfg, 1 / self.geometry.slot_duration,
-                               draws)
+        means = _apply_channel(light, model, cfg,
+                               1 / self.geometry.slot_duration, draws, depth)
         return rx.slot_statistics(means, self.geometry, 1)
 
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
-        chain's link, in symbol order.  A chain that `_renders` sends its
-        drive in send order and deinterleaves the statistics; otherwise
-        the light, gathered in symbol order, takes its normals through the
-        inverse of the interleaver permutation.  The link runs in the
-        draws' workspace; the statistics are new."""
-        cfg = self.config
-        depth = cfg.interleaver_depth
-        if not self._renders:
-            means = _apply_channel(
-                self._gathered_light(draws.sent, draws.workspace),
-                cfg.channel.link, cfg, 1 / self.geometry.slot_duration,
-                draws, depth)
-            return rx.slot_statistics(means, self.geometry, 1)
-        stats = self._slot_statistics(draws.modulated, draws.workspace, draws)
-        if depth > 1:
-            stats = wf.deinterleave_values(stats, depth, self.constellation.q)
-        return stats
+        chain's link, in symbol order, in the draws' workspace (they are
+        new).  F>1 renders the drive through `light`.  F=1 gathers the
+        light in symbol order, filters a link's memory in send order and
+        reads the normals through the inverse of the interleaver."""
+        if self.geometry.overlap_factor > 1:
+            return self._received(self.light(draws.modulated, self.peak,
+                                             draws.workspace), draws)
+        q, depth = self.constellation.q, self.config.interleaver_depth
+        light = self._gathered_light(draws.sent, draws.workspace)
+        if self._slot_response is not None:
+            in_send_order = wf.interleave(light.reshape(-1, q), depth)
+            light = wf.deinterleave_values(
+                self._filtered(in_send_order.reshape(light.shape)), depth, q)
+        return self._received(light, draws, depth)
 
     def counts(self, draws):
         """Counts of each row of a stack's draws, decoded in one call (at

@@ -60,7 +60,7 @@ def synthesize(codewords, g, peak=1.0, out=None, sps=None):
     C-contiguous float64 array of the result's shape, receives the
     samples; by default they go into a new array.  `sps` renders that many
     samples a slot instead of `g.samples_per_slot`: at 1, each slot's
-    level once, which is what a pulse trial renders.
+    level once, which is what a pulse chain's `light` sends to its LEDs.
     """
     amps = slot_amplitudes(codewords)
     f = g.overlap_factor

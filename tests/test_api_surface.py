@@ -188,7 +188,7 @@ def test_cells_integrated_in_one_place():
 
 # the two implementations of a link's memory: the LED pole on a sample
 # grid, and the slot-rate filter of a pulse link's closed-form response
-LINK_FILTERS = {"led_transfer", "_PulseChain.light"}
+LINK_FILTERS = {"led_transfer", "_PulseChain._filtered"}
 
 # the only caller of the sample-grid LED: the DCO-OFDM transmitter
 LED_TRANSFER_CALLERS = {"_OfdmChain.light"}
@@ -254,9 +254,10 @@ def test_the_pulse_chain_never_meets_the_sample_grid():
                         + ", ".join(called))
 
 
-# an F=1 EPPM link of two waves of two stacks each: without memory its
-# trial sends its symbols' light through the transmitter once, for their
-# table; with the LED pole it renders every stack
+# an F=1 EPPM link of two waves of two stacks each: with or without
+# memory its trial sends its symbols' light through the LEDs once, for
+# their table; with the LED pole it interleaves and filters each stack's
+# gathered light
 TWO_WAVES = sk.TrialConfig(
     scheme=sk.SchemeSpec(kind="eppm"), geometry=wf.SlotGeometry(30e-9, 4),
     channel=sk.ChannelSpec(mode="awgn", slot_snr_db=9.0),
@@ -265,9 +266,10 @@ TWO_WAVES = sk.TrialConfig(
 
 
 @pytest.mark.parametrize("device, expected", [
-    (ac.LED_PRESETS["ideal"], {"light": 1, "synthesize": 1, "interleave": 0}),
+    (ac.LED_PRESETS["ideal"],
+     {"_led_light": 1, "synthesize": 1, "interleave": 0, "_filtered": 0}),
     (ac.LED_PRESETS["trichromatic"],
-     {"light": 4, "synthesize": 4, "interleave": 4}),
+     {"_led_light": 1, "synthesize": 1, "interleave": 4, "_filtered": 4}),
 ], ids=["memoryless", "pole"])
 def test_a_memoryless_trial_sends_its_light_once(device, expected,
                                                  monkeypatch):
@@ -282,7 +284,9 @@ def test_a_memoryless_trial_sends_its_light_once(device, expected,
 
         monkeypatch.setattr(owner, name, spy)
 
-    for owner, name in ((sk._PulseChain, "counts"), (sk._PulseChain, "light"),
+    for owner, name in ((sk._PulseChain, "counts"),
+                        (sk._PulseChain, "_led_light"),
+                        (sk._PulseChain, "_filtered"),
                         (wf, "synthesize"), (wf, "interleave")):
         counted(owner, name)
     report = sk.run_trials(replace(TWO_WAVES, device=device))

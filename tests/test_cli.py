@@ -201,8 +201,9 @@ class TestRate:
         ({"rate": {"n_colors": -3}}, "rate"),
         ({"rate": {"bits_per_symbol": -2}}, "rate"),
         ({"device": {"preset": "ideal"}}, "device.bandwidth_3db"),
+        ({"rate": {"bits_per_symbol": 5}}, "rate.bits_per_symbol"),
     ], ids=["zero-colors", "negative-colors", "negative-bits-per-symbol",
-            "ideal-led"])
+            "ideal-led", "bits-per-symbol-above-the-code"])
     def test_rejected_rate_exit_3(self, tmp_path, capsys, patch, path):
         doc = {**BASE_EPPM, "device": {"bandwidth_3db": 1e6}, **patch}
         out_dir = tmp_path / "out"
@@ -288,8 +289,11 @@ class TestErrors:
          "a sweep needs at least 2 points"),
         ({"saturation_points": [1.5, 4.0]}, {"dimming_target": 0.3},
          "compare.ofdm_scheme", "dimming_target needs a pulse scheme"),
+        ({"saturation_points": [1.5, 4.0],
+          "ofdm_scheme": {"kind": "ppm", "q": 4}},
+         {}, "compare.ofdm_scheme.kind", 'expected "dco_ofdm"'),
     ], ids=["negative-saturation", "zero-saturation", "one-point",
-            "dimming-on-ofdm"])
+            "dimming-on-ofdm", "pulse-scheme-as-ofdm"])
     def test_nonlin_compare_checked_before_any_point_runs(
             self, tmp_path, capsys, monkeypatch, compare, patch, path,
             message):

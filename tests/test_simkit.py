@@ -705,6 +705,18 @@ class TestSharedDraws:
                   for p in points]
         assert sk._draw_groups(chains) == [[0, 1]]
 
+    def test_links_with_and_without_memory_share_draws(self):
+        # an F=1 chain draws no drive, so its link's memory, which it
+        # applies to the gathered light, does not split the group
+        config = awgn_config(geometry=geo(sps=4, slot=30e-9), run=sk.RunSpec(
+            max_bits=20_000, min_errors=10 ** 9, batch_symbols=256))
+        configs = [config, replace(config,
+                                   device=ac.LED_PRESETS["trichromatic"])]
+        chains = [sk._build_chain(c) for c in configs]
+        assert [c._slot_response is None for c in chains] == [True, False]
+        assert sk._draw_groups(chains) == [[0, 1]]
+        assert sk._run_points(configs) == [sk.run_trials(c) for c in configs]
+
     def test_a_group_draws_each_stack_once(self, monkeypatch):
         config, axis, points = SHARED_SWEEPS["snr-f2-eppm"]
         drawn = []
@@ -992,19 +1004,25 @@ class TestSlotRateRender:
         name for name, config in SLOT_RATE.items()
         if config.geometry.overlap_factor > 1])
     def test_kernels_match_the_configured_rate(self, name, monkeypatch):
+        # the kernel receives one unit pulse in the first slot, noiseless
         chain = sk._build_chain(SLOT_RATE[name])
-        pulses = []
-        slot_statistics = chain._slot_statistics
+        received = []
+        receive = chain._received
 
-        def spy(modulated, *args):
-            pulses.append(modulated)
-            return slot_statistics(modulated, *args)
+        def spy(light, *args):
+            received.append((light.shape, args))
+            return receive(light, *args)
 
-        monkeypatch.setattr(chain, "_slot_statistics", spy)
+        monkeypatch.setattr(chain, "_received", spy)
         kernel = chain._effective_kernel()
-        (pulse,) = pulses
-        stats = rx.slot_statistics(configured_means(chain, pulse),
-                                   chain.geometry, 1)
+        ((shape, args),) = received
+        assert args == ()
+        q, f = chain.constellation.q, chain.geometry.overlap_factor
+        words = np.zeros(((shape[-1] - f + 1) // q, q), dtype=np.int16)
+        words[0, 0] = 1
+        assert chain._slots(len(words)) == shape[-1]
+        stats = rx.slot_statistics(configured_means(
+            chain, chain.modulate(words)), chain.geometry, 1)
         peak = np.abs(stats).max()
         expected = stats[:np.flatnonzero(np.abs(stats) > 1e-9 * peak)[-1] + 1]
         assert kernel.shape == expected.shape
@@ -1061,27 +1079,86 @@ TABLE_LIGHT = {
 }
 
 
+# F=1 links with memory, whose stacks gather their LED light from the
+# same table and filter it in send order
+TABLE_LIGHT_WITH_MEMORY = {
+    "eppm-trichromatic-depth-1": awgn_config(
+        snr_db=9.0, geometry=geo(sps=4, slot=30e-9),
+        device=ac.LED_PRESETS["trichromatic"],
+        run=sk.RunSpec(batch_symbols=64)),
+    "eppm-trichromatic-depth-8": awgn_config(
+        snr_db=9.0, geometry=geo(sps=4, slot=30e-9),
+        device=ac.LED_PRESETS["trichromatic"], interleaver_depth=8,
+        run=sk.RunSpec(batch_symbols=64)),
+    "eppm-phosphor-physical-nlos-depth-4": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="eppm"), geometry=geo(sps=4, slot=2e-7),
+        device=ac.LED_PRESETS["phosphor"],
+        channel=replace(PHYSICAL, model=ac.ChannelModel(
+            los_gain=0.6, nlos_gain=0.4, nlos_decay=1e-7)),
+        peak_power_per_unit=3e-8, interleaver_depth=4,
+        run=sk.RunSpec(batch_symbols=64), seed=3),
+    "eppm-los-delay-shadowed": replace(
+        awgn_config(geometry=geo(sps=4), run=sk.RunSpec(batch_symbols=64),
+                    seed=4),
+        channel=sk.ChannelSpec(mode="awgn", slot_snr_db=12.0,
+                               model=ac.ChannelModel(
+                                   los_delay=0.25e-6, nlos_gain=0.5,
+                                   shadowed=True))),
+    "meppm4-split-4-saturating-pole": awgn_config(
+        kind="meppm", n=4, snr_db=14.0, geometry=geo(sps=4, slot=30e-9),
+        device=ac.LedModel(bandwidth_3db=30e6, saturation_power=0.8),
+        array_split_leds=4, interleaver_depth=2,
+        run=sk.RunSpec(batch_symbols=64), seed=5),
+    "meppm21c-lattice-pole": awgn_config(
+        kind="meppm", n=21, use_complements=True, snr_db=25.0,
+        geometry=geo(sps=4, slot=30e-9),
+        device=ac.LED_PRESETS["trichromatic"],
+        run=sk.RunSpec(batch_symbols=16), seed=6),
+    "meppm3c-saturating-pole-identity": sk.TrialConfig(
+        scheme=sk.SchemeSpec(kind="meppm", q=7, k=3, n=3,
+                             use_complements=True),
+        geometry=geo(sps=4, slot=30e-9),
+        device=ac.LedModel(bandwidth_3db=30e6, saturation_power=2.0),
+        channel=sk.ChannelSpec(mode="identity"),
+        run=sk.RunSpec(batch_symbols=32), seed=7),
+    "mppm-dimmed-pole": awgn_config(
+        kind="mppm", geometry=geo(sps=4, slot=30e-9),
+        device=ac.LED_PRESETS["trichromatic"], dimming_target=0.6,
+        run=sk.RunSpec(batch_symbols=48), seed=8),
+    "eppm-ideal-los-delay": replace(
+        awgn_config(geometry=geo(sps=4), run=sk.RunSpec(batch_symbols=64),
+                    seed=9),
+        channel=sk.ChannelSpec(mode="awgn", model=ac.ChannelModel(
+            los_delay=0.3e-6))),
+}
+
+
 def rendered_statistics(chain, draws):
     """The slot statistics of a stack as a rendering chain takes them: the
     sent symbols' codewords, interleaved, through `light`, then the channel
-    with the draws' normals in send order, the slot statistics, and back
-    in symbol order."""
+    (an identity one when the light holds the link's memory) with the
+    draws' normals in send order, the slot statistics, and back in symbol
+    order."""
     cfg = chain.config
     light = chain.light(chain.modulate(chain.words(draws.sent)), chain.peak,
                         sk._Workspace())
-    means = sk._apply_channel(light, cfg.channel.link, cfg,
+    model = (cfg.channel.link if chain._slot_response is None
+             else ac.IDENTITY_CHANNEL)
+    means = sk._apply_channel(light, model, cfg,
                               1 / chain.geometry.slot_duration, draws)
     return in_symbol_order(chain, rx.slot_statistics(means, chain.geometry,
                                                      1))
 
 
 class TestTableLight:
-    @pytest.mark.parametrize("name", list(TABLE_LIGHT))
+    @pytest.mark.parametrize("name", [*TABLE_LIGHT, *TABLE_LIGHT_WITH_MEMORY])
     def test_statistics_equal_the_rendered_ones(self, name):
-        chain = sk._build_chain(TABLE_LIGHT[name])
+        config = {**TABLE_LIGHT, **TABLE_LIGHT_WITH_MEMORY}[name]
+        chain = sk._build_chain(config)
         draws = chain.draw([2, 0, 7])
-        assert not chain._renders
         assert draws.modulated == []
+        assert (chain._slot_response is not None) == (
+            name in TABLE_LIGHT_WITH_MEMORY)
         stats = chain.statistics(draws)
         expected = rendered_statistics(chain, draws)
         assert stats.shape == expected.shape == (
@@ -1154,19 +1231,16 @@ class TestWorkspace:
         ac.LED_PRESETS["phosphor"],
     ], ids=["ideal", "saturating", "pole"])
     def test_the_drive_holds_the_render_grid(self, device):
-        # a pulse link runs one value a slot, whatever its LED: the drive
-        # it renders over a link with memory, otherwise the light it
-        # gathers from its symbols' table
+        # an F=1 pulse link runs one value a slot, whatever its LED: the
+        # light it gathers from its symbols' table, with no drive rendered
         config = awgn_config(geometry=geo(sps=4), device=device,
                              run=sk.RunSpec(batch_symbols=256))
         chain = sk._build_chain(config)
         draws = chain.draw([0, 1, 2])
         chain.statistics(draws)
         slots = chain._slots(chain.batch_symbols())
-        key = ("drive", 0) if chain._renders else "light"
-        assert chain._renders == (device.bandwidth_3db < np.inf)
-        drive = draws.workspace._buffers[key]
-        assert drive.size == 3 * slots
+        assert ("drive", 0) not in draws.workspace._buffers
+        assert draws.workspace._buffers["light"].size == 3 * slots
 
     def test_threads_keep_their_own_buffers(self):
         # more workers than cores, switching threads often: buffers that
