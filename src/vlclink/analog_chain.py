@@ -140,16 +140,6 @@ def lowpass_coefficient(m, sample_rate):
     return float(np.exp(-2.0 * np.pi * m.bandwidth_3db / sample_rate))
 
 
-def lowpass_impulse_response(m, sample_rate, length):
-    """Discrete impulse response of the LED's first-order pole."""
-    a = lowpass_coefficient(m, sample_rate)
-    if a == 0.0:
-        h = np.zeros(length)
-        h[0] = 1.0
-        return h
-    return (1.0 - a) * a ** np.arange(length)
-
-
 def led_transfer(x, m, sample_rate, out=None):
     """Drive samples (or each row of a stack) through the LED: saturation
     curve, then the pole.  `out` receives the curve's output, and may be
@@ -167,25 +157,15 @@ def led_transfer(x, m, sample_rate, out=None):
 # channel
 # ---------------------------------------------------------------------------
 
-def channel_impulse_response(cm, sample_rate, length=None):
-    """Discretized LOS + NLOS response, normalized to sum to the total gain.
-
-    `length` defaults to the shortest one allowed, `cm.response_length`.
-    """
+def channel_impulse_response(cm, sample_rate):
+    """Discretized LOS + NLOS response over `cm.response_length` samples,
+    normalized to sum to the total gain."""
     delay_idx = cm.delay_samples(sample_rate)
-    needed = cm.response_length(sample_rate)
-    if length is None:
-        length = needed
-    elif length < needed:
-        raise ParameterError(
-            f"length {length} does not cover los_delay + 5 x nlos_decay "
-            f"({needed} samples)"
-        )
-    h = np.zeros(length)
+    h = np.zeros(cm.response_length(sample_rate))
     if not cm.shadowed and cm.los_gain > 0:
         h[delay_idx] += cm.los_gain
     if cm.nlos_gain > 0:
-        t = np.arange(length - delay_idx) / sample_rate
+        t = np.arange(h.size - delay_idx) / sample_rate
         tail = np.exp(-t / cm.nlos_decay)
         h[delay_idx:] += cm.nlos_gain * tail / tail.sum()
     return h

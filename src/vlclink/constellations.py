@@ -410,6 +410,12 @@ class Constellation:
         """Number of symbols addressable by the bit mapping (a power of two)."""
         return 1 << self.bits_per_symbol
 
+    @functools.cached_property
+    def top_level(self):
+        """The highest slot level of the used symbols (N when implicit)."""
+        table = self._symbols
+        return self.n if table is None else int(table[:self.used_size].max())
+
     # -- bit mapping ---------------------------------------------------------
 
     def encode_indices(self, indices):

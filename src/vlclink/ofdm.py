@@ -16,6 +16,7 @@ from . import constellations as con
 from .errors import InputError, ParameterError
 
 QAM_ORDERS = (4, 16, 64)
+MEMORY_FLOOR = 1e-12  # memory ends at the last tap above this x the peak
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def dco_demodulate(y, cfg, channel_response=None):
     h = np.ones(1) if channel_response is None else np.asarray(channel_response)
     if h.size == 0 or np.abs(h).max() == 0:
         raise InputError("channel response carries no energy")
-    memory = int(np.flatnonzero(np.abs(h) > 1e-12 * np.abs(h).max())[-1])
+    memory = int(np.flatnonzero(
+        np.abs(h) > MEMORY_FLOOR * np.abs(h).max())[-1])
     if cfg.cyclic_prefix < memory:
         warnings.warn(
             f"cyclic prefix {cfg.cyclic_prefix} shorter than channel memory "

@@ -17,6 +17,7 @@ decoder doubles as the oracle for small constellations.
 import numpy as np
 
 from . import analog_chain as ac
+from . import constellations as con
 from . import waveform as wf
 from .errors import CapacityError, InputError, ParameterError
 
@@ -74,10 +75,25 @@ def restoration_matrix(kernel, q):
     return np.tril(col[np.arange(q)[:, None] - np.arange(q)])
 
 
-def _candidate_codewords(c):
-    if not c.is_materialized and c.size > ML_SIZE_LIMIT:
-        raise CapacityError("constellation too large for template decoding")
-    return c.encode_indices(np.arange(c.size)).astype(np.int64)
+def resolve_decoder(c, name=""):
+    """The decoder `name`, or with "" the scheme's own (correlation; for
+    MEPPM components on a lattice code, ML without), if it can take the
+    constellation `c`: components needs a lattice, and a template decoder
+    a table of at most ML_SIZE_LIMIT codewords (ML always, correlation
+    unless the code is tabulated already)."""
+    if not name:
+        name = ("correlation" if c.scheme != con.MEPPM
+                else "ml" if c.lattice is None else "components")
+    if name not in DECODERS:
+        raise ParameterError(f"unknown decoder {name!r}")
+    if name == "components":
+        if c.lattice is None:
+            raise ParameterError('decoder "components" needs a MEPPM code '
+                                 "with a lattice")
+    elif c.size > ML_SIZE_LIMIT and (name == "ml" or not c.is_materialized):
+        raise CapacityError(f'decoder "{name}": {c.size} symbols exceed the '
+                            f"codeword table limit {ML_SIZE_LIMIT}")
+    return name
 
 
 def _best_rows(stats_2d, templates, offsets=None):
@@ -111,8 +127,9 @@ class CorrelationDecoder:
     """
 
     def __init__(self, c):
+        resolve_decoder(c, "correlation")
         self.constellation = c
-        self.codewords = _candidate_codewords(c)
+        self.codewords = c.encode_indices(np.arange(c.size)).astype(np.int64)
         self.scoring = self.codewords - self.codewords.mean(axis=1, keepdims=True)
 
     def decode_block(self, stats_2d):
@@ -128,12 +145,9 @@ class MlDecoder:
     amplitudes; the desk-scale oracle for the faster decoders."""
 
     def __init__(self, c):
-        if c.size > ML_SIZE_LIMIT:
-            raise CapacityError(
-                f"{c.size} symbols exceed the ML decoder limit {ML_SIZE_LIMIT}"
-            )
+        resolve_decoder(c, "ml")
         self.constellation = c
-        self.codewords = _candidate_codewords(c)
+        self.codewords = c.encode_indices(np.arange(c.size)).astype(np.int64)
         self._half_energy = 0.5 * (self.codewords ** 2).sum(axis=1)
 
     def decode_block(self, stats_2d):
@@ -157,9 +171,7 @@ class MeppmComponentDecoder:
     """
 
     def __init__(self, c):
-        if c.lattice is None:
-            raise ParameterError("component decoding needs a MEPPM code "
-                                 "with a lattice")
+        resolve_decoder(c, "components")
         self.constellation = c
         self.templates = c.components.astype(np.float64)
         self._half_energy = 0.5 * (self.templates ** 2).sum(axis=1)
@@ -204,7 +216,8 @@ _DECODER_CLASSES = dict(zip(DECODERS, (CorrelationDecoder, MlDecoder,
 class StreamReceiver:
     """Waveform-to-indices pipeline for one scheme and geometry.
 
-    `kernel` is the slot response of one unit pulse (default: the unit-gain
+    `decoder` is one of DECODERS, or "" (`resolve_decoder`).  `kernel` is
+    the slot response of one unit pulse (default: the unit-gain
     `pulse_kernel`); its first value is the link's scale.  F=1 streams
     decode fully vectorized; statistics arrive in symbol order, so an
     interleaving link deinterleaves them first.  Overlapped streams decode
@@ -215,9 +228,7 @@ class StreamReceiver:
     def __init__(self, c, g, decoder="correlation", kernel=None):
         self.constellation = c
         self.geometry = g
-        if decoder not in _DECODER_CLASSES:
-            raise ParameterError(f"unknown decoder {decoder!r}")
-        self._decoder = _DECODER_CLASSES[decoder](c)
+        self._decoder = _DECODER_CLASSES[resolve_decoder(c, decoder)](c)
         self._kernel = np.asarray(
             pulse_kernel(g.overlap_factor) if kernel is None else kernel,
             dtype=np.float64)

@@ -44,6 +44,7 @@ WAVE_BATCHES = 8  # batches per scheduling wave, independent of worker count
 # at 1024 and 512 a wave is one stack, which one thread runs
 STACK_SAMPLES = 1 << 16
 KERNEL_TRIM = 1e-9  # an F>1 kernel ends at its last tap above this x peak
+CALIBRATION_ITERATIONS = 3  # fixed-point steps of `calibrate_drive`
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ class SchemeSpec:
 
     def __post_init__(self):
         if self.kind in con.SCHEMES:
-            con.check_pulse_scheme(self.kind, self.q, self.k, self.n)
+            self.build_constellation()  # the ranges, then a code too large
         elif self.kind == "dco_ofdm":
             self.build_ofdm()  # OfdmConfig checks the carrier ranges
             if self.sample_rate <= 0:
@@ -252,11 +253,6 @@ class TrialConfig:
                 or self.geometry.overlap_factor != 1):
             raise ParameterError("interleaver_depth above 1 needs a pulse "
                                  "scheme at overlap_factor 1")
-        if self.decoder == "components" and (
-                self.scheme.kind != con.MEPPM
-                or self.scheme.build_constellation().lattice is None):
-            raise ParameterError("decoder \"components\" needs a MEPPM "
-                                 "code with a lattice")
         if not 0 <= self.dimming_target <= 1:
             raise ParameterError("dimming_target must lie in [0, 1]")
         if self.dimming_target and self.scheme.kind == "dco_ofdm":
@@ -264,18 +260,25 @@ class TrialConfig:
                                  "not dco_ofdm")
         if self.scheme.kind in con.SCHEMES:
             self._check_pulse_link()
+        elif self.decoder == "components":
+            raise ParameterError("decoder \"components\" needs a MEPPM "
+                                 "code with a lattice")
 
     def _check_pulse_link(self):
-        """The limits a pulse scheme's chain would otherwise hit only when
-        it is built: the dimming range of the code, and a LOS delay under
-        one slot in seconds (the receiver has no timing recovery, so it
-        takes slot statistics on the transmit slots)."""
+        """What a pulse chain would hit only once built or sending, by field:
+        the dimming range, the decoder's capacity, the LEDs a split needs,
+        and a LOS delay under one slot in seconds (the receiver has no
+        timing recovery, so it takes slot statistics on the transmit slots)."""
+        c = self.scheme.build_constellation()
         if self.dimming_target:
-            c = self.scheme.build_constellation()
             try:
-                wf.apply_dimming(c, self.dimming_target)
+                c = wf.apply_dimming(c, self.dimming_target).constellation
             except ParameterError as exc:
                 raise ParameterError(f"dimming_target: {exc}") from None
+        rx.resolve_decoder(c, self.decoder)
+        if self.array_split_leds and c.top_level > self.array_split_leds:
+            raise ParameterError(f"array_split_leds: slot level {c.top_level}"
+                                 f" exceeds {self.array_split_leds} LEDs")
         delay, slot = self.channel.link.los_delay, self.geometry.slot_duration
         if delay >= slot:
             raise ParameterError(f"channel.model.los_delay is {delay:g} s, not "
@@ -439,18 +442,13 @@ class _PulseChain(_Chain):
         """The trial's receiver, built on first use: calibration pilots
         only transmit, so they never pay for its tables or kernel."""
         config = self.config
-        c = self.constellation
-        decoder = config.decoder or (
-            "correlation" if c.scheme != con.MEPPM
-            else "ml" if c.lattice is None else "components"
-        )
         kernel = (
             self._effective_kernel()
             if config.geometry.overlap_factor > 1
             else [self._linear_gain()]
         )
-        return rx.StreamReceiver(c, config.geometry, decoder=decoder,
-                                 kernel=kernel)
+        return rx.StreamReceiver(self.constellation, config.geometry,
+                                 decoder=config.decoder, kernel=kernel)
 
     # not the measured kernel's first tap, which counts only the part of a
     # pulse left in its own slot: MEPPM(7,3,4)+c, components, 16 dB, 4
@@ -588,8 +586,7 @@ class _PulseChain(_Chain):
         the same light and each unlit one an exact 0."""
         c = self.constellation
         used = c.symbols[:c.used_size] if c.is_materialized else None
-        top = c.n if used is None else int(used.max())
-        levels = np.repeat(np.arange(top + 1), c.q).reshape(-1, c.q)
+        levels = np.repeat(np.arange(c.top_level + 1), c.q).reshape(-1, c.q)
         light = self._led_light(self.modulate(levels), self.peak,
                                 _Workspace())[::c.q]
         return _read_only(light.copy() if used is None else light[used])
@@ -664,24 +661,26 @@ class _OfdmChain(_Chain):
     def __init__(self, config):
         self.config = config
         self.ofdm = config.scheme.build_ofdm()
-        fs = config.scheme.sample_rate
-        self.fs = fs
+        self.fs = config.scheme.sample_rate
         self.peak = config.peak_power_per_unit
         self.batch_bits = config.run.batch_symbols * self.ofdm.bits_per_frame
-        # composite linear response for the one-tap equalizer: drive scale,
-        # LED small-signal gain, LED pole, channel taps, responsivity
-        ir = ac.lowpass_impulse_response(config.device, fs, 256)
-        model = config.channel.link
-        if model.flat:
-            ir = ir * model.total_gain
-        else:
-            cir = ac.channel_impulse_response(
-                model, fs, max(256, model.response_length(fs))
-            )
-            ir = np.convolve(ir, cir)
-        self.equalizer_ir = ir * (config.peak_power_per_unit
-                                  * config.device.linear_gain
-                                  * config.channel.responsivity)
+
+    @functools.cached_property
+    def equalizer_ir(self):
+        """The one-tap equalizer's response: a unit impulse through the
+        LED's pole alone (unit gain, no curve) and the channel, over the
+        channel's response and the samples the pole takes to fall below
+        MEMORY_FLOOR, times the peak, LED gain and responsivity.  Built on
+        first use: calibration pilots only transmit."""
+        cfg, link = self.config, self.config.channel.link
+        pole = ac.LedModel(bandwidth_3db=cfg.device.bandwidth_3db)
+        a = ac.lowpass_coefficient(pole, self.fs)
+        tail = math.ceil(np.log(ofdm_mod.MEMORY_FLOOR) / np.log(a)) if a else 0
+        impulse = np.eye(1, link.response_length(self.fs) + tail)[0]
+        ir = ac.propagate(ac.led_transfer(impulse, pole, self.fs), link,
+                          self.fs)
+        return ir * (cfg.peak_power_per_unit * cfg.device.linear_gain
+                     * cfg.channel.responsivity)
 
     def draw_key(self):
         """What a batch's draws depend on, as `_PulseChain.draw_key`."""
@@ -974,19 +973,19 @@ def write_json(path, doc):
 # nonlinearity comparison (DCO-OFDM vs MEPPM with array split)
 # ---------------------------------------------------------------------------
 
-def calibrate_drive(config, target_mean_power, iterations=3):
+def calibrate_drive(config, target_mean_power):
     """Scale the drive so the post-LED mean optical power hits the target.
 
-    Fixed-point iteration on one noiseless pilot batch, drawn once from
-    the config seed: the unit-peak drive does not depend on the peak, so
-    each iteration only sends it again through the chain's `light` at the
-    new peak.  `nonlin_compare` calibrates all its points at once, one
-    pilot drive per scheme.
+    CALIBRATION_ITERATIONS fixed-point steps on one noiseless pilot batch,
+    drawn once from the config seed: the unit-peak drive does not depend
+    on the peak, so each step only sends it again through the chain's
+    `light` at the new peak.  `nonlin_compare` calibrates all its points
+    at once, one pilot drive per scheme.
     """
-    return _calibrated([config], target_mean_power, iterations)[0]
+    return _calibrated([config], target_mean_power)[0]
 
 
-def _calibrated(configs, target_mean_power, iterations=3):
+def _calibrated(configs, target_mean_power):
     """`calibrate_drive` of each config: configs that draw alike share one
     pilot and its unit-peak drive, and each runs only its own fixed
     point through its own chain's `light`, on an identity channel."""
@@ -1001,7 +1000,7 @@ def _calibrated(configs, target_mean_power, iterations=3):
         for i in group:
             chain = chains[i]
             peak = configs[i].peak_power_per_unit
-            for _ in range(iterations):
+            for _ in range(CALIBRATION_ITERATIONS):
                 measured = float(chain.light(
                     modulated, peak * chain.drive_scale, workspace).mean())
                 if measured <= 0:

@@ -7,7 +7,7 @@ import slot_reference
 from vlclink import analog_chain as ac
 from vlclink import constellations as con
 from vlclink import waveform as wf
-from vlclink.errors import InputError, ParameterError
+from vlclink.errors import InputError
 
 
 FS = 1e9  # sample rate of the test signals
@@ -71,31 +71,31 @@ class TestLowpass:
 class TestChannelImpulse:
     def test_pure_los_single_tap(self):
         cm = ac.ChannelModel(los_gain=0.9, nlos_gain=0.0)
-        h = ac.channel_impulse_response(cm, 1e9, 64)
+        h = ac.channel_impulse_response(cm, 1e9)
+        assert h.size == cm.response_length(1e9)
         assert h[0] == pytest.approx(0.9)
         assert np.count_nonzero(h) == 1
 
     def test_shadowed_no_impulse(self):
         cm = ac.ChannelModel(los_gain=0.7, nlos_gain=0.3, nlos_decay=10e-9,
                              shadowed=True)
-        h = ac.channel_impulse_response(cm, 1e9, 256)
+        h = ac.channel_impulse_response(cm, 1e9)
+        assert h.size == cm.response_length(1e9)
         assert h.sum() == pytest.approx(0.3, abs=1e-9)
         assert h.max() < 0.3  # tail only, no sharp tap
 
     def test_normalization(self):
         cm = ac.ChannelModel(los_gain=0.7, nlos_gain=0.3, nlos_decay=10e-9)
-        h = ac.channel_impulse_response(cm, 1e9, 256)
+        h = ac.channel_impulse_response(cm, 1e9)
+        assert h.size == cm.response_length(1e9)
         assert h.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_insufficient_length(self):
-        cm = ac.ChannelModel(los_gain=0.5, nlos_gain=0.5, nlos_decay=100e-9)
-        with pytest.raises(ParameterError):
-            ac.channel_impulse_response(cm, 1e9, 100)
 
     def test_delay_shifts_tap(self):
         cm = ac.ChannelModel(los_gain=1.0, los_delay=5e-9, nlos_gain=0.0)
-        h = ac.channel_impulse_response(cm, 1e9, 64)
+        h = ac.channel_impulse_response(cm, 1e9)
+        assert h.size == cm.response_length(1e9)
         assert h[5] == pytest.approx(1.0)
+        assert np.count_nonzero(h) == 1
 
 
 def impulse_response(response, n):

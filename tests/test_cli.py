@@ -314,22 +314,26 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("patch", [
-        {"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 21,
-                    "use_complements": True}, "decoder": "ml"},
-        {"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 4},
-         "array_split_leds": 2},
-        {"scheme": {"kind": "meppm", "q": 8, "k": 4, "n": 12,
-                    "use_complements": True}},
+    @pytest.mark.parametrize("patch, message", [
+        ({"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 21,
+                     "use_complements": True}, "decoder": "ml"},
+         '$: decoder "ml": 32826266 symbols exceed the codeword table'),
+        ({"scheme": {"kind": "meppm", "q": 7, "k": 3, "n": 4},
+          "array_split_leds": 2},
+         "$: array_split_leds: slot level 4 exceeds 2 LEDs"),
+        ({"scheme": {"kind": "meppm", "q": 8, "k": 4, "n": 12,
+                     "use_complements": True}},
+         "scheme: 17383860 component multisets exceed the enumeration"),
     ], ids=["ml-decoder-too-large", "too-few-split-leds",
             "enumeration-guard"])
-    def test_capacity_error_exit_3(self, tmp_path, patch):
+    def test_capacity_error_exit_3(self, tmp_path, patch, message):
+        # caught where the config is parsed, before any point runs
         doc = dict(BASE_EPPM, sweep={"points": [6.0, 9.0]}, **patch)
         cfg = write_config(tmp_path, doc)
         out_dir = tmp_path / "out"
         res = run_cli("ber-sweep", "--config", cfg, "--output-dir", str(out_dir))
         assert res.returncode == 3
-        assert res.stderr.startswith("error: parameter:")
+        assert res.stderr.startswith(f"error: config: {message}")
         assert len(res.stderr.splitlines()) == 1
         assert not out_dir.exists()
 

@@ -449,6 +449,52 @@ class TestCalibrateDrive:
         assert_calibrated_as(sk.calibrate_drive(config, 1.0),
                              reference_calibration(config, 1.0))
 
+    def test_ofdm_pilot_builds_no_equalizer(self, monkeypatch):
+        def no_equalizer(chain):
+            raise AssertionError("calibration built the equalizer")
+
+        monkeypatch.setattr(sk._OfdmChain, "equalizer_ir",
+                            property(no_equalizer))
+        config = CALIBRATED["dco-ofdm-saturating"]
+        assert_calibrated_as(sk.calibrate_drive(config, 1.0),
+                             reference_calibration(config, 1.0))
+
+
+# a linear phosphor LED at 1 GS/s over a dispersive channel: its pole
+# alone takes 1,466 samples to fall below the memory floor
+OFDM_NLOS = sk.TrialConfig(
+    scheme=sk.SchemeSpec(kind="dco_ofdm", cyclic_prefix=8, sample_rate=1e9),
+    geometry=geo(),
+    device=ac.LedModel(bandwidth_3db=3e6, linear_gain=1.5),
+    channel=sk.ChannelSpec(
+        mode="physical",
+        model=ac.ChannelModel(los_gain=0.8, nlos_gain=0.2,
+                              nlos_decay=200e-9)),
+    run=sk.RunSpec(batch_symbols=64), peak_power_per_unit=0.7)
+
+
+class TestOfdmEqualizer:
+    """DCO-OFDM's one-tap equalizer is the response of the link its chain
+    runs: the LED's pole and the channel, down to the memory floor."""
+
+    def test_noiseless_samples_are_the_drive_through_it(self):
+        chain = sk._build_chain(OFDM_NLOS)
+        draws = chain.draw([0])
+        (drive,) = draws.modulated
+        received = sk._apply_channel(
+            chain.light(draws.modulated, chain.peak, draws.workspace),
+            OFDM_NLOS.channel.link, OFDM_NLOS, chain.fs)[0]
+        through = np.convolve(drive[0], chain.equalizer_ir)[:received.size]
+        assert (np.abs(received - through).max()
+                <= 1e-9 * np.abs(received).max())
+
+    def test_sums_to_the_link_gain(self):
+        cfg = OFDM_NLOS
+        gain = (cfg.peak_power_per_unit * cfg.device.linear_gain
+                * cfg.channel.link.total_gain * cfg.channel.responsivity)
+        assert sk._build_chain(cfg).equalizer_ir.sum() == pytest.approx(
+            gain, rel=1e-9)
+
 
 RECEIVED = {
     "f1-awgn-eppm-interleaved": awgn_config(
