@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from . import __version__
 from . import constellations as con
 from . import simkit as sk
-from . import waveform as wf
 from .errors import ConfigError, ParameterError
 from .schema import section
 
@@ -126,9 +125,8 @@ def cmd_dimming_sweep(args):
     config, doc = _load(args)
     points = _sweep_points(doc, config, "dimming")
     reports = sk.sweep(config, "dimming", points, output_dir=args.output_dir)
-    c = config.scheme.build_constellation()
     for p, r in zip(points, reports):
-        achieved = wf.apply_dimming(c, p).achieved_ratio
+        achieved = config.scheme.dimmed(p).achieved_ratio
         print(f"target={p:g} achieved={achieved:.6g} ber={r.ber:.6g}")
     return 0
 
@@ -164,7 +162,8 @@ def cmd_nonlin_compare(args):
     points = _checked_points(compare.saturation_points, config, "saturation",
                              "compare.saturation_points")
     try:
-        ofdm_config = replace(config, scheme=compare.ofdm_scheme)
+        # the decoder is the pulse side's; DCO-OFDM has its own
+        ofdm_config = replace(config, scheme=compare.ofdm_scheme, decoder="")
     except ParameterError as exc:
         raise ConfigError("compare.ofdm_scheme", str(exc)) from None
     results = sk.nonlin_compare(

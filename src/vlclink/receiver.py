@@ -24,6 +24,12 @@ from .errors import CapacityError, InputError, ParameterError
 ML_SIZE_LIMIT = 1 << 20
 DECODERS = ("correlation", "ml", "components")
 
+# Relative margin under the lattice certificate's radius d_min^2 / 4.  The
+# float64 squared distance of a row has a relative error below (Q + 1) *
+# 2^-53 (Q differences, Q squares, a sum), under 1e-9 for any Q below
+# 10^7, so a row certified by its computed distance is inside the radius.
+CERTIFICATE_MARGIN = 1e-9
+
 
 def pulse_kernel(f):
     """Slot-domain response of one unit pulse seen by the end-aligned
@@ -32,7 +38,7 @@ def pulse_kernel(f):
     return np.minimum(np.minimum(d + 1, 2 * f - 1 - d), f).astype(np.float64)
 
 
-def slot_statistics(y, g, sps=None):
+def slot_statistics(y, g, sps=None, overwrite=False):
     """Correlate received samples with the known F-slot pulse at each slot
     offset.
 
@@ -42,11 +48,11 @@ def slot_statistics(y, g, sps=None):
     a stack of signals (n_frames, n_samples) gives one row per frame.  `y`
     holds `sps` samples a slot (by default `g.samples_per_slot`), which
     `ac.cell_means` integrates; at 1 each sample is its slot's mean, and
-    the statistics start from a copy.
+    the statistics start from a copy, or with `overwrite` take `y` itself.
     """
     sps = g.samples_per_slot if sps is None else sps
     u = ac.cell_means(y, sps)
-    if sps == 1:
+    if sps == 1 and not overwrite:
         u = u.copy()
     f = g.overlap_factor
     if f > 1:
@@ -168,6 +174,11 @@ class MeppmComponentDecoder:
     the nearest valid component counts of its real-valued solve.
     Whichever candidate reconstructs the observed statistics more closely
     wins.  Statistics are unit-scaled amplitudes.
+
+    The lattice candidate comes first: a row within half the code's
+    minimum distance of it (squared distance under `min_distance2 / 4`,
+    less CERTIFICATE_MARGIN) has it as its unique nearest sum vector, so
+    no greedy point can be closer and the row skips the peeling.
     """
 
     def __init__(self, c):
@@ -199,14 +210,20 @@ class MeppmComponentDecoder:
     def decide_block(self, stats_2d):
         """The decided sum vectors (n, Q) int64 of the rows."""
         stats_2d = np.asarray(stats_2d, dtype=np.float64)
-        # both candidates' sums are small integers, so exact in float64
-        greedy = self._greedy(stats_2d) @ self.templates
         lat = self.constellation.lattice
         rounded = lat.sums(lat.nearest(lat.solve(stats_2d)))
-        d_greedy = ((stats_2d - greedy) ** 2).sum(axis=1)
         d_round = ((stats_2d - rounded) ** 2).sum(axis=1)
-        return np.where((d_round < d_greedy)[:, None], rounded,
-                        greedy).astype(np.int64)
+        # a greedy point g != r has |a - g| >= d_min - |a - r| > |a - r|
+        radius2 = lat.min_distance2 / 4 * (1 - CERTIFICATE_MARGIN)
+        open_rows = np.flatnonzero(~(d_round < radius2))  # NaN stays open
+        if open_rows.size:
+            stats = stats_2d[open_rows]
+            # the greedy sums are small integers, so exact in float64
+            greedy = self._greedy(stats) @ self.templates
+            d_greedy = ((stats - greedy) ** 2).sum(axis=1)
+            won = ~(d_round[open_rows] < d_greedy)
+            rounded[open_rows[won]] = greedy[won]
+        return rounded
 
 
 _DECODER_CLASSES = dict(zip(DECODERS, (CorrelationDecoder, MlDecoder,

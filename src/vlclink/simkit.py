@@ -163,6 +163,14 @@ class SchemeSpec:
                                    self.use_complements)
         raise ParameterError(f"not a pulse scheme: {self.kind!r}")
 
+    @functools.lru_cache(maxsize=64)
+    def dimmed(self, target):
+        """`wf.apply_dimming` of the scheme's constellation at `target`,
+        built once per spec and target: rebuilding a dimmed EPPM code
+        reruns its seed search, and every config of a sweep, calibration
+        or trial chain asks for it again."""
+        return wf.apply_dimming(self.build_constellation(), target)
+
     def build_ofdm(self):
         return ofdm_mod.OfdmConfig(
             n_subcarriers=self.n_subcarriers,
@@ -272,7 +280,7 @@ class TrialConfig:
         c = self.scheme.build_constellation()
         if self.dimming_target:
             try:
-                c = wf.apply_dimming(c, self.dimming_target).constellation
+                c = self.scheme.dimmed(self.dimming_target).constellation
             except ParameterError as exc:
                 raise ParameterError(f"dimming_target: {exc}") from None
         rx.resolve_decoder(c, self.decoder)
@@ -352,11 +360,10 @@ class _Workspace(threading.local):
     thread its own (a thread's first use makes them): each LED's drive
     (F>1 pulse links, DCO-OFDM), which the LED and channel overwrite, or
     the light that an F=1 pulse link gathers from its table, and the
-    normals and an AWGN link's scaled noise, one per value the receiver
-    reads.  Every stack a thread runs reuses them, so their pages fault in
-    once per call, not once per stack (glibc would hand them back to the
-    kernel in between).  Nothing a link returns aliases them, and they
-    are dropped with the call."""
+    normals, one per value the receiver reads.  Every stack a thread runs
+    reuses them, so their pages fault in once per call, not once per stack
+    (glibc would hand them back to the kernel in between).  Nothing a link
+    returns aliases them, and they are dropped with the call."""
 
     def __init__(self):
         self._buffers = {}
@@ -427,7 +434,7 @@ class _PulseChain(_Chain):
         self.config = config
         c = config.scheme.build_constellation()
         if config.dimming_target:
-            dim = wf.apply_dimming(c, config.dimming_target)
+            dim = config.scheme.dimmed(config.dimming_target)
             c = dim.constellation
             self.drive_scale = dim.power_scale
         else:
@@ -614,7 +621,10 @@ class _PulseChain(_Chain):
                  else ac.IDENTITY_CHANNEL)
         means = _apply_channel(light, model, cfg,
                                1 / self.geometry.slot_duration, draws, depth)
-        return rx.slot_statistics(means, self.geometry, 1)
+        # an AWGN link's means are a new array, which the statistics take
+        return rx.slot_statistics(
+            means, self.geometry, 1,
+            overwrite=not np.may_share_memory(means, light))
 
     def statistics(self, draws):
         """Slot statistics of each row of a stack's draws through this
@@ -744,10 +754,11 @@ def _apply_channel(x, model, cfg, fs, draws=None, depth=1):
     `model`, which overwrites `x`, and the detector.  Unless `draws` is None,
     row i of a stack takes row i of the draws' normals, scaled to the std
     of the mean of the configured rate's noise over a value (a pulse
-    link's is a slot), an AWGN link's in the draws' workspace.  At `depth`
-    above 1, `x` holds the slots of a pulse stack in symbol order, and
-    takes the normals, drawn in send order, through the inverse of the
-    interleaver permutation: a strided view, so neither is copied."""
+    link's is a slot); an AWGN link scales them into a new array, then
+    adds the light.  At `depth` above 1, `x` holds the slots of a pulse
+    stack in symbol order, and takes the normals, drawn in send order,
+    through the inverse of the interleaver permutation: a strided view,
+    so neither is copied."""
     spec = cfg.channel
     if spec.mode == "identity":
         return x
@@ -777,9 +788,12 @@ def _apply_channel(x, model, cfg, fs, draws=None, depth=1):
         sigma = cfg.peak_power_per_unit * np.sqrt(samples / snr)
     if sigma > 0:
         # sigma is per sample at the configured rate, so a mean of the
-        # rate / fs samples of a value at fs has std sigma * sqrt(fs / rate)
-        y += np.multiply(normals(), sigma * np.sqrt(fs / rate),
-                         out=draws.workspace.take("noise", y.shape))
+        # rate / fs samples of a value at fs has std sigma * sqrt(fs / rate).
+        # The new array is C-contiguous in `x`'s layout: without `out`,
+        # multiply would follow the strided normals' send order
+        noisy = np.multiply(normals(), sigma * np.sqrt(fs / rate),
+                            out=np.empty(y.shape))
+        y = np.add(noisy, y, out=noisy)
     return y.reshape(shape)
 
 

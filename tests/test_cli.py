@@ -481,6 +481,27 @@ class TestSweepCommands:
         assert (out_dir / "meppm_saturation.csv").exists()
         assert (out_dir / "dco_ofdm_saturation.csv").exists()
 
+    @pytest.mark.parametrize("decoder", ["components", "ml"])
+    def test_nonlin_compare_decoder_is_the_pulse_sides(self, tmp_path,
+                                                       capsys, decoder):
+        doc = dict(BASE_EPPM, scheme={"kind": "meppm", "q": 7, "k": 3,
+                                      "n": 4},
+                   run={"max_bits": 700, "min_errors": 1,
+                        "batch_symbols": 16},
+                   array_split_leds=4, decoder=decoder,
+                   compare={"saturation_points": [1.5, 4.0], "mean_power": 1.0,
+                            "ofdm_scheme": {"kind": "dco_ofdm"}})
+        out_dir = tmp_path / "out"
+        code = cli.main(["nonlin-compare", "--config",
+                         write_config(tmp_path, doc),
+                         "--output-dir", str(out_dir)])
+        assert code == 0, capsys.readouterr().err
+        used = {}
+        for side in ("meppm", "dco_ofdm"):
+            path = out_dir / f"{side}_saturation_manifest.json"
+            used[side] = json.loads(path.read_text())["config"]["decoder"]
+        assert used == {"meppm": decoder, "dco_ofdm": ""}
+
     def test_dimming_sweep(self, tmp_path):
         doc = {
             "scheme": {"kind": "eppm", "q": 15, "k": 7},

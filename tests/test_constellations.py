@@ -1,6 +1,7 @@
 """Constellation construction, distance spectra, and bit-mapping tests."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,38 @@ class TestMeppm:
     def test_constellation_too_small(self):
         with pytest.raises(ParameterError):
             con.build_meppm(7, 3, 0)
+
+
+class TestLatticeMinDistance:
+    @pytest.mark.parametrize("q, k, n, comp", [
+        (7, 3, 1, False), (7, 3, 2, False), (7, 3, 4, False),
+        (7, 3, 1, True), (7, 3, 2, True), (7, 3, 4, True),
+        (8, 4, 2, False), (8, 4, 3, False), (13, 4, 2, True),
+        (15, 7, 2, False)])
+    def test_matches_every_pair(self, q, k, n, comp):
+        c = con.build_meppm(q, k, n, use_complements=comp)
+        sym = c.symbols.astype(np.int64)
+        d2 = ((sym[:, None] - sym[None]) ** 2).sum(axis=2)
+        d2[np.diag_indices(c.size)] = d2.max() + 1
+        assert c.lattice.min_distance2 == d2.min()
+
+    @pytest.mark.parametrize("q, k, n, comp, d2", [
+        (7, 3, 21, True, 3.0), (7, 3, 21, False, 4.0), (8, 4, 2, False, 4.0)])
+    def test_search_is_lazy_and_small(self, q, k, n, comp, d2):
+        lat = con.build_meppm(q, k, n, use_complements=comp).lattice
+        # nothing runs when the constellation is built
+        assert "min_distance2" not in vars(lat)
+        tracemalloc.start()
+        try:
+            assert lat.min_distance2 == d2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_gives_up_with_zero_past_its_node_budget(self, monkeypatch):
+        monkeypatch.setattr(con, "MIN_DISTANCE_NODES", 10)
+        assert con.build_meppm(7, 3, 21, True).lattice.min_distance2 == 0.0
 
 
 class TestStatsInvariants:

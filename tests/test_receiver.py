@@ -311,6 +311,96 @@ def residual_greedy(dec, calibrated):
     return counts
 
 
+def both_candidates(dec, stats):
+    """The component decision that always runs both candidates: greedy
+    peeling and lattice rounding, rounding only when strictly closer."""
+    lat = dec.constellation.lattice
+    greedy = dec._greedy(stats) @ dec.templates
+    rounded = lat.sums(lat.nearest(lat.solve(stats)))
+    d_greedy = ((stats - greedy) ** 2).sum(axis=1)
+    d_round = ((stats - rounded) ** 2).sum(axis=1)
+    return np.where((d_round < d_greedy)[:, None], rounded,
+                    greedy).astype(np.int64)
+
+
+def rounded_distances(c, stats):
+    lat = c.lattice
+    return ((stats - lat.sums(lat.nearest(lat.solve(stats)))) ** 2).sum(axis=1)
+
+
+def near_the_radius(c, rng, n_pairs):
+    """Rows on the segment from a sum vector s to a neighbour s' at the
+    minimum distance, at squared distance d_min^2 / 4 (1 + delta) from s,
+    for |delta| up to 1e-6."""
+    lat = c.lattice
+    eye = np.eye(c.q, dtype=np.int64)
+    steps = np.concatenate([(eye[:, None] + s * eye).reshape(-1, c.q)
+                            for s in (1, -1)])
+    steps = np.concatenate([steps, -steps])
+    basis = lat.shifts - 0.5 if lat.use_complements else lat.shifts
+    steps = steps[((steps @ basis) ** 2).sum(axis=1) == lat.min_distance2]
+    counts = lat.counter.unrank(rng.integers(0, c.size, size=n_pairs))
+    moved = counts + steps[rng.integers(0, len(steps), size=n_pairs)]
+    if lat.use_complements:
+        valid = np.abs(moved).sum(axis=1) <= c.n
+    else:
+        valid = moved.min(axis=1) >= 0
+    s, s2 = lat.sums(counts[valid]), lat.sums(moved[valid])
+    assert np.all(((s2 - s) ** 2).sum(axis=1) == lat.min_distance2)
+    t = 0.5 * np.sqrt(1 + np.array([-1e-6, -1e-8, 0.0, 1e-8, 1e-6]))
+    return (s[:, None] + t[:, None] * (s2 - s)[:, None]).reshape(-1, c.q)
+
+
+CERTIFIED_CODES = [(7, 3, n, comp) for n in (1, 2, 4) for comp in (False, True)]
+CERTIFIED_CODES += [(8, 4, 2, False), (7, 3, 21, True)]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("q, k, n, comp", CERTIFIED_CODES)
+    def test_decisions_equal_both_candidates(self, q, k, n, comp):
+        c = con.build_meppm(q, k, n, use_complements=comp)
+        dec = rx.MeppmComponentDecoder(c)
+        rng = np.random.default_rng(n)
+        idx = rng.integers(0, c.used_size, size=2000)
+        clean = c.encode_indices(idx).reshape(4, 500, q)
+        scales = np.array([0.05, 0.3, 0.6, 1.0])[:, None, None]
+        stats = np.concatenate([
+            (clean + scales * rng.standard_normal(clean.shape)).reshape(-1, q),
+            near_the_radius(c, rng, 400)])
+        assert np.array_equal(dec.decide_block(stats),
+                              both_candidates(dec, stats))
+        # rows on both sides of the radius, some of them within 1e-6 of it
+        ratio = rounded_distances(c, stats) / (c.lattice.min_distance2 / 4)
+        assert np.any(ratio < 1) and np.any(ratio >= 1)
+        assert np.any(np.abs(ratio - 1) < 1e-6)
+
+    def test_without_a_bound_every_row_runs_both(self, monkeypatch):
+        monkeypatch.setattr(con, "MIN_DISTANCE_NODES", 10)
+        c = con.build_meppm(7, 3, 4, use_complements=True)
+        dec = rx.MeppmComponentDecoder(c)
+        rng = np.random.default_rng(3)
+        stats = c.encode_indices(rng.integers(0, c.used_size, size=300)) + (
+            rng.normal(scale=0.3, size=(300, 7)))
+        assert c.lattice.min_distance2 == 0.0
+        assert np.array_equal(dec.decide_block(stats),
+                              both_candidates(dec, stats))
+
+    def test_greedy_sees_only_the_uncertified_rows(self):
+        c = con.build_meppm(7, 3, 21, use_complements=True)
+        dec = rx.MeppmComponentDecoder(c)
+        seen, greedy = [], dec._greedy
+        dec._greedy = lambda stats: seen.append(len(stats)) or greedy(stats)
+        rng = np.random.default_rng(9)
+        clean = c.encode_indices(rng.integers(0, c.used_size, size=256))
+        assert np.array_equal(dec.decide_block(clean), clean)
+        assert seen == []
+        noisy = clean + rng.normal(scale=0.3, size=clean.shape)
+        open_rows = np.count_nonzero(rounded_distances(c, noisy) >= (
+            c.lattice.min_distance2 / 4 * (1 - rx.CERTIFICATE_MARGIN)))
+        dec.decide_block(noisy)
+        assert seen == [open_rows] and 0 < open_rows < len(noisy)
+
+
 DECISION_CASES = [
     (con.build_eppm(7, 3), "correlation", 3),
     (con.build_meppm(7, 3, 2, use_complements=True), "ml", 3),

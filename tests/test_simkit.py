@@ -304,6 +304,28 @@ class TestSweep:
         assert achieved[0] == pytest.approx(4 / 15)
         assert achieved[1] == pytest.approx(6 / 15)
 
+    def test_a_dimmed_code_is_searched_once(self, monkeypatch):
+        # dimmed to 0.3, EPPM(14, 5) becomes EPPM(14, 4), which has no
+        # catalog seed, so building it searches
+        spec = sk.SchemeSpec(kind="eppm", q=14, k=5)
+        rebuilt = wf.apply_dimming(spec.build_constellation(), 0.3)
+        searches = []
+        search = con.search_eppm_seed
+        monkeypatch.setattr(con, "search_eppm_seed", lambda q, k: (
+            searches.append((q, k)) or search(q, k)))
+        cfg = sk.TrialConfig(scheme=spec, geometry=geo(), dimming_target=0.3,
+                             run=sk.RunSpec(max_bits=2_000, min_errors=5,
+                                            batch_symbols=64))
+        assert searches in ([], [(14, 4)])
+        searches.clear()
+        chains = [sk._PulseChain(replace(cfg, seed=i)) for i in range(4)]
+        sk.sweep(cfg, "dimming", [0.3, 0.3])
+        assert searches == []
+        for chain in chains:
+            assert np.array_equal(chain.constellation.symbols,
+                                  rebuilt.constellation.symbols)
+            assert chain.drive_scale == rebuilt.power_scale
+
     def test_sweep_determinism_across_workers(self, tmp_path):
         rows = []
         for workers in (1, 4):
@@ -1328,10 +1350,10 @@ class TestWorkspace:
         # gather their light, and the table's levels are sent once
         (awgn_config(geometry=geo(sps=4), run=sk.RunSpec(
             max_bits=16 * 2048 * 2, min_errors=10 ** 9, batch_symbols=2048)),
-         {("drive", 0), "light", "noise", "normals"}),
+         {("drive", 0), "light", "normals"}),
         # F>1: a stack a wave, each rendered
         (unbounded(SHARED_SWEEPS["snr-f2-eppm"][0], 3 * 8 * 64 * 2),
-         {("drive", 0), "noise", "normals"}),
+         {("drive", 0), "normals"}),
     ], ids=["f1", "f2"])
     def test_a_thread_reuses_its_buffers(self, config, keys, workers,
                                          monkeypatch):
